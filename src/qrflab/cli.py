@@ -532,12 +532,8 @@ def _op_kms_check(ctx, args, path, tol, sign):
 
 
 def _product_invariance(action: GroupAction, frame: QuantumReferenceFrame, y: np.ndarray) -> float:
-    if isinstance(action.rep, FiniteRep):
-        points = range(action.rep.group.order)
-    else:
-        points = action.rep.group.quadrature_nodes()
     worst = 0.0
-    for g in points:
+    for g in action.rep.group.quadrature_nodes():
         u = np.kron(action.rep.unitary(g), frame.rep.unitary(g))
         worst = max(worst, op_norm(u @ y @ dagger(u) - y))
     return worst
@@ -926,3 +922,7 @@ def main(argv=None) -> int:
     else:
         report.pop("_records", None)
     return 0 if report["summary"]["failed"] == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,16 +33,19 @@ from .vnalg import (
 )
 
 
+def _diagonal_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """sum_g A_g (x) |g><g|: block A_g placed at rows and columns i * n + g."""
+    stack = np.asarray(blocks, dtype=complex)
+    n, d, _ = stack.shape
+    out = np.zeros((d, n, d, n), dtype=complex)
+    idx = np.arange(n)
+    out[:, idx, :, idx] = stack
+    return out.reshape(d * n, d * n)
+
+
 def embed_twisted(a: np.ndarray, rep: FiniteRep) -> np.ndarray:
     """The crossed product embedding, pi(a) = sum_g alpha(g, a) (x) |g><g|."""
-    n = rep.group.order
-    d = rep.dim
-    out = np.zeros((d * n, d * n), dtype=complex)
-    for g in range(n):
-        sel = np.zeros((n, n), dtype=complex)
-        sel[g, g] = 1.0
-        out += np.kron(rep.conjugate(g, a), sel)
-    return out
+    return _diagonal_blocks([rep.conjugate(g, a) for g in rep.group.quadrature_nodes()])
 
 
 def right_translations(group: FiniteGroup, dim: int) -> list[np.ndarray]:
@@ -117,14 +120,7 @@ def build_crossed_product(action: GroupAction) -> CrossedProductAlgebra:
 
 def intertwining_unitary(rep: FiniteRep) -> np.ndarray:
     """V with (V phi)(g) = U(g) phi(g); conjugation by V untwists pi."""
-    n = rep.group.order
-    d = rep.dim
-    v = np.zeros((d * n, d * n), dtype=complex)
-    for g in range(n):
-        sel = np.zeros((n, n), dtype=complex)
-        sel[g, g] = 1.0
-        v += np.kron(rep.unitary(g), sel)
-    return v
+    return _diagonal_blocks(rep.unitaries)
 
 
 def _invariant_tensor_rows(

@@ -22,8 +22,6 @@ from .opcore import (
     rel_err,
 )
 from .symmetry import (
-    CircleGroup,
-    CircleRep,
     FiniteRep,
     HomogeneousSpace,
     Rep,
@@ -52,6 +50,14 @@ class CosetCells:
     def size(self) -> int:
         return self.space.size
 
+    def cell_permutations(self) -> list[tuple[int, list[int]]]:
+        """Every group element g with the cell map s -> g . s."""
+        hom = self.space
+        return [
+            (g, [hom.act(g, s) for s in range(hom.size)])
+            for g in hom.group.quadrature_nodes()
+        ]
+
 
 @dataclass(frozen=True)
 class CirclePartition:
@@ -79,6 +85,23 @@ class CirclePartition:
         b = self.boundaries
         out = [(b[i], b[i + 1]) for i in range(len(b) - 1)]
         out.append((b[-1], b[0] + 2.0 * np.pi))
+        return out
+
+    def cell_permutations(self) -> list[tuple[float, list[int]]]:
+        """The rotations that map the partition onto itself, with their shift.
+
+        Rotating by the gap from the first boundary to boundary j sends arc
+        i to arc i + j cyclically, when it maps the boundaries onto
+        themselves; other rotations do not permute the arcs.
+        """
+        bounds = np.array(self.boundaries)
+        n = len(bounds)
+        out = []
+        for j in range(n):
+            theta = float((bounds[j] - bounds[0]) % (2.0 * np.pi))
+            shifted = np.sort((bounds + theta) % (2.0 * np.pi))
+            if np.abs(shifted - bounds).max() <= 1.0e-12:
+                out.append((theta, [(s + j) % n for s in range(n)]))
         return out
 
 
@@ -243,35 +266,17 @@ class QuantumReferenceFrame:
     def covariance_defect(self) -> float:
         """Worst-case violation of U(g) E(X) U(g)^dag = E(g . X).
 
-        Finite frames are checked exhaustively. Circle frames are checked at
-        every rotation that maps the arc partition onto itself; rotations
-        incommensurate with the partition are not evaluated.
+        Checked at every group point that permutes the cells: all elements
+        of a finite group, and for circle frames every rotation that maps
+        the arc partition onto itself. Rotations incommensurate with the
+        partition are not evaluated.
         """
-        if isinstance(self.rep, FiniteRep):
-            cells: CosetCells = self.povm.space
-            worst = 0.0
-            for g in range(self.rep.group.order):
-                for s, e in enumerate(self.povm.effects):
-                    moved = self.rep.conjugate(g, e)
-                    target = self.povm.effects[cells.space.act(g, s)]
-                    worst = max(worst, op_norm(moved - target))
-            return worst
-        return self._circle_covariance_defect()
-
-    def _circle_covariance_defect(self) -> float:
-        part: CirclePartition = self.povm.space
-        bounds = np.array(part.boundaries)
+        effects = self.povm.effects
         worst = 0.0
-        for j in range(len(bounds)):
-            theta = float((bounds[j] - bounds[0]) % (2.0 * np.pi))
-            shifted = np.sort((bounds + theta) % (2.0 * np.pi))
-            if np.abs(shifted - bounds).max() > 1.0e-12:
-                continue
-            # Rotation by theta sends arc i to arc i + j cyclically.
-            u = self.rep.unitary(theta)
-            for s, e in enumerate(self.povm.effects):
-                target = self.povm.effects[(s + j) % len(bounds)]
-                worst = max(worst, op_norm(u @ e @ dagger(u) - target))
+        for g, targets in self.povm.space.cell_permutations():
+            u = self.rep.unitary(g)
+            for e, t in zip(effects, targets):
+                worst = max(worst, op_norm(u @ e @ dagger(u) - effects[t]))
         return worst
 
     def norm1_scores(self) -> list[float]:
@@ -348,6 +353,23 @@ class Dilation:
         return worst
 
 
+def _stack_isometry(blocks: list[np.ndarray]) -> np.ndarray:
+    """W with row i * k + x equal to row i of blocks[x], for k blocks.
+
+    This is W psi = sum_x (M_x psi) (x) |x> on the system tensored with a
+    k-dimensional outcome space.
+    """
+    stack = np.asarray(blocks, dtype=complex)
+    k, d, _ = stack.shape
+    return stack.transpose(1, 0, 2).reshape(d * k, d)
+
+
+def _position_projections(d: int, k: int) -> list[np.ndarray]:
+    """The projections 1 (x) |x><x| on C^d (x) C^k, for x = 0 .. k-1."""
+    eye = np.eye(d)
+    return [np.kron(eye, np.diag(e)) for e in np.eye(k, dtype=complex)]
+
+
 def naimark_dilate(povm: Povm) -> Dilation:
     """Square-root dilation on the system tensored with the outcome space.
 
@@ -355,18 +377,8 @@ def naimark_dilate(povm: Povm) -> Dilation:
     1 (x) |x><x|; pulling them back recovers the POVM exactly.
     """
     d, k = povm.dim, povm.n_outcomes
-    roots = [psd_sqrt(e) for e in povm.effects]
-    w = np.zeros((d * k, d), dtype=complex)
-    for x, r in enumerate(roots):
-        for i in range(d):
-            w[i * k + x, :] = r[i, :]
-    projections = []
-    eye = np.eye(d)
-    for x in range(k):
-        sel = np.zeros((k, k), dtype=complex)
-        sel[x, x] = 1.0
-        projections.append(np.kron(eye, sel))
-    return Dilation(w, projections, ambient_dim=d * k)
+    w = _stack_isometry([psd_sqrt(e) for e in povm.effects])
+    return Dilation(w, _position_projections(d, k), ambient_dim=d * k)
 
 
 def covariant_dilate(frame: QuantumReferenceFrame, tol: float = 1.0e-8) -> Dilation:
@@ -387,21 +399,13 @@ def covariant_dilate(frame: QuantumReferenceFrame, tol: float = 1.0e-8) -> Dilat
     cell_of = {hom_rep: c for c, hom_rep in enumerate(cells.space.representatives)}
     e_id = frame.povm.effects[cell_of[group.identity]]
     root = psd_sqrt(e_id)
-    w = np.zeros((d * n, d), dtype=complex)
-    for g in range(n):
-        m_g = root @ frame.rep.unitary(group.inverse[g])
-        for i in range(d):
-            w[i * n + g, :] = m_g[i, :]
+    w = _stack_isometry([root @ frame.rep.unitary(group.inverse[g]) for g in range(n)])
     eye = np.eye(d)
-    projections = []
-    for g in range(n):
-        sel = np.zeros((n, n), dtype=complex)
-        sel[g, g] = 1.0
-        projections.append(np.kron(eye, sel))
     lam = regular_representation(group)
     ambient = FiniteRep(group, [np.kron(eye, u) for u in lam.unitaries])
     dil = Dilation(
-        w, projections, ambient_dim=d * n, covariant=True, ambient_rep=ambient, kdim=d
+        w, _position_projections(d, n), ambient_dim=d * n, covariant=True,
+        ambient_rep=ambient, kdim=d,
     )
     worst = max(
         rel_err(w @ frame.rep.unitary(g), ambient.unitaries[g] @ w) for g in range(n)

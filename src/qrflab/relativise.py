@@ -18,7 +18,6 @@ from .opcore import (
     as_operator,
     check_density,
     dagger,
-    hs_norm,
     op_norm,
     partial_trace,
 )
@@ -37,15 +36,19 @@ class GroupAction:
     def __post_init__(self) -> None:
         if self.algebra.ambient_dim != self.rep.dim:
             raise ValueError("algebra and representation dimensions differ")
-        if isinstance(self.rep, FiniteRep):
-            points = range(self.rep.group.order)
-        else:
-            points = self.rep.group.quadrature_nodes()
-        for b in self.algebra.basis_matrices():
-            for g in points:
-                moved = self.rep.conjugate(g, b)
-                if self.algebra.distance(moved) > self.closure_tol * max(1.0, hs_norm(moved)):
-                    raise ValueError("representation does not preserve the algebra")
+        # At each quadrature node the whole basis stack is conjugated at once
+        # and projected onto the span in one product; each element keeps its
+        # own test, distance > closure_tol * max(1, |moved|).
+        rows = self.algebra.rows
+        d = self.rep.dim
+        basis = rows.reshape(-1, d, d)
+        for g in self.rep.group.quadrature_nodes():
+            u = self.rep.unitary(g)
+            moved = (u @ basis @ dagger(u)).reshape(rows.shape)
+            resid = moved - (moved @ dagger(rows)) @ rows
+            dist = np.linalg.norm(resid, axis=1)
+            if (dist > self.closure_tol * np.maximum(1.0, np.linalg.norm(moved, axis=1))).any():
+                raise ValueError("representation does not preserve the algebra")
 
 
 def _require_same_group(action: GroupAction, frame: QuantumReferenceFrame) -> None:
@@ -106,33 +109,36 @@ def _phase_density_matrix(frame: QuantumReferenceFrame) -> np.ndarray:
     return c
 
 
+def _circle_modes(
+    x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared set-up of the two exact circle contractions.
+
+    Returns x in the eigenbasis of the system generator, the phase density
+    c, and the mode mask mask[j, n, k, m] = (k_j - k_k + N_n - N_m == 0):
+    the orbit entry x_jk carries e^{i theta (k_j - k_k)}, the density entry
+    c_nm carries e^{i theta (N_n - N_m)}, and integrating over the circle
+    keeps exactly the pairs whose frequencies cancel.
+    """
+    c = _phase_density_matrix(frame)
+    v = action.rep.vecs
+    k = action.rep.freqs
+    nr = np.rint(np.diag(frame.rep.generator).real).astype(int)
+    nu = k[:, None, None, None] - k[None, None, :, None]
+    mask = nu + nr[None, :, None, None] - nr[None, None, None, :] == 0
+    return dagger(v) @ x @ v, c, mask
+
+
 def _relativize_circle(
     x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
 ) -> np.ndarray:
-    """Exact Fourier-mode contraction of the orbit against the phase density.
-
-    In the eigenbasis of the system generator the orbit has entries
-    e^{i theta (k_j - k_k)} x_jk and the POVM density carries modes n - m;
-    integrating over the circle keeps exactly the terms where the two
-    frequencies cancel.
-    """
-    c = _phase_density_matrix(frame)
-    sys_rep: CircleRep = action.rep
-    v = sys_rep.vecs
-    k = sys_rep.freqs
-    xt = dagger(v) @ x @ v
-    nr = np.rint(np.diag(frame.rep.generator).real).astype(int)
-    d_s, d_r = sys_rep.dim, frame.rep.dim
-    out = np.zeros((d_s * d_r, d_s * d_r), dtype=complex)
-    for j in range(d_s):
-        for kk in range(d_s):
-            nu = k[j] - k[kk]
-            for n in range(d_r):
-                for m in range(d_r):
-                    if nu + nr[n] - nr[m] == 0:
-                        out[j * d_r + n, kk * d_r + m] = xt[j, kk] * c[n, m]
+    """Exact Fourier-mode contraction of the orbit against the phase density."""
+    xt, c, mask = _circle_modes(x, action, frame)
+    v = action.rep.vecs
+    d_s, d_r = action.rep.dim, frame.rep.dim
+    out = np.where(mask, xt[:, None, :, None] * c[None, :, None, :], 0.0)
     big_v = np.kron(v, np.eye(d_r))
-    return big_v @ out @ dagger(big_v)
+    return big_v @ out.reshape(d_s * d_r, d_s * d_r) @ dagger(big_v)
 
 
 def restrict(joint: np.ndarray, sigma: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -188,23 +194,12 @@ def _circle_pairing(
     omega_r: np.ndarray,
 ) -> complex:
     # integral of omega_S(orbit(theta)) against the outcome density of
-    # omega_R, contracted mode by mode.
-    c = _phase_density_matrix(frame)
-    sys_rep: CircleRep = action.rep
-    v = sys_rep.vecs
-    k = sys_rep.freqs
-    xt = dagger(v) @ x @ v
+    # omega_R, contracted mode by mode. It is kept apart from relativize so
+    # that expected_relative_outcome compares two independent routes.
+    xt, c, mask = _circle_modes(x, action, frame)
+    v = action.rep.vecs
     rs = dagger(v) @ omega_s @ v
-    nr = np.rint(np.diag(frame.rep.generator).real).astype(int)
-    total = 0.0 + 0.0j
-    for j in range(sys_rep.dim):
-        for kk in range(sys_rep.dim):
-            nu = k[j] - k[kk]
-            for n in range(frame.rep.dim):
-                for m in range(frame.rep.dim):
-                    if nu + nr[n] - nr[m] == 0:
-                        total += xt[j, kk] * rs[kk, j] * c[n, m] * omega_r[m, n]
-    return total
+    return complex(np.einsum("jnkm,jk,kj,nm,mn->", mask, xt, rs, c, omega_r))
 
 
 def localization_defect(
@@ -268,15 +263,12 @@ class FrameAssignment:
         g . s, up to the anchor's stabiliser invariance.
         """
         cells: CosetCells = self.frame.povm.space
-        group = self.action.rep.group
         worst = 0.0
         for label in self.anchors:
-            for s in range(cells.size):
-                for g in range(group.order):
+            for g, targets in cells.cell_permutations():
+                for s, t in enumerate(targets):
                     moved = self.action.rep.conjugate(g, self.observable(label, s))
-                    target_cell = cells.space.act(g, s)
-                    direct = self.observable(label, target_cell)
-                    worst = max(worst, op_norm(moved - direct))
+                    worst = max(worst, op_norm(moved - self.observable(label, t)))
         return worst
 
     def relativized(self, label: str) -> np.ndarray:

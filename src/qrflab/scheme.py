@@ -25,7 +25,7 @@ from .opcore import (
     partial_trace,
     unitary_defect,
 )
-from .symmetry import CircleRep, Rep
+from .symmetry import Rep
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,15 @@ def equivariance_defect(
 ) -> float:
     """Worst mismatch between transforming the scheme and the observable.
 
-    For each group element, compare the observable induced by the moved
-    scheme with the conjugated observable of the original scheme, in
-    operator norm. Circle groups are probed at their quadrature angles.
+    At every quadrature node of the group (each element of a finite group,
+    each quadrature angle of the circle), compare the observable induced by
+    the moved scheme with the conjugated observable of the original scheme,
+    in operator norm.
     """
     _check_reps(scheme, sys_rep, probe_rep)
     base = induced_observable(scheme)
-    if isinstance(sys_rep, CircleRep):
-        elements = sys_rep.group.quadrature_nodes()
-    else:
-        elements = range(sys_rep.group.order)
     worst = 0.0
-    for g in elements:
+    for g in sys_rep.group.quadrature_nodes():
         moved = induced_observable(
             transform_scheme(scheme, g, sys_rep, probe_rep, convention)
         )

@@ -1,13 +1,17 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from qrflab.cli import OPS, main
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 CORPUS = sorted(SCENARIO_DIR.glob("*.json"))
 CORPUS = [p for p in CORPUS if not p.name.endswith(".schema.json")]
 
@@ -163,6 +167,31 @@ class TestOutcomes:
         path = write_scenario(tmp_path, {"version": 1, "tasks": [band_task()]})
         _, out, _ = run_cli(capsys, "run", str(path), "--verbose")
         assert "value" in out
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m qrflab.cli`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "qrflab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_scenario(self):
+        proc = run_module("run", str(SCENARIO_DIR / "desitter.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "12/12 tasks passed"
+
+    def test_python_dash_m_reports_a_config_error(self, tmp_path):
+        path = write_scenario(tmp_path, {"version": 1, "tasks": [{"op": "frobnicate"}]})
+        proc = run_module("run", str(path))
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("config error:")
 
 
 class TestConfigErrors:

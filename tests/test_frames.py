@@ -20,6 +20,8 @@ from qrflab.frames import (
 )
 from qrflab.opcore import dagger, op_norm, psd_sqrt
 from qrflab.symmetry import (
+    CircleGroup,
+    CircleRep,
     FiniteRep,
     HomogeneousSpace,
     cyclic_group,
@@ -94,6 +96,16 @@ class TestCirclePartition:
     def test_cell_count_matches_boundaries(self):
         part = CirclePartition([0.0, math.pi / 2, math.pi])
         assert part.size == 3
+
+    def test_even_partition_is_permuted_by_its_rotations(self):
+        perms = CirclePartition((0.5, 0.5 + 2 * math.pi / 3, 0.5 + 4 * math.pi / 3)).cell_permutations()
+        assert [t for _, t in perms] == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        assert [g for g, _ in perms] == pytest.approx([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+
+    def test_uneven_partition_keeps_only_the_identity(self):
+        perms = CirclePartition((0.4, 1.3, 4.1)).cell_permutations()
+        assert perms == [(0.0, [0, 1, 2])]
+
 
 
 class TestMarkovKernel:
@@ -208,6 +220,26 @@ class TestFrames:
         g = cyclic_group(2)
         effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         frame = QuantumReferenceFrame(trivial_rep(g, 2), Povm(principal_cells(g), effects))
+        assert frame.covariance_defect() >= 0.1
+
+    def test_coset_cells_list_every_element_with_its_action(self):
+        g = symmetric_group(3)
+        cells = CosetCells(HomogeneousSpace(g, (g.identity, 1)))
+        perms = cells.cell_permutations()
+        assert [e for e, _ in perms] == list(range(g.order))
+        for e, targets in perms:
+            assert targets == [cells.space.act(e, s) for s in range(cells.size)]
+
+    def test_phase_frame_is_covariant_under_the_number_rep(self):
+        povm = phase_povm(2, np.ones((2, 2)), CirclePartition([0.0, math.pi]))
+        frame = QuantumReferenceFrame(CircleRep(CircleGroup(2), np.diag([0.0, 1.0])), povm)
+        assert frame.covariance_defect() < 1e-12
+
+    def test_phase_frame_covariance_breaks_under_a_doubled_generator(self):
+        # U(pi) = 1 for the generator diag(0, 2), so the half turn fixes
+        # each effect instead of swapping them.
+        povm = phase_povm(2, np.ones((2, 2)), CirclePartition([0.0, math.pi]))
+        frame = QuantumReferenceFrame(CircleRep(CircleGroup(2), np.diag([0.0, 2.0])), povm)
         assert frame.covariance_defect() >= 0.1
 
     def test_dimensions_must_agree(self):

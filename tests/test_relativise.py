@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qrflab.frames import CosetCells, Povm, QuantumReferenceFrame, ideal_frame
+from qrflab.frames import (
+    CirclePartition,
+    CosetCells,
+    Povm,
+    QuantumReferenceFrame,
+    ideal_frame,
+    phase_povm,
+)
 from qrflab.opcore import dagger, op_norm
 from qrflab.relativise import (
     FrameAssignment,
@@ -12,6 +19,8 @@ from qrflab.relativise import (
     restrict,
 )
 from qrflab.symmetry import (
+    CircleGroup,
+    CircleRep,
     FiniteRep,
     HomogeneousSpace,
     cyclic_group,
@@ -21,7 +30,13 @@ from qrflab.symmetry import (
 )
 from qrflab.vnalg import OperatorAlgebra, algebra_from_matrices, generate_algebra
 
-from _factories import SIGMA_X, SIGMA_Z, random_complex, random_density
+from _factories import (
+    SIGMA_X,
+    SIGMA_Z,
+    random_complex,
+    random_density,
+    random_unitary,
+)
 
 
 def qubit_action() -> GroupAction:
@@ -62,6 +77,44 @@ def coset_fixture():
     return g, lam, action, frame, cycles
 
 
+CIRCLE_BAND = 3
+
+
+def circle_fixture(rng):
+    """Full M_3 under a non-diagonal circle generator, observed through a
+    four-level phase frame on an uneven three-arc partition.
+
+    System frequencies -1, 0, 2 and frame frequencies 0..3 keep every
+    frequency of the relativised integrand within 3 * CIRCLE_BAND, so the
+    4 * CIRCLE_BAND + 1 node quadrature of circle_oracle is exact.
+    """
+    group = CircleGroup(CIRCLE_BAND)
+    v = random_unitary(rng, 3)
+    sys_gen = v @ np.diag([-1.0, 0.0, 2.0]) @ dagger(v)
+    action = GroupAction(OperatorAlgebra(3, np.eye(9, dtype=complex)), CircleRep(group, sys_gen))
+    a = random_complex(rng, 4)
+    gram = a @ dagger(a)
+    scale = 1.0 / np.sqrt(np.diag(gram).real)
+    c = gram * np.outer(scale, scale)
+    frame_gen = np.diag(np.arange(4.0)).astype(complex)
+    povm = phase_povm(4, c, CirclePartition((0.4, 1.3, 4.1)))
+    frame = QuantumReferenceFrame(CircleRep(group, frame_gen), povm)
+    return action, frame, sys_gen, frame_gen, c
+
+
+def circle_oracle(x, sys_gen, frame_gen, c):
+    """Quadrature of kron(U_S x U_S^dag, c * e^{i theta (N_n - N_m)})."""
+    vals, vecs = np.linalg.eigh(sys_gen)
+    n_r = np.diag(frame_gen).real
+    nodes = 2.0 * np.pi * np.arange(4 * CIRCLE_BAND + 1) / (4 * CIRCLE_BAND + 1)
+    total = 0.0
+    for t in nodes:
+        u = (vecs * np.exp(1j * t * vals)) @ dagger(vecs)
+        density = c * np.exp(1j * t * (n_r[:, None] - n_r[None, :]))
+        total = total + np.kron(u @ x @ dagger(u), density)
+    return total / nodes.size
+
+
 class TestGroupAction:
     def test_rejects_dimension_mismatch(self):
         g = cyclic_group(2)
@@ -76,6 +129,12 @@ class TestGroupAction:
         diag = algebra_from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)
         with pytest.raises(ValueError, match="does not preserve the algebra"):
             GroupAction(diag, rot)
+
+    def test_rejects_non_invariant_algebra_under_a_circle_rep(self):
+        rotation = CircleRep(CircleGroup(1), SIGMA_X)
+        diag = algebra_from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)
+        with pytest.raises(ValueError, match="does not preserve the algebra"):
+            GroupAction(diag, rotation)
 
 
 class TestRelativize:
@@ -231,3 +290,37 @@ class TestFrameAssignment:
         g, lam, action, frame, cycles = coset_fixture()
         with pytest.raises(ValueError, match="not stabiliser-invariant"):
             FrameAssignment(action, frame, {"bad": lam.unitary(cycles[0])})
+
+
+class TestCircleFrames:
+    def test_relativize_matches_the_quadrature_oracle(self, rng):
+        action, frame, sys_gen, frame_gen, c = circle_fixture(rng)
+        for _ in range(5):
+            x = random_complex(rng, 3)
+            got = relativize(x, action, frame)
+            want = circle_oracle(x, sys_gen, frame_gen, c)
+            assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(want))
+
+    def test_relativize_sends_the_identity_to_the_identity(self, rng):
+        action, frame, *_ = circle_fixture(rng)
+        assert np.allclose(relativize(np.eye(3), action, frame), np.eye(12), atol=1e-12)
+
+    def test_expected_outcome_matches_the_oracle(self, rng):
+        action, frame, sys_gen, frame_gen, c = circle_fixture(rng)
+        for _ in range(5):
+            x = random_complex(rng, 3)
+            omega_s, omega_r = random_density(rng, 3), random_density(rng, 4)
+            want = np.trace(np.kron(omega_s, omega_r) @ circle_oracle(x, sys_gen, frame_gen, c))
+            # raises RuntimeError if the joint and mode-contraction routes disagree
+            got = expected_relative_outcome(x, action, frame, omega_s, omega_r)
+            assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+
+    def test_localization_defect_matches_the_oracle(self, rng):
+        action, frame, sys_gen, frame_gen, c = circle_fixture(rng)
+        x = random_complex(rng, 3)
+        sigma = random_density(rng, 4)
+        back = restrict(circle_oracle(x, sys_gen, frame_gen, c), sigma, (3, 4))
+        want = op_norm(back - x)
+        assert want >= 0.1
+        got = localization_defect(x, action, frame, sigma)
+        assert got == pytest.approx(want, abs=1e-12 * max(1.0, want))
