@@ -167,16 +167,47 @@ def generate_algebra(
 def commutant(alg: OperatorAlgebra, tol: float = 1.0e-9) -> OperatorAlgebra:
     """All matrices commuting with every element of ``alg``.
 
-    Solved as one exact null-space problem on the vectorised operator space:
-    vec(bx - xb) = (b (x) I - I (x) b^T) vec(x) for row-major vec.
+    For row-major vec, vec(bx - xb) = L_b vec(x) with L_b = b (x) I - I (x) b^T,
+    so the commutant is the null space of the positive Gram operator
+    G = sum_b L_b^dag L_b = S (x) I + I (x) conj(T) - K - K^dag, where
+    S = sum b^dag b, T = sum b b^dag and K = sum b (x) conj(b). G is formed in
+    closed form on the d^2-dimensional operator space, never the stacked
+    (dim d^2) x d^2 system.
+
+    ``tol`` cuts eigenvalues of G, the squared singular values of the stacked
+    system, at tol * max(1, lambda_max). An eigenvalue within a factor 1e3 of
+    the cut on either side makes the rank ambiguous and raises ValueError.
     """
     d = alg.ambient_dim
-    eye = np.eye(d)
-    blocks = []
-    for b in alg.basis_matrices():
-        blocks.append(np.kron(b, eye) - np.kron(eye, b.T))
-    rows = _null_space(np.vstack(blocks), tol)
-    return OperatorAlgebra(d, rows)
+    rows = alg.rows
+    stack = rows.reshape(-1, d, d)
+    s = np.einsum("bki,bkj->ij", stack.conj(), stack)
+    t = np.einsum("bik,bjk->ij", stack, stack.conj())
+    # Both are Hermitian; symmetrising them here makes G exactly Hermitian.
+    s = (s + dagger(s)) / 2.0
+    t = (t + dagger(t)) / 2.0
+    # K[(i,k),(j,l)] = sum_b b_ij conj(b_kl): a realignment of rows^T conj(rows).
+    k = (rows.T @ rows.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    gram = k + dagger(k)
+    del k
+    np.negative(gram, out=gram)
+    # g4[i, k, j, l] is G[(i,k),(j,l)]; its two partial diagonals take
+    # S (x) I and I (x) conj(T) without forming either Kronecker product.
+    g4 = gram.reshape(d, d, d, d)
+    idx = np.arange(d)
+    g4[:, idx, :, idx] += s
+    g4[idx, :, idx, :] += t.conj()
+    vals, vecs = np.linalg.eigh(gram)
+    cut = tol * max(1.0, float(vals[-1]))
+    null = vals <= cut
+    if np.any((vals > cut / 1.0e3) & (vals <= cut * 1.0e3)):
+        below = float(vals[null].max()) if null.any() else float("nan")
+        above = float(vals[~null].min()) if (~null).any() else float("nan")
+        raise ValueError(
+            f"ambiguous commutant rank: Gram eigenvalues {below:.3e} and {above:.3e} "
+            f"lie on either side of the cut {cut:.3e} with an eigenvalue within 1e3 of it"
+        )
+    return OperatorAlgebra(d, vecs[:, null].T)
 
 
 def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:

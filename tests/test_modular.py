@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from qrflab.modular import (
     modular_flow,
 )
 from qrflab.opcore import dagger, op_norm
-from qrflab.vnalg import commutant
+from qrflab.vnalg import OperatorAlgebra, commutant, span_distance
 
-from _factories import SIGMA_X, SIGMA_Z, random_complex, random_density
+from _factories import SIGMA_X, SIGMA_Z, random_complex, random_density, random_hermitian
 
 # sinh(1): the peak residual when a flat state is tested against the
 # boundary condition of a gap-one Hamiltonian at beta = 1.
@@ -124,6 +125,35 @@ class TestModularData:
         data, alg, _ = self.make()
         with pytest.raises(ValueError, match="outside the algebra"):
             modular_flow(data, np.kron(np.eye(2), SIGMA_X), 0.5)
+
+
+def right_factor(d: int) -> OperatorAlgebra:
+    """1 (x) M_d on C^d (x) C^d, from the matrix units."""
+    units = np.eye(d * d).reshape(d * d, d, d)
+    return OperatorAlgebra(
+        d * d, np.array([np.kron(np.eye(d), e).ravel() for e in units]) / np.sqrt(d))
+
+
+class TestConjugationClosedForm:
+    """J M J = M' on the doubled Gibbs state, with M' = 1 (x) M_d known."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_commutant_and_conjugation_of_a_doubled_gibbs_state(self, d, rng):
+        h = np.diag(np.arange(d, dtype=float)) + 0.3 * random_hermitian(rng, d)
+        alg, omega = gns_doubling(gibbs_state(h, 1.0))
+        data = modular_data(alg, omega)
+        assert span_distance(commutant(alg), right_factor(d)) <= 1e-12
+        tracemalloc.start()
+        try:
+            defect = data.conjugation_defect()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect <= 1e-9
+        if d == 6:
+            # the stacked commutator system would be 46656 x 1296 (0.48 GB
+            # as float64, 0.97 GB as complex)
+            assert peak < 200e6
 
 
 class TestGeometricFlow:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrflab.opcore import dagger
 from qrflab.symmetry import regular_representation, symmetric_group
 from qrflab.vnalg import (
     OperatorAlgebra,
@@ -17,7 +18,7 @@ from qrflab.vnalg import (
     span_intersection,
 )
 
-from _factories import SIGMA_X, SIGMA_Z, random_complex, random_hermitian
+from _factories import SIGMA_X, SIGMA_Z, random_complex, random_hermitian, random_unitary
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -103,21 +104,94 @@ class TestCommutant:
         assert bic.dim == alg.dim
         assert span_distance(bic, alg) <= 1e-8
 
-    def test_commutant_of_a_full_algebra_takes_a_thin_svd(self, monkeypatch):
-        # the stacked commutator matrix is d^4 x d^2; a full SVD would also
-        # build a d^4 x d^4 U that the null space never reads
+    def test_commutant_of_a_full_algebra_diagonalises_one_operator_space_matrix(
+        self, monkeypatch
+    ):
+        # the stacked commutator system is dim d^2 x d^2; the commutant is
+        # taken from one d^2 x d^2 Gram operator and nothing larger
         shapes = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
         def spy(a, *args, **kwargs):
-            out = svd(a, *args, **kwargs)
-            shapes.append((a.shape, out[0].shape))
-            return out
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        def no_svd(*args, **kwargs):
+            raise AssertionError("commutant must not factor the stacked system")
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         comm = commutant(full_matrix_algebra(4))
         assert comm.dim == 1
-        assert shapes == [((256, 16), (256, 16))]
+        assert shapes == [(16, 16)]
+
+    def test_ambiguous_rank_raises_with_both_eigenvalues(self):
+        # (I + delta X)/norm spans no *-algebra; its Gram eigenvalues are
+        # 0, 0 and 2 delta^2 ~ 1.8e-9, next to the 1e-9 cut
+        m = np.eye(2) + 3e-5 * SIGMA_X
+        alg = OperatorAlgebra(2, (m / np.linalg.norm(m)).reshape(1, 4).astype(complex))
+        with pytest.raises(ValueError, match=r"ambiguous commutant rank.*1\.800e-09"):
+            commutant(alg)
+
+
+def stacked_svd_commutant_rows(alg: OperatorAlgebra, tol: float = 1.0e-9) -> np.ndarray:
+    """Oracle: null rows of the stacked system vstack(b (x) I - I (x) b^T)."""
+    d = alg.ambient_dim
+    eye = np.eye(d)
+    stack = np.vstack([np.kron(b, eye) - np.kron(eye, b.T) for b in alg.basis_matrices()])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    rank = int((s > tol * max(1.0, s[0])).sum())
+    return vh[rank:].conj()
+
+
+def conjugated(mats, rng) -> OperatorAlgebra:
+    d = mats[0].shape[0]
+    u = random_unitary(rng, d)
+    return algebra_from_matrices([u @ m @ dagger(u) for m in mats], d)
+
+
+def block_sum(scalar, middle, last) -> np.ndarray:
+    """C (+) M_2 (x) 1_3 (+) M_3 on C^10."""
+    out = np.zeros((10, 10), dtype=complex)
+    out[0, 0] = scalar
+    out[1:7, 1:7] = np.kron(middle, np.eye(3))
+    out[7:, 7:] = last
+    return out
+
+
+class TestCommutantAgainstStackedSvd:
+    def assert_matches_oracle(self, alg):
+        comm = commutant(alg)
+        oracle = stacked_svd_commutant_rows(alg)
+        assert comm.dim == oracle.shape[0]
+        assert span_distance(comm, oracle) <= 1e-10
+
+    @settings(max_examples=25)
+    @given(seeds, st.integers(2, 4), st.integers(1, 2))
+    def test_generated_algebras(self, seed, d, k):
+        gen = np.random.default_rng(seed)
+        self.assert_matches_oracle(
+            generate_algebra([random_hermitian(gen, d) for _ in range(k)], d))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_diagonal_algebras(self, d):
+        self.assert_matches_oracle(diagonal_algebra(d))
+
+    def test_conjugated_s3_group_algebra(self, rng):
+        unitaries = regular_representation(symmetric_group(3)).unitaries
+        self.assert_matches_oracle(conjugated(list(unitaries), rng))
+
+    def test_conjugated_uneven_block_sum(self, rng):
+        # the Gram spectrum of this algebra is non-uniform, about
+        # {0.22, 0.28, 0.61, 0.67, 1} lambda_max, so the cut sits away from a
+        # single cluster
+        mats = [block_sum(1.0, np.zeros((2, 2)), np.zeros((3, 3)))]
+        mats += [block_sum(0.0, e, np.zeros((3, 3))) for e in np.eye(4).reshape(4, 2, 2)]
+        mats += [block_sum(0.0, np.zeros((2, 2)), e) for e in np.eye(9).reshape(9, 3, 3)]
+        alg = conjugated(mats, rng)
+        assert alg.dim == 14
+        assert commutant(alg).dim == 11
+        self.assert_matches_oracle(alg)
 
 
 class TestCentre:
