@@ -1,8 +1,8 @@
 """Crossed products of matrix algebras by finite group actions.
 
 The crossed product lives on the system space tensored with l2(G). It is
-generated by the twisted embedding of the algebra together with the right
-translations, and two classical identities about it are checked
+spanned by the products of the twisted embedding of the algebra with the
+right translations, and two classical identities about it are checked
 numerically: the commutation theorem that identifies it with a fixed-point
 algebra, and the compression theorem that recovers the invariant algebra
 of a frame from a corner of the crossed product.
@@ -11,11 +11,12 @@ of a frame from a corner of the crossed product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .frames import Dilation, QuantumReferenceFrame, covariant_dilate
-from .opcore import dagger, hs_norm, rel_err
+from .opcore import dagger, hs_norm
 from .relativise import GroupAction
 from .symmetry import (
     FiniteGroup,
@@ -28,7 +29,7 @@ from .vnalg import (
     OperatorAlgebra,
     SPAN_TOL,
     _orthonormal_rows,
-    generate_algebra,
+    algebra_from_matrices,
     span_distance,
 )
 
@@ -61,7 +62,6 @@ class CrossedProductAlgebra:
 
     action: GroupAction
     algebra: OperatorAlgebra
-    tagged_generators: list[tuple[str, np.ndarray]]
 
     @property
     def group(self) -> FiniteGroup:
@@ -105,17 +105,18 @@ class CrossedProductAlgebra:
 
 
 def build_crossed_product(action: GroupAction) -> CrossedProductAlgebra:
-    """Generate M x| G from the twisted embedding and right translations."""
+    """M x| G as the span of the dim M * |G| products pi(b) (1 (x) rho(g)).
+
+    Covariance, rho(g) pi(a) rho(g)^dag = pi(alpha(g, a)), moves every
+    translation in a word to the right, so no closure is run; closure is
+    measured by ``verify_commutation_theorem``.
+    """
     if not isinstance(action.rep, FiniteRep):
         raise ValueError("continuous crossed products handled analytically in typecond")
     rep = action.rep
-    tagged: list[tuple[str, np.ndarray]] = []
-    for i, b in enumerate(action.algebra.basis_matrices()):
-        tagged.append((f"pi:{i}", embed_twisted(b, rep)))
-    for g, u in enumerate(right_translations(rep.group, rep.dim)):
-        tagged.append((f"rho:{rep.group.labels[g]}", u))
-    alg = generate_algebra([m for _, m in tagged], rep.dim * rep.group.order)
-    return CrossedProductAlgebra(action, alg, tagged)
+    rhos = right_translations(rep.group, rep.dim)
+    prods = [embed_twisted(b, rep) @ u for b in action.algebra.basis_matrices() for u in rhos]
+    return CrossedProductAlgebra(action, algebra_from_matrices(prods, rep.dim * rep.group.order))
 
 
 def intertwining_unitary(rep: FiniteRep) -> np.ndarray:
@@ -180,6 +181,7 @@ class CommutationReport:
     span_defect: float
     untwist_defect: float
     translation_defect: float
+    closure_defect: float
     tolerance: float = SPAN_TOL
 
     @property
@@ -187,23 +189,32 @@ class CommutationReport:
         return (
             self.crossed_dim == self.fixed_dim
             and self.span_defect <= self.tolerance
+            and self.closure_defect <= self.tolerance
             and self.untwist_defect <= 1.0e-10
             and self.translation_defect <= 1.0e-10
         )
 
 
+def _closure_defect(alg: OperatorAlgebra) -> float:
+    """Worst distance to the span of a basis element's adjoint or of a
+    product of two basis elements, formed one left factor at a time."""
+    rows = alg.rows
+    stack = rows.reshape(-1, alg.ambient_dim, alg.ambient_dim)
+    worst = 0.0
+    for mats in chain([stack.conj().transpose(0, 2, 1)], (a @ stack for a in stack)):
+        x = mats.reshape(rows.shape)
+        worst = max(worst, float(np.linalg.norm(x - (x @ dagger(rows)) @ rows, axis=1).max()))
+    return worst
+
+
 def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     """Check M x| G = (M (x) B(l2 G))^{alpha (x) Ad lambda}.
 
-    The fixed points are computed inside M (x) B(l2 G): each tensor basis
-    element a (x) E_kl is averaged over Ad(U (x) lambda), and the fixed
-    points are read off the average in that basis's coordinates. Because
-    the action keeps M invariant to its closure_tol, the averages stay
-    inside M (x) B(l2 G), so no intersection with the full fixed space of
-    the joint operator space is needed.
-
-    Also verifies the conjugation identities for V: it untwists pi back to
-    a (x) 1 and carries U(g) (x) rho(g) to 1 (x) rho(g).
+    The fixed points are computed inside M (x) B(l2 G) by
+    ``_invariant_tensor_rows``. Also checks that the crossed product's span
+    is closed under adjoints and products, and the conjugation identities
+    for V: it untwists pi back to a (x) 1 and carries U(g) (x) rho(g) to
+    1 (x) rho(g).
     """
     action = cp.action
     rep = action.rep
@@ -231,7 +242,17 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
         span_defect=span_defect,
         untwist_defect=untwist,
         translation_defect=translation,
+        closure_defect=_closure_defect(cp.algebra),
     )
+
+
+def _check_frame_projection(p: np.ndarray, translations: list[np.ndarray], tol: float) -> None:
+    """Reject p unless it is a projection whose corner keeps the translation symmetry."""
+    if hs_norm(p @ p - p) > tol * max(1.0, hs_norm(p)) or hs_norm(p - dagger(p)) > tol:
+        raise ValueError("compression needs a self-adjoint idempotent")
+    for u in translations:
+        if hs_norm(p @ u - u @ p) > tol * max(1.0, hs_norm(p)):
+            raise ValueError("projection does not commute with the frame translations")
 
 
 def compress_by_frame(
@@ -243,33 +264,15 @@ def compress_by_frame(
     """Corner of an algebra cut by a translation-invariant projection.
 
     ``translations`` are the unitaries p must commute with (the frame-side
-    left translations); a projection that fails this is rejected because
-    the corner would not inherit the symmetry.
+    left translations).
     """
     d = alg.ambient_dim
     if p.shape != (d, d):
         raise ValueError("projection dimension mismatch")
-    if hs_norm(p @ p - p) > tol * max(1.0, hs_norm(p)) or hs_norm(p - dagger(p)) > tol:
-        raise ValueError("compression needs a self-adjoint idempotent")
-    for u in translations:
-        if hs_norm(p @ u - u @ p) > tol * max(1.0, hs_norm(p)):
-            raise ValueError("projection does not commute with the frame translations")
+    _check_frame_projection(p, translations, tol)
     cands = np.array([(p @ b @ p).ravel() for b in alg.basis_matrices()])
     rows = _orthonormal_rows(cands, None)
     return OperatorAlgebra(d, rows)
-
-
-def _reorder_middle_last(d_s: int, n: int, d_k: int) -> np.ndarray:
-    """Permutation taking (H_S (x) l2(G)) (x) K to H_S (x) K (x) l2(G)."""
-    size = d_s * n * d_k
-    perm = np.zeros((size, size), dtype=complex)
-    for s in range(d_s):
-        for g in range(n):
-            for k in range(d_k):
-                src = (s * n + g) * d_k + k
-                dst = (s * d_k + k) * n + g
-                perm[dst, src] = 1.0
-    return perm
 
 
 @dataclass
@@ -292,9 +295,11 @@ def verify_frame_compression(
     """Check that the frame's dilation carries the invariant algebra of
     system plus frame onto a corner of (M x| G) (x) B(K).
 
-    The dilation isometry W embeds H_R into K (x) l2(G); conjugating the
-    invariant algebra by 1 (x) W must give exactly the compression of the
-    extended crossed product by 1 (x) W W^dag.
+    The dilation isometry W embeds H_R into K (x) l2(G). The corner cut by
+    1 (x) W W^dag is the image of the Y = (1 (x) W)^dag (c (x) e_kl) (1 (x) W),
+    c in M x| G and e_kl matrix units of B(K), under the Hilbert-Schmidt
+    isometry Y -> (1 (x) W) Y (1 (x) W)^dag; so the Y are compared with the
+    invariant algebra on H_S (x) H_R, with the same dims and span distance.
     """
     if not isinstance(frame.rep, FiniteRep):
         raise ValueError("frame compression is verified for finite frames only")
@@ -304,26 +309,14 @@ def verify_frame_compression(
     d_s = action.rep.dim
     d_k = dil.kdim
     n = frame.rep.group.order
-    p = w @ dagger(w)
+    lam = regular_representation(frame.rep.group)
+    # W W^dag must commute with 1_K (x) lambda(g) on K (x) l2(G).
+    _check_frame_projection(w @ dagger(w), [np.kron(np.eye(d_k), u) for u in lam.unitaries], 1e-8)
 
     cp = build_crossed_product(action)
-    perm = _reorder_middle_last(d_s, n, d_k)
-    units = np.eye(d_k * d_k)
-    ext_rows = []
-    for c in cp.algebra.basis_matrices():
-        for kl in range(d_k * d_k):
-            e = units[kl].reshape(d_k, d_k)
-            ext_rows.append((perm @ np.kron(c, e) @ dagger(perm)).ravel())
-    extended = OperatorAlgebra(d_s * d_k * n, np.array(ext_rows))
-
-    lam = regular_representation(frame.rep.group)
-    guards = [np.kron(np.eye(d_s * d_k), u) for u in lam.unitaries]
-    big_p = np.kron(np.eye(d_s), p)
-    corner = compress_by_frame(extended, big_p, guards)
-
-    big_w = np.kron(np.eye(d_s), w)
-    embedded = np.array([(big_w @ x @ dagger(big_w)).ravel() for x in inv.basis_matrices()])
-    defect = span_distance(embedded, corner.rows)
-    return CompressionReport(
-        invariant_dim=inv.dim, compressed_dim=corner.dim, span_defect=defect
-    )
+    # W's rows run over K (x) l2(G), k-major; c's indices over H_S (x) l2(G).
+    w3 = w.reshape(d_k, n, -1)
+    c5 = cp.algebra.rows.reshape(-1, d_s, n, d_s, n)
+    pulled = np.einsum("kgr,csgth,lhu->cklsrtu", w3.conj(), c5, w3, optimize=True)
+    corner = _orthonormal_rows(pulled.reshape(-1, inv.ambient_dim**2), None)
+    return CompressionReport(inv.dim, corner.shape[0], span_distance(inv.rows, corner))

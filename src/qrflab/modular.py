@@ -8,7 +8,7 @@ matrix A_mat^T, which fixes all the polar decomposition formulas below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,16 +37,23 @@ def is_faithful_state(rho: np.ndarray, ratio: float = 1.0e-12) -> bool:
 
 @dataclass
 class ModularData:
-    """Modular objects of a cyclic separating vector for an algebra."""
+    """Modular objects of a cyclic separating vector for an algebra.
+
+    Delta is diagonalised once, on construction, into ``delta_eig``.
+    """
 
     algebra: OperatorAlgebra
     omega: np.ndarray
     s_matrix: np.ndarray
     delta: np.ndarray
     j_matrix: np.ndarray
+    delta_eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.delta_eig = hermitian_eig(self.delta)
 
     def delta_power(self, t: float) -> np.ndarray:
-        vals, vecs = hermitian_eig(self.delta)
+        vals, vecs = self.delta_eig
         return (vecs * np.exp(1j * t * np.log(vals))) @ dagger(vecs)
 
     def flow(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -58,11 +65,16 @@ class ModularData:
         return self.j_matrix @ x.conj() @ self.j_matrix.conj()
 
     def flow_defect(self, times=FLOW_PROBE_TIMES) -> float:
-        """Worst distance of a flowed basis element from the algebra."""
+        """Worst distance of a flowed basis element from the algebra; the
+        whole basis stack is flowed and projected at once at each time."""
+        rows = self.algebra.rows
+        basis = rows.reshape(-1, self.algebra.ambient_dim, self.algebra.ambient_dim)
         worst = 0.0
         for t in times:
-            for b in self.algebra.basis_matrices():
-                worst = max(worst, self.algebra.distance(self.flow(b, t)))
+            u = self.delta_power(t)
+            moved = (u @ basis @ dagger(u)).reshape(rows.shape)
+            resid = moved - (moved @ dagger(rows)) @ rows
+            worst = max(worst, float(np.linalg.norm(resid, axis=1).max()))
         return worst
 
     def conjugation_defect(self) -> float:
@@ -84,7 +96,8 @@ def modular_data(alg: OperatorAlgebra, omega: np.ndarray, tol: float = 1.0e-9) -
     """Build S, Delta and J for the vector omega.
 
     S is fixed on the (necessarily full) set {x omega} by S x omega =
-    x^dag omega, then polar-decomposed as J Delta^(1/2).
+    x^dag omega, then polar-decomposed as J Delta^(1/2): with the SVD
+    S = U Sigma V^dag, J = U V^dag and Delta = conj(V) Sigma^2 V^T.
     """
     omega = np.asarray(omega, dtype=complex).ravel()
     d = alg.ambient_dim
@@ -92,29 +105,26 @@ def modular_data(alg: OperatorAlgebra, omega: np.ndarray, tol: float = 1.0e-9) -
         raise ValueError("vector dimension does not match the algebra")
     mats = alg.basis_matrices()
     c = np.column_stack([m @ omega for m in mats])
-    rank_tol = 1.0e-9 * max(1.0, float(np.linalg.norm(c)))
-    if np.linalg.matrix_rank(c, tol=rank_tol) < d:
+    rank = np.linalg.matrix_rank(c, tol=1.0e-9 * max(1.0, float(np.linalg.norm(c))))
+    if rank < d:
         raise ValueError("omega is not cyclic for the algebra")
-    if np.linalg.matrix_rank(c, tol=rank_tol) < alg.dim or alg.dim > d:
+    if rank < alg.dim or alg.dim > d:
         raise ValueError("omega is not separating for the algebra")
     dmat = np.column_stack([dagger(m) @ omega for m in mats])
     s = dmat @ np.linalg.inv(c).conj()
 
-    delta = s.T @ s.conj()
-    vals, vecs = hermitian_eig(delta)
-    if vals.min() <= 0.0:
-        raise ValueError("modular operator is not positive definite")
-    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ dagger(vecs)
-    j = s @ inv_root.conj()
-
-    md = ModularData(alg, omega, s, delta, j)
+    u, _, vh = np.linalg.svd(s)
+    md = ModularData(alg, omega, s, s.T @ s.conj(), u @ vh)
     _validate_modular(md, tol)
     return md
 
 
 def _validate_modular(md: ModularData, tol: float) -> None:
-    s, j, delta = md.s_matrix, md.j_matrix, md.delta
-    root = _psd_power(delta, 0.5)
+    s, j = md.s_matrix, md.j_matrix
+    vals, vecs = md.delta_eig
+    if vals.min() <= 0.0:
+        raise ValueError("modular operator is not positive definite")
+    root = (vecs * np.sqrt(vals)) @ dagger(vecs)
     if rel_err(j @ root.conj(), s) > tol:
         raise RuntimeError("polar decomposition of S failed")
     if rel_err(j @ dagger(j), np.eye(j.shape[0])) > tol:
@@ -127,11 +137,6 @@ def _validate_modular(md: ModularData, tol: float) -> None:
         worst = max(worst, float(np.linalg.norm(lhs - dagger(m) @ md.omega)))
     if worst > tol * max(1.0, float(np.linalg.norm(md.omega))):
         raise RuntimeError("S does not send x omega to x^dag omega")
-
-
-def _psd_power(x: np.ndarray, power: float) -> np.ndarray:
-    vals, vecs = hermitian_eig(x)
-    return (vecs * np.power(np.clip(vals, 0.0, None), power)) @ dagger(vecs)
 
 
 def modular_flow(md: ModularData, x: np.ndarray, t: float, tol: float = 1.0e-8) -> np.ndarray:

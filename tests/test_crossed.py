@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import qrflab.crossed
 from qrflab.crossed import (
+    CrossedProductAlgebra,
     build_crossed_product,
     compress_by_frame,
     embed_twisted,
@@ -11,7 +13,7 @@ from qrflab.crossed import (
     verify_commutation_theorem,
     verify_frame_compression,
 )
-from qrflab.frames import CosetCells, Povm, QuantumReferenceFrame, ideal_frame
+from qrflab.frames import CosetCells, Povm, QuantumReferenceFrame, covariant_dilate, ideal_frame
 from qrflab.opcore import dagger, op_norm, unitary_defect
 from qrflab.relativise import GroupAction
 from qrflab.symmetry import (
@@ -28,12 +30,13 @@ from qrflab.symmetry import (
 from qrflab.vnalg import (
     OperatorAlgebra,
     algebra_from_matrices,
+    decompose,
     generate_algebra,
     span_distance,
     span_intersection,
 )
 
-from _factories import SIGMA_X, SIGMA_Z, random_complex
+from _factories import SIGMA_X, SIGMA_Z, random_complex, random_unitary
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -156,6 +159,7 @@ class TestCommutationTheorem:
         assert report.span_defect <= 1e-7
         assert report.untwist_defect <= 1e-10
         assert report.translation_defect <= 1e-10
+        assert report.closure_defect <= 1e-12
         assert report.passed
 
     @pytest.mark.parametrize("name,action,expected", fixtures(), ids=[f[0] for f in fixtures()])
@@ -193,6 +197,49 @@ class TestCommutationTheorem:
             got = invariant_joint_algebra(action, frame_rep).rows
             assert got.shape[0] == oracle.shape[0], name
             assert span_distance(got, oracle) <= 1e-10, name
+
+    @pytest.mark.parametrize("name,action,expected", fixtures(), ids=[f[0] for f in fixtures()])
+    def test_closed_form_span_equals_the_generated_algebra(self, name, action, expected):
+        # oracle: closure of pi(M) and rho(G), written out from the
+        # definitions, by alternating adjoints and pairwise products
+        gens, ambient = hand_built_generators(action)
+        generated = generate_algebra(gens, ambient)
+        closed_form = build_crossed_product(action).algebra
+        assert closed_form.dim == generated.dim == expected
+        assert span_distance(closed_form, generated) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "name,action,expected",
+        [f for f in fixtures() if f[1].algebra.dim > 1],
+        ids=[f[0] for f in fixtures() if f[1].algebra.dim > 1],
+    )
+    def test_closure_defect_flags_a_span_without_products(self, name, action, expected):
+        # negative control: pi(M) and rho(G) spanned with no products taken;
+        # for a scalar M that span is already closed, so those are skipped
+        gens, ambient = hand_built_generators(action)
+        unclosed = CrossedProductAlgebra(action, algebra_from_matrices(gens, ambient))
+        report = verify_commutation_theorem(unclosed)
+        assert report.closure_defect >= 0.1
+        assert not report.passed
+
+    def test_closure_defect_flags_a_span_without_adjoints(self):
+        # upper triangular matrices: closed under products, not adjoints
+        action = GroupAction(full_algebra(2), flip_rep())
+        units = np.eye(16, dtype=complex)
+        upper = OperatorAlgebra(4, units[[i * 4 + j for i in range(4) for j in range(i, 4)]])
+        report = verify_commutation_theorem(CrossedProductAlgebra(action, upper))
+        assert report.closure_defect >= 0.1
+        assert not report.passed
+
+    @pytest.mark.parametrize("name,action,expected", fixtures(), ids=[f[0] for f in fixtures()])
+    def test_block_structure_does_not_depend_on_the_basis(self, name, action, expected):
+        alg = build_crossed_product(action).algebra
+        mix = random_unitary(np.random.default_rng(20241018), alg.dim)
+        mixed = OperatorAlgebra(alg.ambient_dim, mix @ alg.rows)
+        plain, remixed = decompose(alg), decompose(mixed)
+        assert plain.blocks == remixed.blocks
+        assert plain.defect <= 1e-12
+        assert remixed.defect <= 1e-12
 
     def test_continuous_actions_are_rejected(self):
         rep = CircleRep(CircleGroup(1), np.diag([0.0, 1.0]))
@@ -244,3 +291,90 @@ class TestCompression:
         p = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="does not commute"):
             compress_by_frame(alg, p, [SIGMA_X])
+
+
+def _reorder_middle_last(d_s: int, n: int, d_k: int) -> np.ndarray:
+    """Permutation taking (H_S (x) l2(G)) (x) K to H_S (x) K (x) l2(G)."""
+    size = d_s * n * d_k
+    perm = np.zeros((size, size), dtype=complex)
+    for s in range(d_s):
+        for g in range(n):
+            for k in range(d_k):
+                src = (s * n + g) * d_k + k
+                dst = (s * d_k + k) * n + g
+                perm[dst, src] = 1.0
+    return perm
+
+
+def extended_corner(action: GroupAction, frame: QuantumReferenceFrame):
+    """The corner of (M x| G) (x) B(K) cut by 1 (x) W W^dag, built in the
+    (d_s n d_k)-dimensional space, and its span distance to the invariant
+    algebra conjugated by 1 (x) W."""
+    dil = covariant_dilate(frame)
+    w = dil.isometry
+    d_s, d_k, n = action.rep.dim, dil.kdim, frame.rep.group.order
+    cp = build_crossed_product(action)
+    perm = _reorder_middle_last(d_s, n, d_k)
+    units = np.eye(d_k * d_k)
+    ext_rows = [
+        (perm @ np.kron(c, units[kl].reshape(d_k, d_k)) @ dagger(perm)).ravel()
+        for c in cp.algebra.basis_matrices()
+        for kl in range(d_k * d_k)
+    ]
+    extended = OperatorAlgebra(d_s * d_k * n, np.array(ext_rows))
+    lam = regular_representation(frame.rep.group)
+    guards = [np.kron(np.eye(d_s * d_k), u) for u in lam.unitaries]
+    big_w = np.kron(np.eye(d_s), w)
+    corner = compress_by_frame(extended, big_w @ dagger(big_w), guards)
+    inv = invariant_joint_algebra(action, frame.rep)
+    embedded = np.array([(big_w @ x @ dagger(big_w)).ravel() for x in inv.basis_matrices()])
+    return corner, span_distance(embedded, corner.rows), big_w
+
+
+def compression_cases():
+    from test_acceptance import frame_fixtures
+
+    cases = [(name, action, frame) for name, action, frame, _ in frame_fixtures()]
+    for n in (4, 5):
+        group = cyclic_group(n)
+        phases = FiniteRep(group, [np.diag([1.0, np.exp(2j * np.pi * k / n)]) for k in range(n)])
+        cases.append((f"M2-Z{n}-phase", GroupAction(full_algebra(2), phases),
+                      ideal_frame(regular_representation(group))))
+    # the ideal Z3 frame rephased by a diagonal unitary, so that W is complex
+    # while the effects stay exactly diagonal
+    z3 = cyclic_group(3)
+    ideal = ideal_frame(regular_representation(z3))
+    v = np.diag(np.exp(1j * np.array([0.0, 0.7, 1.9])))
+    rephased = QuantumReferenceFrame(
+        FiniteRep(z3, [v @ u @ dagger(v) for u in ideal.rep.unitaries]),
+        Povm(ideal.povm.space, [v @ e @ dagger(v) for e in ideal.povm.effects]),
+    )
+    cases.append(("M2-Z3-phase-rephased-frame", GroupAction(full_algebra(2), phase_rep_z3(z3)),
+                  rephased))
+    return cases
+
+
+class TestCompressionAgainstExtendedAlgebra:
+    """The corner pulled back to H_S (x) H_R against the old construction
+    in the extended space, kept here as the oracle."""
+
+    @pytest.mark.parametrize("name,action,frame", compression_cases(),
+                             ids=[c[0] for c in compression_cases()])
+    def test_pulled_back_corner_matches_the_extended_corner(self, name, action, frame, monkeypatch):
+        corners = []
+        orthonormal = qrflab.crossed._orthonormal_rows
+
+        def keep(*args, **kwargs):
+            corners.append(orthonormal(*args, **kwargs))
+            return corners[-1]
+
+        monkeypatch.setattr(qrflab.crossed, "_orthonormal_rows", keep)
+        report = verify_frame_compression(action, frame)
+        monkeypatch.undo()
+        old_corner, old_defect, big_w = extended_corner(action, frame)
+        (pulled,) = corners
+        assert report.invariant_dim == report.compressed_dim == old_corner.dim == pulled.shape[0]
+        assert abs(report.span_defect - old_defect) <= 1e-12
+        d = big_w.shape[1]
+        pushed = np.array([(big_w @ y.reshape(d, d) @ dagger(big_w)).ravel() for y in pulled])
+        assert span_distance(pushed, old_corner.rows) <= 1e-10

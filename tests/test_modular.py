@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qrflab.modular
 from qrflab.modular import (
+    FLOW_PROBE_TIMES,
     KMS_TIME_GRID,
     gibbs_state,
     gns_doubling,
@@ -16,7 +19,14 @@ from qrflab.modular import (
 from qrflab.opcore import dagger, op_norm
 from qrflab.vnalg import OperatorAlgebra, commutant, span_distance
 
-from _factories import SIGMA_X, SIGMA_Z, random_complex, random_density, random_hermitian
+from _factories import (
+    SIGMA_X,
+    SIGMA_Z,
+    random_complex,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 
 # sinh(1): the peak residual when a flat state is tested against the
 # boundary condition of a gap-one Hamiltonian at beta = 1.
@@ -134,13 +144,17 @@ def right_factor(d: int) -> OperatorAlgebra:
         d * d, np.array([np.kron(np.eye(d), e).ravel() for e in units]) / np.sqrt(d))
 
 
+def doubled_gibbs(d: int, rng):
+    h = np.diag(np.arange(d, dtype=float)) + 0.3 * random_hermitian(rng, d)
+    return gns_doubling(gibbs_state(h, 1.0))
+
+
 class TestConjugationClosedForm:
     """J M J = M' on the doubled Gibbs state, with M' = 1 (x) M_d known."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_commutant_and_conjugation_of_a_doubled_gibbs_state(self, d, rng):
-        h = np.diag(np.arange(d, dtype=float)) + 0.3 * random_hermitian(rng, d)
-        alg, omega = gns_doubling(gibbs_state(h, 1.0))
+        alg, omega = doubled_gibbs(d, rng)
         data = modular_data(alg, omega)
         assert span_distance(commutant(alg), right_factor(d)) <= 1e-12
         tracemalloc.start()
@@ -154,6 +168,67 @@ class TestConjugationClosedForm:
             # the stacked commutator system would be 46656 x 1296 (0.48 GB
             # as float64, 0.97 GB as complex)
             assert peak < 200e6
+
+
+class TestRankAndEigenpairsOnce:
+    def test_rank_is_taken_once_and_both_messages_remain(self, monkeypatch):
+        ranks = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counting(*args, **kwargs):
+            ranks.append(1)
+            return matrix_rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        alg, omega = gns_doubling(skew_qubit())
+        modular_data(alg, omega)
+        assert len(ranks) == 1
+        bad = np.zeros(4, dtype=complex)
+        bad[0] = 1.0
+        with pytest.raises(ValueError, match="not cyclic"):
+            modular_data(alg, bad)
+        full = OperatorAlgebra(4, np.eye(16, dtype=complex))
+        with pytest.raises(ValueError, match="not separating"):
+            modular_data(full, omega)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_flow_defect_matches_a_per_element_oracle(self, d, rng):
+        # oracle: Delta re-diagonalised at every time, each basis element
+        # flowed and measured on its own. A positive operator that is not
+        # modular for the algebra gives the oracle a defect of order one.
+        # The basis is mixed by a unitary so that its rows are complex.
+        alg, omega = doubled_gibbs(d, rng)
+        alg = OperatorAlgebra(alg.ambient_dim, random_unitary(rng, alg.dim) @ alg.rows)
+        data = modular_data(alg, omega)
+        x = random_complex(rng, d * d)
+        foreign = dataclasses.replace(data, delta=x @ dagger(x) + np.eye(d * d))
+        for md in (data, foreign):
+            oracle = 0.0
+            for t in FLOW_PROBE_TIMES:
+                vals, vecs = np.linalg.eigh(md.delta)
+                u = (vecs * np.exp(1j * t * np.log(vals))) @ dagger(vecs)
+                for b in alg.basis_matrices():
+                    oracle = max(oracle, alg.distance(u @ b @ dagger(u)))
+            assert abs(md.flow_defect() - oracle) <= 1e-12
+        assert foreign.flow_defect() >= 0.1
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_flow_reads_the_eigenpairs_kept_at_construction(self, d, rng, monkeypatch):
+        alg, omega = doubled_gibbs(d, rng)
+        calls = []
+        eig = qrflab.modular.hermitian_eig
+
+        def counting(x):
+            calls.append(x.shape)
+            return eig(x)
+
+        monkeypatch.setattr(qrflab.modular, "hermitian_eig", counting)
+        data = modular_data(alg, omega)
+        assert calls == [(d * d, d * d)]
+        calls.clear()
+        data.flow_defect()
+        data.delta_power(0.7)
+        assert calls == []
 
 
 class TestGeometricFlow:
