@@ -21,9 +21,10 @@ from .relativise import GroupAction
 from .symmetry import (
     FiniteGroup,
     FiniteRep,
+    Rep,
     regular_representation,
     right_regular_representation,
-    tensor_rep,
+    tensor_fixed_point_rows,
 )
 from .vnalg import (
     OperatorAlgebra,
@@ -124,51 +125,17 @@ def intertwining_unitary(rep: FiniteRep) -> np.ndarray:
     return _diagonal_blocks(rep.unitaries)
 
 
-def _invariant_tensor_rows(
-    algebra: OperatorAlgebra, rep: FiniteRep, aux: FiniteRep
-) -> np.ndarray:
-    """Orthonormal rows spanning the Ad(U (x) V) fixed points of M (x) B(H_W).
-
-    ``rep`` is U on the space of M and ``aux`` is V on H_W. Each tensor
-    basis element a (x) E_kl is averaged directly, as
-    sum_g W_g X W_g^dag / |G| with W = U (x) V. M is invariant under Ad U
-    (a GroupAction guarantees it to its closure_tol), so the average maps
-    M (x) B(H_W) into itself, and in the orthonormal tensor basis it is a
-    Hermitian projection matrix. Its eigenvalues are 0 or 1; the cut sits
-    at the midpoint, the widest margin on either side, and the eigenvalue-1
-    eigenvectors are the coordinates of the fixed points.
-    """
-    joint = tensor_rep(rep, aux)
-    d_w = aux.dim
-    dim = joint.dim
-    units = np.eye(d_w * d_w).reshape(-1, d_w, d_w)
-    mats = np.array(algebra.basis_matrices())
-    # kron(a, e)[i*d_w + k, j*d_w + l] = a[i, j] e[k, l], in the order a-major.
-    xs = np.einsum("aij,bkl->abikjl", mats, units).reshape(-1, dim, dim)
-    acc = np.zeros_like(xs)
-    for u in joint.unitaries:
-        acc += u @ xs @ dagger(u)
-    acc /= joint.group.order
-    basis = xs.reshape(xs.shape[0], -1)
-    coords = acc.reshape(basis.shape) @ dagger(basis)
-    vals, vecs = np.linalg.eigh((coords + dagger(coords)) / 2)
-    return dagger(vecs[:, vals > 0.5]) @ basis
-
-
-def invariant_joint_algebra(
-    action: GroupAction, frame_rep: FiniteRep
-) -> OperatorAlgebra:
+def invariant_joint_algebra(action: GroupAction, frame_rep: Rep) -> OperatorAlgebra:
     """Fixed points of Ad(U_S (x) U_R) inside M_S (x) B(H_R).
 
-    The tensor basis of M_S (x) B(H_R) is group-averaged directly, and the
-    fixed points are read off the average in that basis's coordinates; no
-    superoperator on the whole joint operator space is built. The result
-    stays inside M_S (x) B(H_R) because the action keeps M_S invariant to
-    its closure_tol.
+    Taken by ``tensor_fixed_point_rows`` from M_S's own basis, for finite
+    and band-limited circle representations alike; no superoperator on the
+    joint operator space is built. The result stays inside M_S (x) B(H_R)
+    because the action keeps M_S invariant to its closure_tol.
     """
     if action.rep.group != frame_rep.group:
         raise ValueError("system and frame must share one symmetry group")
-    rows = _invariant_tensor_rows(action.algebra, action.rep, frame_rep)
+    rows = tensor_fixed_point_rows(action.algebra.rows, action.rep, frame_rep)
     return OperatorAlgebra(action.rep.dim * frame_rep.dim, rows)
 
 
@@ -211,7 +178,7 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     """Check M x| G = (M (x) B(l2 G))^{alpha (x) Ad lambda}.
 
     The fixed points are computed inside M (x) B(l2 G) by
-    ``_invariant_tensor_rows``. Also checks that the crossed product's span
+    ``tensor_fixed_point_rows``. Also checks that the crossed product's span
     is closed under adjoints and products, and the conjugation identities
     for V: it untwists pi back to a (x) 1 and carries U(g) (x) rho(g) to
     1 (x) rho(g).
@@ -220,7 +187,7 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     rep = action.rep
     group = rep.group
     lam = regular_representation(group)
-    fixed_in_m = _invariant_tensor_rows(action.algebra, rep, lam)
+    fixed_in_m = tensor_fixed_point_rows(action.algebra.rows, rep, lam)
     d, n = rep.dim, group.order
     span_defect = span_distance(cp.algebra.rows, fixed_in_m)
 

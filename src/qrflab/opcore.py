@@ -156,14 +156,16 @@ def apply_spectral_function(
 def psd_sqrt(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-tol, 0) are clipped to zero; anything more negative
-    is an error.
+    With scale = max(1, max |eigenvalue|), eigenvalues in
+    [-tol * scale, tol * scale] are rounding noise around zero and are set
+    to zero, so that sqrt does not lift them to sqrt(tol)-sized entries;
+    anything more negative is an error.
     """
     vals, vecs = hermitian_eig(x, tol=tol)
     scale = max(1.0, float(np.abs(vals).max()))
     if vals.min() < -tol * scale:
         raise ValueError("matrix is not positive semidefinite")
-    root = np.sqrt(np.clip(vals, 0.0, None))
+    root = np.sqrt(np.where(vals > tol * scale, vals, 0.0))
     return (vecs * root) @ dagger(vecs)
 
 

@@ -11,6 +11,14 @@ equispaced angles of the band-limited circle. The nodes carry equal
 weights, and ``rep.unitary(node)`` gives the representation there, so a
 Haar average is ``sum(f(node) for node in nodes) / nodes.size`` for both
 kinds of group.
+
+Fixed points of a conjugation action have one kernel,
+``tensor_fixed_point_rows``: the Ad(U (x) V) fixed points of M (x) B(H_V)
+for an Ad U-invariant span M. Their dimension comes from a character
+formula and the fixed points from a seeded Gaussian sketch of the group
+average, so no superoperator on the operator space is built.
+``fixed_point_rows`` is that kernel on the scalars, and the crossed-product
+and frame checks call it on the system algebra.
 """
 
 from __future__ import annotations
@@ -21,11 +29,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import DEFAULT_TOL, as_operator, dagger, hermitian_eig, rel_err
-from .vnalg import OperatorAlgebra, _orthonormal_rows
+from .vnalg import OperatorAlgebra
 
 # Exhaustive associativity checking is cubic; cap it at a size where that
 # stays instant.
 _ASSOC_CHECK_MAX = 64
+
+# The seeded range sketch of ``tensor_fixed_point_rows``: samples beyond the
+# rank, and the seed, so that runs are reproducible.
+_SKETCH_OVERSAMPLE = 10
+_SKETCH_SEED = 7
+# The rank r is certified when sigma_{r-1} >= _SKETCH_GAP * sigma_0 and
+# sigma_r <= _SKETCH_GAP * sigma_{r-1} (0-based, descending).
+_SKETCH_GAP = 1.0e-6
+# How far the character trace may sit from the integer rank.
+_RANK_TOL = 1.0e-6
 
 
 @dataclass
@@ -248,12 +266,15 @@ def _check_pair(u: Rep, v: Rep, x: np.ndarray) -> None:
 def average_over_group(u: Rep, v: Rep, x: np.ndarray) -> np.ndarray:
     """Haar average of g -> U(g) x V(g)^dag.
 
-    Sums over the group's quadrature nodes in order: the elements of a
-    finite group, the exact angle grid of the circle. The result is a fixed
-    point of the same map.
+    ``x`` maps the space of V into the space of U, so it is rectangular when
+    the two dimensions differ. Sums over the group's quadrature nodes in
+    order: the elements of a finite group, the exact angle grid of the
+    circle. The result is a fixed point of the same map.
     """
-    x = as_operator(x)
+    x = np.array(x, dtype=complex)
     _check_pair(u, v, x)
+    if not np.isfinite(x).all():
+        raise ValueError("operator has non-finite entries")
     nodes = u.group.quadrature_nodes()
     acc = np.zeros_like(x)
     for g in nodes:
@@ -261,28 +282,71 @@ def average_over_group(u: Rep, v: Rep, x: np.ndarray) -> np.ndarray:
     return acc / nodes.size
 
 
-def _averaging_superoperator(u: Rep, v: Rep) -> np.ndarray:
-    # Acts on row-major vectorised operators: vec(UxV^dag) = (U (x) conj(V)) vec(x).
-    # Summed node by node from a generator; no n x D^2 x D^2 stack is built.
-    nodes = u.group.quadrature_nodes()
-    return sum(np.kron(u.unitary(g), v.unitary(g).conj()) for g in nodes) / nodes.size
+def tensor_fixed_point_rows(rows: np.ndarray, u: Rep, v: Rep) -> np.ndarray:
+    """Orthonormal rows spanning the Ad(U (x) V) fixed points of M (x) B(H_V).
 
-
-def fixed_point_rows(u: Rep, v: Rep | None = None) -> np.ndarray:
-    """Orthonormal basis (as vectorised rows) of {x : U(g) x V(g)^dag = x}."""
-    v = u if v is None else v
+    ``rows`` are orthonormal vectorised operators a_i on H_U whose span M is
+    invariant under Ad U. On M (x) B(H_V) the group average is then a
+    Hermitian projection, and its rank is its trace,
+    r = (1 / |nodes|) sum_g chi_M(g) |tr V(g)|^2 with
+    chi_M(g) = sum_i <a_i, U(g) a_i U(g)^dag>, exact on the quadrature nodes
+    of both group kinds. A seeded Gaussian sketch of its range (Halko,
+    Martinsson & Tropp, SIAM Rev. 53 (2011) 217) takes the fixed points: r + p
+    random elements sum_i a_i (x) Y_i are averaged, pulled back to
+    coordinates in the tensor basis a_i (x) E_kl, and the top r right singular
+    vectors of a thin SVD are their coordinates. The tensor basis itself is
+    never formed. Raises ValueError when the trace is not an integer or the
+    singular values do not separate at r; either means M is not invariant.
+    """
     if u.group != v.group:
         raise ValueError("fixed points need two representations of one group")
-    if u.dim != v.dim:
-        raise ValueError("fixed points need equal dimensions on both sides")
-    proj = _averaging_superoperator(u, v)
-    # The averaging map is idempotent, so its column span is the fixed space.
-    return _orthonormal_rows(proj.T, None)
+    d_u, d_v = u.dim, v.dim
+    a = rows.reshape(-1, d_u, d_u)
+    n = a.shape[0] * d_v * d_v
+    nodes = u.group.quadrature_nodes()
+    us = np.array([u.unitary(g) for g in nodes])
+    vs = np.array([v.unitary(g) for g in nodes])
+    chi = np.einsum("mij,gik,mkl,gjl->g", a.conj(), us, a, us.conj(), optimize=True)
+    trace = complex(chi @ np.abs(np.trace(vs, axis1=1, axis2=2)) ** 2) / nodes.size
+    r = int(round(trace.real))
+    if abs(trace - r) > _RANK_TOL * max(1.0, abs(trace)):
+        raise ValueError(f"group-average trace {trace:.6g} is not a rank; M is not invariant")
+
+    rng = np.random.default_rng(_SKETCH_SEED)
+    shape = (r + _SKETCH_OVERSAMPLE, a.shape[0], d_v, d_v)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # kron(a, y)[i*d_v + k, j*d_v + l] = a[i, j] y[k, l], summed over the basis.
+    x = np.einsum("mij,smkl->sikjl", a, y).reshape(shape[0], d_u * d_v, d_u * d_v)
+    acc = np.zeros_like(x)
+    for ug, vg in zip(us, vs):
+        w = np.kron(ug, vg)
+        acc += w @ x @ dagger(w)
+    coords = np.einsum("mij,sikjl->smkl", a.conj(), acc.reshape(-1, d_u, d_v, d_u, d_v))
+    _, s, vh = np.linalg.svd(coords.reshape(shape[0], n), full_matrices=False)
+    s = np.append(s, 0.0)
+    # The compressed average is positive, so a zero trace already certifies
+    # r = 0.
+    if r and (s[r - 1] < _SKETCH_GAP * s[0] or s[r] > _SKETCH_GAP * s[r - 1]):
+        raise ValueError(
+            f"fixed-point rank {r} is not certified: singular values {s[r - 1]:.3e} and "
+            f"{s[r]:.3e} at the cut; M is not invariant"
+        )
+    fixed = vh[:r].reshape(r, a.shape[0], d_v, d_v)
+    return np.einsum("rmkl,mij->rikjl", fixed, a).reshape(r, (d_u * d_v) ** 2)
+
+
+def fixed_point_rows(u: Rep) -> np.ndarray:
+    """Orthonormal basis (as vectorised rows) of {x : U(g) x U(g)^dag = x}.
+
+    The kernel ``tensor_fixed_point_rows`` on the scalars C of a trivial
+    one-dimensional representation, so that C (x) B(H_U) = B(H_U).
+    """
+    return tensor_fixed_point_rows(np.ones((1, 1), dtype=complex), trivial_rep(u.group, 1), u)
 
 
 def fixed_point_algebra(u: Rep) -> OperatorAlgebra:
     """Fixed points of the adjoint action, packaged as an algebra."""
-    alg = OperatorAlgebra(u.dim, fixed_point_rows(u, u))
+    alg = OperatorAlgebra(u.dim, fixed_point_rows(u))
     alg.validate()
     return alg
 

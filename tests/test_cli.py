@@ -16,6 +16,21 @@ CORPUS = sorted(SCENARIO_DIR.glob("*.json"))
 CORPUS = [p for p in CORPUS if not p.name.endswith(".schema.json")]
 
 
+# Non-float leaves of each corpus report, keyed by scenario stem. Recorded
+# from a corpus run with ``report_structure``; a change that means to alter
+# a dim, block list or verdict regenerates it and says so.
+STRUCTURE_FILE = REPO / "tests" / "data" / "corpus_structure.json"
+
+
+def report_structure(node):
+    """The report with its timestamp dropped and every float leaf nulled."""
+    if isinstance(node, dict):
+        return {k: report_structure(v) for k, v in node.items() if k != "generated_at"}
+    if isinstance(node, list):
+        return [report_structure(v) for v in node]
+    return None if isinstance(node, float) else node
+
+
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -50,6 +65,16 @@ class TestCorpus:
 
     def test_corpus_is_nonempty(self):
         assert len(CORPUS) >= 7
+
+    @pytest.mark.parametrize("scenario", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_report_structure_is_unchanged(self, scenario, tmp_path, capsys):
+        # every dim, block list, pass flag and verdict string of the report,
+        # against the structure recorded in STRUCTURE_FILE; floats are defects
+        # and timings, free to move at rounding level
+        run_cli(capsys, "run", str(scenario), "--report", str(tmp_path))
+        report = json.loads((tmp_path / f"{scenario.stem}.report.json").read_text())
+        recorded = json.loads(STRUCTURE_FILE.read_text())
+        assert report_structure(report) == recorded[scenario.stem]
 
 
 class TestReportFormat:

@@ -22,7 +22,6 @@ from qrflab.symmetry import (
     FiniteRep,
     HomogeneousSpace,
     cyclic_group,
-    fixed_point_rows,
     regular_representation,
     symmetric_group,
     tensor_rep,
@@ -37,6 +36,7 @@ from qrflab.vnalg import (
 )
 
 from _factories import SIGMA_X, SIGMA_Z, random_complex, random_unitary
+from test_symmetry import superoperator_fixed_rows
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -74,6 +74,38 @@ def fixtures():
         # a free module of rank |G| over the 6-dimensional group algebra
         ("group-algebra-by-conjugation", GroupAction(group_alg, reg6), 36),
     ]
+
+
+def circle_joint_case():
+    """Full M_4 under H_S = diag(0, 1, 2, 1) with the frame H_R = diag(-2..2)."""
+    h_s = CircleRep(CircleGroup(2), np.diag([0.0, 1, 2, 1]))
+    h_r = CircleRep(CircleGroup(2), np.diag([-2.0, -1, 0, 1, 2]))
+    return ("circle-system-x-frame", GroupAction(full_algebra(4), h_s), h_r)
+
+
+def mixed_basis_case():
+    """M_2 held in a basis mixed by a random unitary, so that its rows are
+    complex, under the Z3 phase rep; frame: regular Z3."""
+    mix = random_unitary(np.random.default_rng(5), 4)
+    z3 = cyclic_group(3)
+    action = GroupAction(OperatorAlgebra(2, mix @ np.eye(4, dtype=complex)), phase_rep_z3(z3))
+    return ("z3-phase-mixed-basis", action, regular_representation(z3))
+
+
+def superoperator_joint_fixed_rows(action: GroupAction, frame_rep) -> np.ndarray:
+    """The superoperator fixed points of the joint rep, intersected with the
+    tensor rows of M (x) B(H_W); circle joint reps get a band wide enough
+    for the summed frequencies."""
+    wide = CircleGroup(2 * action.rep.group.bandwidth) if isinstance(frame_rep, CircleRep) else None
+    joint = tensor_rep(action.rep, frame_rep, group=wide)
+    d_w = frame_rep.dim
+    units = np.eye(d_w * d_w)
+    tensor_rows = np.array([
+        np.kron(a, units[kl].reshape(d_w, d_w)).ravel()
+        for a in action.algebra.basis_matrices()
+        for kl in range(d_w * d_w)
+    ])
+    return span_intersection(superoperator_fixed_rows(joint), tensor_rows)
 
 
 def orthonormal_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -182,21 +214,20 @@ class TestCommutationTheorem:
             ("z3-phase-regular-frame", GroupAction(full_algebra(2), phase_rep_z3(z3)),
              regular_representation(z3)),
             ("z3-phase-frame", GroupAction(full_algebra(2), phase_rep_z3(z3)), phase_rep_z3(z3)),
+            circle_joint_case(),
+            mixed_basis_case(),
         ]
-        assert len(cases) == 8
+        assert len(cases) == 10
         for name, action, frame_rep in cases:
-            joint = tensor_rep(action.rep, frame_rep)
-            d_w = frame_rep.dim
-            units = np.eye(d_w * d_w)
-            tensor_rows = np.array([
-                np.kron(a, units[kl].reshape(d_w, d_w)).ravel()
-                for a in action.algebra.basis_matrices()
-                for kl in range(d_w * d_w)
-            ])
-            oracle = span_intersection(fixed_point_rows(joint, joint), tensor_rows)
+            oracle = superoperator_joint_fixed_rows(action, frame_rep)
             got = invariant_joint_algebra(action, frame_rep).rows
             assert got.shape[0] == oracle.shape[0], name
             assert span_distance(got, oracle) <= 1e-10, name
+
+    def test_circle_invariant_joint_algebra_is_the_charge_blocks(self):
+        # sum over joint charges q of n_q^2, for n_q = 1, 3, 4, 4, 4, 3, 1
+        _, action, frame_rep = circle_joint_case()
+        assert invariant_joint_algebra(action, frame_rep).dim == 68
 
     @pytest.mark.parametrize("name,action,expected", fixtures(), ids=[f[0] for f in fixtures()])
     def test_closed_form_span_equals_the_generated_algebra(self, name, action, expected):
@@ -281,6 +312,17 @@ class TestCompression:
         assert report.span_defect <= 1e-7
         assert report.passed
 
+    def test_frame_with_a_rotated_identity_effect(self):
+        # the ideal Z3 frame conjugated by a random unitary: its identity
+        # effect is a rank-one projector that is not diagonal, and its
+        # square root in the dilation must stay that projector
+        report = verify_frame_compression(
+            GroupAction(full_algebra(2), phase_rep_z3(cyclic_group(3))), rotated_z3_frame()
+        )
+        assert report.invariant_dim == report.compressed_dim == 12
+        assert report.span_defect <= 1e-12
+        assert report.passed
+
     def test_compress_needs_a_projection(self):
         alg = full_algebra(2)
         with pytest.raises(ValueError, match="self-adjoint idempotent"):
@@ -331,6 +373,16 @@ def extended_corner(action: GroupAction, frame: QuantumReferenceFrame):
     return corner, span_distance(embedded, corner.rows), big_w
 
 
+def rotated_z3_frame() -> QuantumReferenceFrame:
+    z3 = cyclic_group(3)
+    ideal = ideal_frame(regular_representation(z3))
+    v = random_unitary(np.random.default_rng(0), 3)
+    return QuantumReferenceFrame(
+        FiniteRep(z3, [v @ u @ dagger(v) for u in ideal.rep.unitaries]),
+        Povm(ideal.povm.space, [v @ e @ dagger(v) for e in ideal.povm.effects]),
+    )
+
+
 def compression_cases():
     from test_acceptance import frame_fixtures
 
@@ -351,6 +403,8 @@ def compression_cases():
     )
     cases.append(("M2-Z3-phase-rephased-frame", GroupAction(full_algebra(2), phase_rep_z3(z3)),
                   rephased))
+    cases.append(("M2-Z3-phase-rotated-frame", GroupAction(full_algebra(2), phase_rep_z3(z3)),
+                  rotated_z3_frame()))
     return cases
 
 

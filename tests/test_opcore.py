@@ -145,6 +145,14 @@ def test_psd_sqrt_squares_back(rng):
     assert np.allclose(r @ r, p, atol=1e-9)
 
 
+def test_psd_sqrt_keeps_a_rotated_projector_exact():
+    # a rank-one projector in a random basis has eigenvalues of order 1e-17
+    # where it should have zeros; their square roots must not survive
+    v = random_unitary(np.random.default_rng(0), 3)
+    p = v @ np.diag([1.0, 0.0, 0.0]) @ dagger(v)
+    assert op_norm(psd_sqrt(p) - p) <= 1e-14
+
+
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive semidefinite"):
         psd_sqrt(SIGMA_Z)

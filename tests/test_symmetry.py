@@ -11,17 +11,86 @@ from qrflab.symmetry import (
     average_over_group,
     cyclic_group,
     fixed_point_algebra,
+    fixed_point_rows,
     regular_representation,
     right_regular_representation,
     symmetric_group,
+    tensor_fixed_point_rows,
     tensor_rep,
     trivial_rep,
 )
-from qrflab.vnalg import commutant, generate_algebra, span_distance
+from qrflab.relativise import GroupAction
+from qrflab.vnalg import (
+    OperatorAlgebra,
+    _orthonormal_rows,
+    algebra_from_matrices,
+    commutant,
+    generate_algebra,
+    span_distance,
+)
 
-from _factories import SIGMA_X, random_complex
+from _factories import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian, random_unitary
 
 seeds = st.integers(0, 2**31 - 1)
+
+
+def superoperator_fixed_rows(u) -> np.ndarray:
+    """Oracle for the fixed points of Ad U: the D^2 x D^2 averaging
+    superoperator on row-major vectorised operators,
+    vec(U x U^dag) = (U (x) conj(U)) vec(x), summed over the quadrature
+    nodes; it is idempotent, so Gram-Schmidt over its columns spans its
+    range."""
+    nodes = u.group.quadrature_nodes()
+    proj = sum(np.kron(u.unitary(g), u.unitary(g).conj()) for g in nodes) / nodes.size
+    return _orthonormal_rows(proj.T, None)
+
+
+def character_rank(u) -> int:
+    """dim Fix(Ad U) = (1 / |nodes|) sum_g |tr U(g)|^2."""
+    nodes = u.group.quadrature_nodes()
+    return int(round(sum(abs(np.trace(u.unitary(g))) ** 2 for g in nodes) / nodes.size))
+
+
+def conjugated(rep, w):
+    if isinstance(rep, CircleRep):
+        return CircleRep(rep.group, w @ rep.generator @ w.conj().T)
+    return FiniteRep(rep.group, [w @ u @ w.conj().T for u in rep.unitaries])
+
+
+def permutation_rep_s3() -> FiniteRep:
+    s3 = symmetric_group(3)
+    return FiniteRep(s3, [np.eye(3)[[int(c) for c in label]].T for label in s3.labels])
+
+
+def z_flip() -> FiniteRep:
+    return FiniteRep(cyclic_group(2), [np.eye(2, dtype=complex), SIGMA_Z])
+
+
+def kernel_cases():
+    """The shapes of the benchmark's fixed-point pairs (regular reps of Z3,
+    Z5 and S3 against a partner, each conjugated by a random unitary) and
+    band-limited circle representations, one with a non-diagonal generator."""
+    rng = np.random.default_rng(20261018)
+    s3 = symmetric_group(3)
+    pairs = [
+        ("Z3-regular-x-3", regular_representation(cyclic_group(3)),
+         regular_representation(cyclic_group(3))),
+        ("Z5-regular-x-5", regular_representation(cyclic_group(5)),
+         regular_representation(cyclic_group(5))),
+        ("S3-regular-x-3", regular_representation(s3), permutation_rep_s3()),
+    ]
+    cases = [
+        (name, tensor_rep(conjugated(u, random_unitary(rng, u.dim)),
+                          conjugated(v, random_unitary(rng, v.dim))))
+        for name, u, v in pairs
+    ]
+    w = random_unitary(rng, 6)
+    cases.append(("circle-nondiagonal",
+                  CircleRep(CircleGroup(2), w @ np.diag([-2.0, -1, 0, 1, 1, 2]) @ w.conj().T)))
+    h_s = CircleRep(CircleGroup(2), np.diag([0.0, 1, 2, 1]))
+    h_r = CircleRep(CircleGroup(2), np.diag([-2.0, -1, 0, 1, 2]))
+    cases.append(("circle-system-x-frame", tensor_rep(h_s, h_r, group=CircleGroup(4))))
+    return cases
 
 
 class TestFiniteGroups:
@@ -145,6 +214,21 @@ class TestAveraging:
         with pytest.raises(ValueError, match="one group"):
             average_over_group(lam2, phases, np.eye(2))
 
+    def test_intertwiners_between_reps_of_different_dimension(self, rng):
+        lam = regular_representation(cyclic_group(3))
+        triv = trivial_rep(lam.group, 2)
+        x = random_complex(rng, 3, 2)
+        avg = average_over_group(lam, triv, x)
+        assert avg.shape == (3, 2)
+        # the average is a fixed point: constant columns, each the column mean
+        for u in lam.unitaries:
+            assert np.allclose(u @ avg, avg, atol=1e-12)
+        assert np.allclose(avg, np.ones((3, 1)) * x.mean(axis=0), atol=1e-12)
+        with pytest.raises(ValueError, match="operator shape"):
+            average_over_group(lam, triv, x.T)
+        with pytest.raises(ValueError, match="non-finite"):
+            average_over_group(lam, triv, np.full((3, 2), np.nan))
+
     def test_fixed_point_algebra_of_the_regular_rep(self):
         g = cyclic_group(3)
         lam = regular_representation(g)
@@ -153,6 +237,68 @@ class TestAveraging:
         # commutant of the whole translation algebra
         assert fixed.dim == 3
         assert span_distance(fixed, commutant(generate_algebra(lam.unitaries, 3))) <= 1e-8
+
+
+class TestFixedPointKernel:
+    @pytest.mark.parametrize("name,rep", kernel_cases(), ids=[c[0] for c in kernel_cases()])
+    def test_matches_the_superoperator_oracle(self, name, rep):
+        got = fixed_point_rows(rep)
+        oracle = superoperator_fixed_rows(rep)
+        assert got.shape[0] == oracle.shape[0] == character_rank(rep)
+        assert span_distance(got, oracle) <= 1e-10
+        assert np.linalg.norm(got @ got.conj().T - np.eye(got.shape[0])) <= 1e-12
+
+    def test_reproducible_under_the_fixed_seed(self):
+        rep = dict(kernel_cases())["S3-regular-x-3"]
+        assert np.array_equal(fixed_point_rows(rep), fixed_point_rows(rep))
+
+    def test_a_span_with_a_fractional_trace_raises(self):
+        # Ad Z moves (Z + X)/2 to (Z - X)/2, outside its span; the average
+        # has trace 1/2 there
+        flip = z_flip()
+        rows = ((SIGMA_Z + SIGMA_X) / 2).reshape(1, 4)
+        with pytest.raises(ValueError, match="not a rank"):
+            tensor_fixed_point_rows(rows, flip, trivial_rep(flip.group, 1))
+
+    def test_a_span_whose_average_is_not_a_projection_raises(self):
+        # Ad Z swaps (Z + X)/2 with (Z - X)/2 and (I + Y)/2 with (I - Y)/2:
+        # the compressed average is diag(1/2, 1/2), of trace 1 but rank 2
+        flip = z_flip()
+        rows = np.array([((SIGMA_Z + SIGMA_X) / 2).ravel(), ((np.eye(2) + SIGMA_Y) / 2).ravel()])
+        with pytest.raises(ValueError, match="not certified"):
+            tensor_fixed_point_rows(rows, flip, trivial_rep(flip.group, 1))
+        with pytest.raises(ValueError, match="not certified"):
+            tensor_fixed_point_rows(rows, flip, regular_representation(flip.group))
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9, 3e-9])
+    def test_an_algebra_invariant_to_closure_tol_keeps_the_exact_dim(self, eps):
+        # the diagonal algebra of C^3 under the Z3 regular rep, rotated by
+        # exp(i eps H): no longer exactly invariant, but a GroupAction
+        # still accepts it
+        lam = regular_representation(cyclic_group(3))
+        diagonal = algebra_from_matrices([np.diag(np.eye(3)[k]) for k in range(3)], 3)
+        vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(3), 3))
+        v = (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+        rotated = OperatorAlgebra(
+            3, np.array([(v @ a @ v.conj().T).ravel() for a in diagonal.basis_matrices()])
+        )
+        action = GroupAction(rotated, lam)
+        exact = tensor_fixed_point_rows(diagonal.rows, lam, lam)
+        got = tensor_fixed_point_rows(action.algebra.rows, lam, lam)
+        assert exact.shape[0] == got.shape[0] == 9
+        assert span_distance(got, exact) <= 1e3 * eps
+
+    def test_no_fixed_points(self):
+        # Ad Z negates X, so span{X} (x) B(C) has only 0 fixed
+        flip = z_flip()
+        rows = (SIGMA_X / np.sqrt(2)).reshape(1, 4)
+        assert tensor_fixed_point_rows(rows, flip, trivial_rep(flip.group, 1)).shape == (0, 4)
+
+    def test_needs_one_group(self):
+        lam2 = regular_representation(cyclic_group(2))
+        lam3 = regular_representation(cyclic_group(3))
+        with pytest.raises(ValueError, match="one group"):
+            tensor_fixed_point_rows(np.eye(4, dtype=complex), lam2, lam3)
 
 
 class TestCircle:
