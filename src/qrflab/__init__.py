@@ -82,6 +82,8 @@ from .symmetry import (
     HomogeneousSpace,
     average_over_group,
     cyclic_group,
+    dihedral_group,
+    direct_product,
     fixed_point_algebra,
     fixed_point_rows,
     regular_representation,

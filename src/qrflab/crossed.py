@@ -197,11 +197,11 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
         lhs = v @ np.kron(a, np.eye(n)) @ dagger(v)
         untwist = max(untwist, hs_norm(lhs - embed_twisted(a, rep)))
     rho = right_regular_representation(group)
-    rhos = right_translations(group, d)
+    eye = np.eye(d)
     translation = 0.0
     for g in range(n):
         lhs = v @ np.kron(rep.unitary(g), rho.unitaries[g]) @ dagger(v)
-        translation = max(translation, hs_norm(lhs - rhos[g]))
+        translation = max(translation, hs_norm(lhs - np.kron(eye, rho.unitaries[g])))
 
     return CommutationReport(
         crossed_dim=cp.dim,

@@ -14,9 +14,12 @@ kinds of group.
 
 Fixed points of a conjugation action have one kernel,
 ``tensor_fixed_point_rows``: the Ad(U (x) V) fixed points of M (x) B(H_V)
-for an Ad U-invariant span M. Their dimension comes from a character
-formula and the fixed points from a seeded Gaussian sketch of the group
-average, so no superoperator on the operator space is built.
+for an Ad U-invariant span M of dimension m. It works in M's own
+coordinates, where the action at a node is C_g (x) Ad V(g), with C_g the
+m x m matrix of Ad U(g) on M's basis. The fixed space's dimension comes
+from a character formula and its basis from a seeded Gaussian sketch of the
+group average, at (r + 10) m d_v^2 (2 d_v + m) flops per node for r fixed
+points, so no operator on the joint space and no superoperator is built.
 ``fixed_point_rows`` is that kernel on the scalars, and the crossed-product
 and frame checks call it on the system algebra.
 """
@@ -148,6 +151,29 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(labels, table)
 
 
+def dihedral_group(n: int) -> FiniteGroup:
+    """D_n, the symmetries of a regular n-gon, of order 2n.
+
+    Element e * n + k is r^k s^e, with r a rotation of order n and s a
+    reflection, s r s = r^-1; so r^a s^e r^b s^f = r^(a + (-1)^e b) s^(e + f).
+    """
+    if n < 1:
+        raise ValueError("dihedral group needs n >= 1")
+    k = np.tile(np.arange(n), 2)
+    e = np.repeat([0, 1], n)
+    rot = (k[:, None] + np.where(e[:, None], -1, 1) * k[None, :]) % n
+    table = ((e[:, None] + e[None, :]) % 2) * n + rot
+    labels = [f"r{a}" for a in range(n)] + [f"r{a}s" for a in range(n)]
+    return FiniteGroup(labels, table)
+
+
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """G x H with componentwise products; element i * |H| + j is (g_i, h_j)."""
+    table = g.table[:, None, :, None] * h.order + h.table[None, :, None, :]
+    labels = [f"({a},{b})" for a in g.labels for b in h.labels]
+    return FiniteGroup(labels, table.reshape(g.order * h.order, g.order * h.order))
+
+
 @dataclass
 class FiniteRep:
     """A unitary representation of a finite group, one matrix per element."""
@@ -161,21 +187,29 @@ class FiniteRep:
         if len(self.unitaries) != g.order:
             raise ValueError("representation needs one unitary per group element")
         d = self.unitaries[0].shape[0]
+        if any(u.shape[0] != d for u in self.unitaries):
+            raise ValueError("representation matrices differ in dimension")
+        us = np.array(self.unitaries)
         eye = np.eye(d)
-        for i, u in enumerate(self.unitaries):
-            if u.shape[0] != d:
-                raise ValueError("representation matrices differ in dimension")
-            if rel_err(u @ dagger(u), eye) > DEFAULT_TOL:
-                raise ValueError(f"matrix for {g.labels[i]!r} is not unitary")
-        if rel_err(self.unitaries[g.identity], eye) > DEFAULT_TOL:
+        # rel_err per element, batched: Frobenius distance over max(1, ||target||_F).
+        unit_scale = max(1.0, float(np.sqrt(d)))
+        unit_err = np.linalg.norm(us @ us.conj().transpose(0, 2, 1) - eye, axis=(1, 2))
+        bad = np.flatnonzero(unit_err / unit_scale > DEFAULT_TOL)
+        if bad.size:
+            raise ValueError(f"matrix for {g.labels[bad[0]]!r} is not unitary")
+        if rel_err(us[g.identity], eye) > DEFAULT_TOL:
             raise ValueError("identity element must act as the identity matrix")
+        # One Cayley-table row at a time: U(i) U(j) against U(table[i, j])
+        # for every j, with rel_err's scale taken from each target.
+        scale = np.maximum(1.0, np.linalg.norm(us, axis=(1, 2)))
         for i in range(g.order):
-            for j in range(g.order):
-                prod = self.unitaries[i] @ self.unitaries[j]
-                if rel_err(prod, self.unitaries[g.table[i, j]]) > DEFAULT_TOL:
-                    raise ValueError(
-                        f"not a homomorphism at pair ({g.labels[i]}, {g.labels[j]})"
-                    )
+            row = g.table[i]
+            err = np.linalg.norm(us[i] @ us - us[row], axis=(1, 2)) / scale[row]
+            bad = np.flatnonzero(err > DEFAULT_TOL)
+            if bad.size:
+                raise ValueError(
+                    f"not a homomorphism at pair ({g.labels[i]}, {g.labels[bad[0]]})"
+                )
 
     @property
     def dim(self) -> int:
@@ -286,52 +320,62 @@ def tensor_fixed_point_rows(rows: np.ndarray, u: Rep, v: Rep) -> np.ndarray:
     """Orthonormal rows spanning the Ad(U (x) V) fixed points of M (x) B(H_V).
 
     ``rows`` are orthonormal vectorised operators a_i on H_U whose span M is
-    invariant under Ad U. On M (x) B(H_V) the group average is then a
-    Hermitian projection, and its rank is its trace,
-    r = (1 / |nodes|) sum_g chi_M(g) |tr V(g)|^2 with
-    chi_M(g) = sum_i <a_i, U(g) a_i U(g)^dag>, exact on the quadrature nodes
+    invariant under Ad U. Everything is computed in M's own coordinates: at
+    each quadrature node, C_g[k, i] = <a_k, U(g) a_i U(g)^dag> is the m x m
+    matrix of Ad U(g) on M, and Ad(U (x) V)(g) acts on coordinates
+    y_i in B(H_V) as C_g (x) Ad V(g). On M (x) B(H_V) the group average is
+    then a Hermitian projection, and its rank is its trace,
+    r = (1 / |nodes|) sum_g tr(C_g) |tr V(g)|^2, exact on the quadrature nodes
     of both group kinds. A seeded Gaussian sketch of its range (Halko,
     Martinsson & Tropp, SIAM Rev. 53 (2011) 217) takes the fixed points: r + p
-    random elements sum_i a_i (x) Y_i are averaged, pulled back to
-    coordinates in the tensor basis a_i (x) E_kl, and the top r right singular
-    vectors of a thin SVD are their coordinates. The tensor basis itself is
-    never formed. Raises ValueError when the trace is not an integer or the
-    singular values do not separate at r; either means M is not invariant.
+    random coordinate stacks y are summed as sum_g C_g . (V(g) y V(g)^dag),
+    the V-conjugation as two GEMMs over the whole sketch, and the top r right
+    singular vectors of a thin SVD are the coordinates of the fixed points in
+    the tensor basis a_i (x) E_kl. A node costs (r + p) m d_v^2 (2 d_v + m)
+    flops on the sketch; no operator on the joint space is conjugated. Raises
+    ValueError when the trace is not an integer or the singular values do not
+    separate at r; either means M is not invariant.
     """
     if u.group != v.group:
         raise ValueError("fixed points need two representations of one group")
     d_u, d_v = u.dim, v.dim
     a = rows.reshape(-1, d_u, d_u)
-    n = a.shape[0] * d_v * d_v
+    m = a.shape[0]
+    a_conj = a.reshape(m, -1).conj()
     nodes = u.group.quadrature_nodes()
-    us = np.array([u.unitary(g) for g in nodes])
     vs = np.array([v.unitary(g) for g in nodes])
-    chi = np.einsum("mij,gik,mkl,gjl->g", a.conj(), us, a, us.conj(), optimize=True)
+    cs = np.empty((nodes.size, m, m), dtype=complex)
+    for c, g in zip(cs, nodes):
+        ug = u.unitary(g)
+        c[...] = a_conj @ (ug @ a @ dagger(ug)).reshape(m, -1).T
+    chi = np.trace(cs, axis1=1, axis2=2)
     trace = complex(chi @ np.abs(np.trace(vs, axis1=1, axis2=2)) ** 2) / nodes.size
     r = int(round(trace.real))
     if abs(trace - r) > _RANK_TOL * max(1.0, abs(trace)):
         raise ValueError(f"group-average trace {trace:.6g} is not a rank; M is not invariant")
 
     rng = np.random.default_rng(_SKETCH_SEED)
-    shape = (r + _SKETCH_OVERSAMPLE, a.shape[0], d_v, d_v)
+    s = r + _SKETCH_OVERSAMPLE
+    shape = (s, m, d_v, d_v)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # kron(a, y)[i*d_v + k, j*d_v + l] = a[i, j] y[k, l], summed over the basis.
-    x = np.einsum("mij,smkl->sikjl", a, y).reshape(shape[0], d_u * d_v, d_u * d_v)
-    acc = np.zeros_like(x)
-    for ug, vg in zip(us, vs):
-        w = np.kron(ug, vg)
-        acc += w @ x @ dagger(w)
-    coords = np.einsum("mij,sikjl->smkl", a.conj(), acc.reshape(-1, d_u, d_v, d_u, d_v))
-    _, s, vh = np.linalg.svd(coords.reshape(shape[0], n), full_matrices=False)
-    s = np.append(s, 0.0)
+    # Held as (k, i, sample, l) for y[sample, i, k, l]: left and right
+    # multiplication on H_V are then each one GEMM over the whole sketch.
+    y = np.ascontiguousarray(y.transpose(2, 1, 0, 3))
+    acc = np.zeros_like(y)
+    for c, vg in zip(cs, vs):
+        left = (vg @ y.reshape(d_v, -1)).reshape(d_v, m, s * d_v)
+        acc += ((c @ left).reshape(-1, d_v) @ dagger(vg)).reshape(acc.shape)
+    coords = acc.transpose(2, 1, 0, 3).reshape(s, m * d_v * d_v)
+    _, sv, vh = np.linalg.svd(coords, full_matrices=False)
+    sv = np.append(sv, 0.0)
     # The compressed average is positive, so a zero trace already certifies
     # r = 0.
-    if r and (s[r - 1] < _SKETCH_GAP * s[0] or s[r] > _SKETCH_GAP * s[r - 1]):
+    if r and (sv[r - 1] < _SKETCH_GAP * sv[0] or sv[r] > _SKETCH_GAP * sv[r - 1]):
         raise ValueError(
-            f"fixed-point rank {r} is not certified: singular values {s[r - 1]:.3e} and "
-            f"{s[r]:.3e} at the cut; M is not invariant"
+            f"fixed-point rank {r} is not certified: singular values {sv[r - 1]:.3e} and "
+            f"{sv[r]:.3e} at the cut; M is not invariant"
         )
-    fixed = vh[:r].reshape(r, a.shape[0], d_v, d_v)
+    fixed = vh[:r].reshape(r, m, d_v, d_v)
     return np.einsum("rmkl,mij->rikjl", fixed, a).reshape(r, (d_u * d_v) ** 2)
 
 
@@ -351,33 +395,27 @@ def fixed_point_algebra(u: Rep) -> OperatorAlgebra:
     return alg
 
 
+def _permutation_rep(group: FiniteGroup, images: np.ndarray) -> FiniteRep:
+    """The rep whose g-th matrix sends |h> to |images[g, h]>."""
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=complex)
+    idx = np.arange(n)
+    mats[idx[:, None], images, idx[None, :]] = 1.0
+    return FiniteRep(group, list(mats))
+
+
 def regular_representation(group: SymmetryGroup) -> FiniteRep:
     """Left regular representation, lambda(g)|h> = |gh>."""
     if isinstance(group, CircleGroup):
         raise ValueError("regular representation not finite-dimensional")
-    n = group.order
-    mats = []
-    for g in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        for h in range(n):
-            m[group.table[g, h], h] = 1.0
-        mats.append(m)
-    return FiniteRep(group, mats)
+    return _permutation_rep(group, group.table)
 
 
 def right_regular_representation(group: SymmetryGroup) -> FiniteRep:
     """Right regular representation, rho(g)|h> = |h g^-1>."""
     if isinstance(group, CircleGroup):
         raise ValueError("regular representation not finite-dimensional")
-    n = group.order
-    mats = []
-    for g in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        ginv = group.inverse[g]
-        for h in range(n):
-            m[group.table[h, ginv], h] = 1.0
-        mats.append(m)
-    return FiniteRep(group, mats)
+    return _permutation_rep(group, group.table[:, group.inverse].T)
 
 
 @dataclass

@@ -350,21 +350,24 @@ def decompose(
     """Exhibit the block structure of a finite-dimensional algebra.
 
     A generic Hermitian element of the centre is sampled (seeded, so runs
-    are reproducible); its spectral projections carve the ambient space into
-    the central blocks, which are then split individually. Degenerate draws
-    are retried up to ``max_retries`` times.
+    are reproducible): the orthogonal projection onto the centre of a random
+    Hermitian matrix on the ambient space, so the draw depends on the
+    centre's span and not on the basis ``centre`` returns. Its spectral
+    projections carve the ambient space into the central blocks, which are
+    then split individually. Degenerate draws are retried up to
+    ``max_retries`` times.
     """
     d = alg.ambient_dim
-    z_alg = centre(alg)
-    herm = _hermitian_span_rows(z_alg.rows, d)
+    z_rows = centre(alg).rows
     rng = np.random.default_rng(seed)
     for attempt in range(max_retries):
-        coeff = rng.standard_normal(len(herm))
-        z = sum(c * h for c, h in zip(coeff, herm))
-        vals, vecs = hermitian_eig(z)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = _vec((g + dagger(g)) / 2.0)
+        z = _unvec((z_rows.conj() @ h) @ z_rows, d)
+        vals, vecs = hermitian_eig((z + dagger(z)) / 2.0)
         gap = 1.0e-8 * max(1.0, float(np.abs(vals).max()))
         clusters = _cluster(vals, gap)
-        if len(clusters) != z_alg.dim:
+        if len(clusters) != z_rows.shape[0]:
             continue
         try:
             pieces = []

@@ -22,6 +22,7 @@ from qrflab.symmetry import (
     FiniteRep,
     HomogeneousSpace,
     cyclic_group,
+    dihedral_group,
     regular_representation,
     symmetric_group,
     tensor_rep,
@@ -36,7 +37,7 @@ from qrflab.vnalg import (
 )
 
 from _factories import SIGMA_X, SIGMA_Z, random_complex, random_unitary
-from test_symmetry import superoperator_fixed_rows
+from test_symmetry import dihedral_irrep, superoperator_fixed_rows
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -277,6 +278,21 @@ class TestCommutationTheorem:
         action = GroupAction(full_algebra(2), rep)
         with pytest.raises(ValueError, match="handled analytically"):
             build_crossed_product(action)
+
+
+class TestDihedral:
+    def test_m2_under_the_d4_irrep(self):
+        # D4 acts on M_2 through its 2-dim irrep; both theorems hold with
+        # the ideal regular frame. lambda's character vanishes off the
+        # identity, so both algebras have dim M * |G| = 4 * 8.
+        d4 = dihedral_group(4)
+        action = GroupAction(full_algebra(2), FiniteRep(d4, dihedral_irrep(4)))
+        report = verify_commutation_theorem(build_crossed_product(action))
+        assert report.passed
+        assert report.crossed_dim == report.fixed_dim == 32
+        compression = verify_frame_compression(action, ideal_frame(regular_representation(d4)))
+        assert compression.passed
+        assert compression.invariant_dim == compression.compressed_dim == 32
 
 
 class TestCompression:

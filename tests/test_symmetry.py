@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,8 @@ from qrflab.symmetry import (
     HomogeneousSpace,
     average_over_group,
     cyclic_group,
+    dihedral_group,
+    direct_product,
     fixed_point_algebra,
     fixed_point_rows,
     regular_representation,
@@ -27,7 +31,9 @@ from qrflab.vnalg import (
     commutant,
     generate_algebra,
     span_distance,
+    span_intersection,
 )
+from qrflab.opcore import DEFAULT_TOL, rel_err
 
 from _factories import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian, random_unitary
 
@@ -43,6 +49,56 @@ def superoperator_fixed_rows(u) -> np.ndarray:
     nodes = u.group.quadrature_nodes()
     proj = sum(np.kron(u.unitary(g), u.unitary(g).conj()) for g in nodes) / nodes.size
     return _orthonormal_rows(proj.T, None)
+
+
+def loop_regular(group) -> list[np.ndarray]:
+    """Oracle: lambda(g)|h> = |gh>, one matrix entry at a time."""
+    n = group.order
+    mats = []
+    for g in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        for h in range(n):
+            m[group.table[g, h], h] = 1.0
+        mats.append(m)
+    return mats
+
+
+def loop_right_regular(group) -> list[np.ndarray]:
+    """Oracle: rho(g)|h> = |h g^-1>, one matrix entry at a time."""
+    n = group.order
+    mats = []
+    for g in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        for h in range(n):
+            m[group.table[h, group.inverse[g]], h] = 1.0
+        mats.append(m)
+    return mats
+
+
+def pair_errors(group, mats) -> dict[tuple[int, int], float]:
+    """Oracle: rel_err(U(i) U(j), U(table[i, j])) for every pair, row-major."""
+    return {
+        (i, j): rel_err(mats[i] @ mats[j], mats[group.table[i, j]])
+        for i in range(group.order)
+        for j in range(group.order)
+    }
+
+
+def dihedral_irrep(n: int) -> list[np.ndarray]:
+    """The 2-dim irrep of D_n: r^k s^e -> R^k S^e, R the rotation by 2 pi / n
+    and S the reflection diag(1, -1), in the element order of dihedral_group."""
+    c, s = np.cos(2 * np.pi / n), np.sin(2 * np.pi / n)
+    rot = np.array([[c, -s], [s, c]])
+    refl = np.diag([1.0, -1.0])
+    return [np.linalg.matrix_power(rot, k) @ np.linalg.matrix_power(refl, e)
+            for e in (0, 1) for k in range(n)]
+
+
+def element_order(group, a: int) -> int:
+    x, k = a, 1
+    while x != group.identity:
+        x, k = int(group.table[x, a]), k + 1
+    return k
 
 
 def character_rank(u) -> int:
@@ -64,6 +120,11 @@ def permutation_rep_s3() -> FiniteRep:
 
 def z_flip() -> FiniteRep:
     return FiniteRep(cyclic_group(2), [np.eye(2, dtype=complex), SIGMA_Z])
+
+
+def z_phase3() -> FiniteRep:
+    omega = np.exp(2j * np.pi / 3)
+    return FiniteRep(cyclic_group(3), [np.diag([1.0, omega**k]) for k in range(3)])
 
 
 def kernel_cases():
@@ -122,6 +183,42 @@ class TestFiniteGroups:
         with pytest.raises(ValueError, match="no two-sided identity"):
             FiniteGroup(["a", "b"], table)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_dihedral_group_order_and_commutativity(self, n):
+        g = dihedral_group(n)
+        assert g.order == 2 * n
+        assert np.array_equal(g.table, g.table.T) == (n < 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_dihedral_table_matches_the_polygon_symmetries(self, n):
+        # the rotation and reflection matrices multiply by the table
+        g = dihedral_group(n)
+        FiniteRep(g, dihedral_irrep(n))
+
+    def test_dihedral_needs_positive_n(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            dihedral_group(0)
+
+    @pytest.mark.parametrize("left,right", [
+        (cyclic_group(2), cyclic_group(3)),
+        (symmetric_group(3), cyclic_group(4)),
+        (dihedral_group(4), cyclic_group(2)),
+        (cyclic_group(1), symmetric_group(3)),
+    ])
+    def test_direct_product_is_componentwise(self, left, right):
+        g = direct_product(left, right)
+        assert g.order == left.order * right.order
+        nh = right.order
+        for a in range(g.order):
+            for b in range(g.order):
+                c = g.table[a, b]
+                assert c // nh == left.table[a // nh, b // nh]
+                assert c % nh == right.table[a % nh, b % nh]
+
+    def test_z2_times_z3_is_cyclic_of_order_six(self):
+        g = direct_product(cyclic_group(2), cyclic_group(3))
+        assert max(element_order(g, a) for a in range(g.order)) == 6
+
     def test_rejects_nonassociative_table(self):
         # smallest nonassociative loop: a Latin square with identity and
         # two-sided inverses where (a.b).b != a.(b.b)
@@ -168,6 +265,10 @@ class TestFiniteReps:
         with pytest.raises(ValueError, match="one unitary per group element"):
             FiniteRep(g, [np.eye(2, dtype=complex)])
 
+    def test_rep_rejects_matrices_of_different_dimension(self):
+        with pytest.raises(ValueError, match="differ in dimension"):
+            FiniteRep(cyclic_group(2), [np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
+
     def test_rep_rejects_nonunitary_matrix(self):
         g = cyclic_group(2)
         mats = [np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)]
@@ -180,6 +281,58 @@ class TestFiniteReps:
         mats = [np.eye(1, dtype=complex), omega * np.eye(1), omega * np.eye(1)]
         with pytest.raises(ValueError):
             FiniteRep(g, mats)
+
+    @pytest.mark.parametrize("group", [cyclic_group(1), cyclic_group(7), symmetric_group(3),
+                                       symmetric_group(4)], ids=["Z1", "Z7", "S3", "S4"])
+    def test_indexed_regular_reps_equal_the_loop(self, group):
+        for got, want in ((regular_representation(group), loop_regular(group)),
+                          (right_regular_representation(group), loop_right_regular(group))):
+            assert len(got.unitaries) == group.order
+            for u, w in zip(got.unitaries, want):
+                assert np.array_equal(u, w)
+
+    def test_broken_pair_is_named_in_row_major_order(self):
+        # a validated Z4 with table entries edited afterwards, so that
+        # exactly the edited pairs fail against the Z4 regular rep
+        lam = regular_representation(cyclic_group(4))
+        g = cyclic_group(4)
+        g.table = g.table.copy()
+        g.table[2, 3] = g.table[2, 2]
+        with pytest.raises(ValueError, match=r"pair \(g2, g3\)$"):
+            FiniteRep(g, lam.unitaries)
+        g.table[1, 3] = g.table[1, 2]
+        g.table[3, 0] = g.table[3, 1]
+        # (1, 3) precedes (2, 3) and (3, 0) in row-major order
+        with pytest.raises(ValueError, match=r"pair \(g1, g3\)$"):
+            FiniteRep(g, lam.unitaries)
+
+    @pytest.mark.parametrize("size", [2e-9, 5e-10])
+    def test_homomorphism_tolerance(self, size):
+        # S3's permutation rep with one matrix turned by exp(i eps H):
+        # still unitary, and off by a pair error of size either side of
+        # DEFAULT_TOL; the oracle's first failing pair is the one named
+        rep = permutation_rep_s3()
+        h = random_hermitian(np.random.default_rng(11), 3)
+        vals, vecs = np.linalg.eigh(h)
+
+        def turned(eps):
+            mats = list(rep.unitaries)
+            mats[3] = mats[3] @ (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+            return mats
+
+        eps = size / max(pair_errors(rep.group, turned(1e-6)).values()) * 1e-6
+        mats = turned(eps)
+        errors = pair_errors(rep.group, mats)
+        assert max(errors.values()) == pytest.approx(size, rel=1e-3)
+        broken = [pair for pair, err in errors.items() if err > DEFAULT_TOL]
+        assert bool(broken) == (size > DEFAULT_TOL)
+        if not broken:
+            FiniteRep(rep.group, mats)
+            return
+        labels = rep.group.labels
+        i, j = broken[0]
+        with pytest.raises(ValueError, match=rf"pair \({labels[i]}, {labels[j]}\)$"):
+            FiniteRep(rep.group, mats)
 
     def test_identity_must_act_trivially(self):
         g = cyclic_group(2)
@@ -247,6 +400,63 @@ class TestFixedPointKernel:
         assert got.shape[0] == oracle.shape[0] == character_rank(rep)
         assert span_distance(got, oracle) <= 1e-10
         assert np.linalg.norm(got @ got.conj().T - np.eye(got.shape[0])) <= 1e-12
+
+    def test_m2_tensor_identity_under_a_circle_rep(self):
+        # M_2 (x) 1_2 on C^4 under exp(i theta (N_1 (x) 1 + 1 (x) N_2)) with N_1
+        # non-diagonal, so Ad U mixes M's basis; frame exp(i theta N_V).
+        # Oracle: the superoperator fixed points of the joint rep,
+        # intersected with the tensor rows of M (x) B(C^3)
+        w = random_unitary(np.random.default_rng(17), 2)
+        n1 = w @ np.diag([0.0, 1.0]) @ w.conj().T
+        u = CircleRep(CircleGroup(2), np.kron(n1, np.eye(2)) + np.kron(np.eye(2), np.diag([-1.0, 1.0])))
+        v = CircleRep(CircleGroup(2), np.diag([-1.0, 0.0, 2.0]))
+        rows = np.array([np.kron(e.reshape(2, 2), np.eye(2)).ravel() for e in np.eye(4)]) / np.sqrt(2)
+        got = tensor_fixed_point_rows(rows.astype(complex), u, v)
+        units = np.eye(9)
+        tensor_rows = np.array([np.kron(a.reshape(4, 4), e.reshape(3, 3)).ravel()
+                                for a in rows for e in units])
+        oracle = span_intersection(
+            superoperator_fixed_rows(tensor_rep(u, v, group=CircleGroup(4))), tensor_rows
+        )
+        assert got.shape[0] == oracle.shape[0] > 0
+        assert span_distance(got, oracle) <= 1e-10
+
+    def test_never_calls_kron(self, monkeypatch):
+        calls = []
+        real_kron = np.kron
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_kron(*args, **kwargs)
+
+        cases = [(np.eye(8, dtype=complex).reshape(1, 64) / np.sqrt(8),
+                  *self.scalars_z8_regular())]
+        lam = regular_representation(cyclic_group(3))
+        cases.append((np.eye(4, dtype=complex), z_phase3(), lam))
+        monkeypatch.setattr(np, "kron", spy)
+        for rows, u, v in cases:
+            tensor_fixed_point_rows(rows, u, v)
+        assert calls == []
+
+    @staticmethod
+    def scalars_z8_regular():
+        """The crossed-growth shape scalars-Z8-regular: a conjugated Z8
+        regular rep on H_U = C^8, and the Z8 regular rep as the frame."""
+        lam = regular_representation(cyclic_group(8))
+        return conjugated(lam, random_unitary(np.random.default_rng(8), 8)), lam
+
+    def test_memory_peak_on_the_scalars_z8_regular_shape(self):
+        u, lam = self.scalars_z8_regular()
+        rows = np.eye(8, dtype=complex).reshape(1, 64) / np.sqrt(8)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = tensor_fixed_point_rows(rows, u, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (8, 64**2)
+        assert peak < 1.5e6
 
     def test_reproducible_under_the_fixed_seed(self):
         rep = dict(kernel_cases())["S3-regular-x-3"]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qrflab.vnalg
 from qrflab.opcore import dagger
-from qrflab.symmetry import regular_representation, symmetric_group
+from qrflab.symmetry import cyclic_group, regular_representation, symmetric_group
 from qrflab.vnalg import (
     OperatorAlgebra,
     ProductTrace,
@@ -237,6 +238,38 @@ class TestDecompose:
         structure = decompose(alg)
         assert structure.blocks == [(2, 2)]
         assert structure.defect <= 1e-7
+
+
+    @pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(5)], ids=["S3", "Z5"])
+    def test_central_sample_does_not_depend_on_the_centre_basis(self, group, monkeypatch):
+        # centre's rows mixed by a seeded unitary: the first matrix decompose
+        # hands to hermitian_eig, and the blocks, must not change
+        rep = regular_representation(group)
+        alg = generate_algebra(rep.unitaries, group.order)
+        real_centre, real_eig = qrflab.vnalg.centre, qrflab.vnalg.hermitian_eig
+
+        def run(mixed: bool):
+            seen = []
+
+            def centre(a):
+                z = real_centre(a)
+                if not mixed:
+                    return z
+                return OperatorAlgebra(z.ambient_dim, random_unitary(np.random.default_rng(9), z.dim) @ z.rows)
+
+            def spy(x, *args, **kwargs):
+                seen.append(np.array(x))
+                return real_eig(x, *args, **kwargs)
+
+            monkeypatch.setattr(qrflab.vnalg, "centre", centre)
+            monkeypatch.setattr(qrflab.vnalg, "hermitian_eig", spy)
+            structure = decompose(alg)
+            return seen[0], structure
+
+        (first_plain, plain), (first_mixed, mixed) = run(False), run(True)
+        assert np.abs(first_plain - first_mixed).max() <= 1e-12
+        assert plain.blocks == mixed.blocks
+        assert plain.defect <= 1e-12 and mixed.defect <= 1e-12
 
 
 class TestProductTrace:
