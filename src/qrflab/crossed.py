@@ -30,24 +30,32 @@ from .vnalg import (
     OperatorAlgebra,
     SPAN_TOL,
     _orthonormal_rows,
-    algebra_from_matrices,
     span_distance,
 )
 
 
-def _diagonal_blocks(blocks: list[np.ndarray]) -> np.ndarray:
-    """sum_g A_g (x) |g><g|: block A_g placed at rows and columns i * n + g."""
-    stack = np.asarray(blocks, dtype=complex)
-    n, d, _ = stack.shape
-    out = np.zeros((d, n, d, n), dtype=complex)
+def _diagonal_blocks(stack: np.ndarray) -> np.ndarray:
+    """sum_g A_g (x) |g><g| for each leading index of a (..., n, d, d) stack:
+    block A_g placed at rows and columns i * n + g."""
+    stack = np.asarray(stack, dtype=complex)
+    *lead, n, d, _ = stack.shape
+    out = np.zeros((*lead, d, n, d, n), dtype=complex)
     idx = np.arange(n)
-    out[:, idx, :, idx] = stack
-    return out.reshape(d * n, d * n)
+    out[..., idx, :, idx] = np.moveaxis(stack, -3, 0)
+    return out.reshape(*lead, d * n, d * n)
+
+
+def _twisted_stack(mats: np.ndarray, rep: FiniteRep) -> np.ndarray:
+    """pi(a) for a (k, d, d) stack of matrices at once, as a (k, d n, d n)
+    stack: one einsum for every alpha(g, a), one placement on the diagonal."""
+    us = np.asarray(rep.unitaries)
+    alphas = np.einsum("gij,kjl,gml->kgim", us, mats, us.conj(), optimize=True)
+    return _diagonal_blocks(alphas)
 
 
 def embed_twisted(a: np.ndarray, rep: FiniteRep) -> np.ndarray:
     """The crossed product embedding, pi(a) = sum_g alpha(g, a) (x) |g><g|."""
-    return _diagonal_blocks([rep.conjugate(g, a) for g in rep.group.quadrature_nodes()])
+    return _twisted_stack(np.asarray(a, dtype=complex)[None], rep)[0]
 
 
 def right_translations(group: FiniteGroup, dim: int) -> list[np.ndarray]:
@@ -110,14 +118,28 @@ def build_crossed_product(action: GroupAction) -> CrossedProductAlgebra:
 
     Covariance, rho(g) pi(a) rho(g)^dag = pi(alpha(g, a)), moves every
     translation in a word to the right, so no closure is run; closure is
-    measured by ``verify_commutation_theorem``.
+    measured by ``verify_commutation_theorem``. The products come from one
+    ``_twisted_stack`` of M's basis: right multiplication by 1 (x) rho(g)
+    takes column (t, h) of pi(b) from its column (t, h g^-1). They need no
+    orthonormalisation: <pi(a) rho(g), pi(b) rho(h)> = tr(pi(a^dag b) rho(h g^-1))
+    vanishes for g != h, because pi is block diagonal over l2(G) and rho(k)
+    has no diagonal block for k != e, and equals |G| <a, b> for g = h; so
+    the products of an orthonormal basis of M, divided by sqrt(|G|), are an
+    orthonormal basis of the span.
     """
     if not isinstance(action.rep, FiniteRep):
         raise ValueError("continuous crossed products handled analytically in typecond")
     rep = action.rep
-    rhos = right_translations(rep.group, rep.dim)
-    prods = [embed_twisted(b, rep) @ u for b in action.algebra.basis_matrices() for u in rhos]
-    return CrossedProductAlgebra(action, algebra_from_matrices(prods, rep.dim * rep.group.order))
+    group = rep.group
+    d, n = rep.dim, group.order
+    pis = _twisted_stack(action.algebra.rows.reshape(-1, d, d), rep).reshape(-1, d, n, d, n)
+    # cols[g, h] = h g^-1
+    cols = group.table[:, group.inverse].T
+    prods = np.empty((pis.shape[0], n, d, n, d, n), dtype=complex)
+    for g in range(n):
+        prods[:, g] = pis[..., cols[g]]
+    prods /= np.sqrt(n)
+    return CrossedProductAlgebra(action, OperatorAlgebra(d * n, prods.reshape(-1, (d * n) ** 2)))
 
 
 def intertwining_unitary(rep: FiniteRep) -> np.ndarray:
@@ -141,7 +163,16 @@ def invariant_joint_algebra(action: GroupAction, frame_rep: Rep) -> OperatorAlge
 
 @dataclass
 class CommutationReport:
-    """Numerical witness for the commutation theorem on one fixture."""
+    """Numerical witness for the commutation theorem on one fixture.
+
+    ``closure_defect`` measures the crossed product's span S against the
+    algebra generated by pi(M) and the translations: the worst distance to
+    S of a basis element's adjoint, of the normalised identity, and of
+    x a_j for each generator x (pi of M's basis, 1 (x) rho(s) for s in the
+    group's ``generators()``) and each basis element a_j. It vanishes
+    exactly when S is that generated *-algebra, for any S spanned by words
+    in the generators, as the span of ``build_crossed_product`` is.
+    """
 
     crossed_dim: int
     fixed_dim: int
@@ -162,15 +193,30 @@ class CommutationReport:
         )
 
 
-def _closure_defect(alg: OperatorAlgebra) -> float:
-    """Worst distance to the span of a basis element's adjoint or of a
-    product of two basis elements, formed one left factor at a time."""
+def _worst_residual(x: np.ndarray, rows: np.ndarray) -> float:
+    """Largest HS distance from a row of ``x`` to the span of orthonormal ``rows``."""
+    return float(np.linalg.norm(x - (x @ dagger(rows)) @ rows, axis=1).max())
+
+
+def _closure_defect(alg: OperatorAlgebra, generators) -> float:
+    """Worst distance to the span S of a basis element's adjoint, of the
+    identity over its norm, and of x a_j for each of the k d x d
+    ``generators`` x and each basis element a_j.
+
+    A span that holds 1 and satisfies x S in S holds every word in the
+    generators, by induction on the word's length; a span spanned by such
+    words is then the unital algebra they generate, closed under products,
+    and the adjoint half makes it a *-algebra. So (k + 1) dim products
+    replace the dim^2 products of all basis pairs.
+    """
+    d = alg.ambient_dim
     rows = alg.rows
-    stack = rows.reshape(-1, alg.ambient_dim, alg.ambient_dim)
-    worst = 0.0
-    for mats in chain([stack.conj().transpose(0, 2, 1)], (a @ stack for a in stack)):
-        x = mats.reshape(rows.shape)
-        worst = max(worst, float(np.linalg.norm(x - (x @ dagger(rows)) @ rows, axis=1).max()))
+    stack = rows.reshape(-1, d, d)
+    unit = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
+    adjoints = np.conj(stack.transpose(0, 2, 1), out=np.empty_like(stack))
+    worst = max(_worst_residual(unit, rows), _worst_residual(adjoints.reshape(rows.shape), rows))
+    for x in generators:
+        worst = max(worst, _worst_residual((x @ stack).reshape(rows.shape), rows))
     return worst
 
 
@@ -179,9 +225,11 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
 
     The fixed points are computed inside M (x) B(l2 G) by
     ``tensor_fixed_point_rows``. Also checks that the crossed product's span
-    is closed under adjoints and products, and the conjugation identities
-    for V: it untwists pi back to a (x) 1 and carries U(g) (x) rho(g) to
-    1 (x) rho(g).
+    is the *-algebra generated by pi(M) and the translations (see
+    ``CommutationReport``), and the conjugation identities for V: it
+    untwists pi back to a (x) 1 and carries U(g) (x) rho(g) to 1 (x) rho(g).
+    The right regular representation and pi of M's basis are built once,
+    for the untwist, translation and closure checks together.
     """
     action = cp.action
     rep = action.rep
@@ -191,25 +239,28 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     d, n = rep.dim, group.order
     span_defect = span_distance(cp.algebra.rows, fixed_in_m)
 
-    v = intertwining_unitary(rep)
-    untwist = 0.0
-    for a in action.algebra.basis_matrices():
-        lhs = v @ np.kron(a, np.eye(n)) @ dagger(v)
-        untwist = max(untwist, hs_norm(lhs - embed_twisted(a, rep)))
+    basis = action.algebra.rows.reshape(-1, d, d)
+    pis = _twisted_stack(basis, rep)
     rho = right_regular_representation(group)
     eye = np.eye(d)
+
+    v = intertwining_unitary(rep)
+    untwist = 0.0
+    for a, pi in zip(basis, pis):
+        untwist = max(untwist, hs_norm(v @ np.kron(a, np.eye(n)) @ dagger(v) - pi))
     translation = 0.0
     for g in range(n):
         lhs = v @ np.kron(rep.unitary(g), rho.unitaries[g]) @ dagger(v)
         translation = max(translation, hs_norm(lhs - np.kron(eye, rho.unitaries[g])))
 
+    generators = chain(pis, (np.kron(eye, rho.unitaries[s]) for s in group.generators()))
     return CommutationReport(
         crossed_dim=cp.dim,
         fixed_dim=fixed_in_m.shape[0],
         span_defect=span_defect,
         untwist_defect=untwist,
         translation_defect=translation,
-        closure_defect=_closure_defect(cp.algebra),
+        closure_defect=_closure_defect(cp.algebra, generators),
     )
 
 

@@ -99,6 +99,28 @@ class FiniteGroup:
         """Element indices; the Haar average gives each weight 1 / order."""
         return np.arange(self.order)
 
+    def generators(self) -> list[int]:
+        """A generating set, chosen greedily in index order from the table.
+
+        Each element not yet reached is added, and the reached set grows to
+        the subgroup it generates with the ones before it; in a finite group
+        the products of generators already reach every inverse. The identity
+        is never listed, so the trivial group has none.
+        """
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        gens: list[int] = []
+        for g in range(self.order):
+            if reached[g]:
+                continue
+            gens.append(g)
+            while True:
+                size = reached.sum()
+                reached[self.table[np.ix_(reached, gens)]] = True
+                if reached.sum() == size:
+                    break
+        return gens
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteGroup)

@@ -178,6 +178,13 @@ def commutant(alg: OperatorAlgebra, tol: float = 1.0e-9) -> OperatorAlgebra:
     system, at tol * max(1, lambda_max). An eigenvalue within a factor 1e3 of
     the cut on either side makes the rank ambiguous and raises ValueError.
     """
+    gram = _commutation_gram(alg)
+    return OperatorAlgebra(alg.ambient_dim, _gram_null_vectors(gram, tol, "commutant").T)
+
+
+def _commutation_gram(alg: OperatorAlgebra) -> np.ndarray:
+    """The d^2 x d^2 Gram operator G of ``commutant``, with
+    <vec x, G vec x> = sum_b ||[b, x]||^2 over the basis elements b."""
     d = alg.ambient_dim
     rows = alg.rows
     stack = rows.reshape(-1, d, d)
@@ -197,17 +204,25 @@ def commutant(alg: OperatorAlgebra, tol: float = 1.0e-9) -> OperatorAlgebra:
     idx = np.arange(d)
     g4[:, idx, :, idx] += s
     g4[idx, :, idx, :] += t.conj()
+    return gram
+
+
+def _gram_null_vectors(gram: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Eigenvector columns of a positive Gram matrix for eigenvalues at most
+    tol * max(1, lambda_max), from one ``eigh``. An eigenvalue within a
+    factor 1e3 of the cut on either side makes the rank ambiguous and
+    raises ValueError naming the eigenvalues on both sides of the cut."""
     vals, vecs = np.linalg.eigh(gram)
-    cut = tol * max(1.0, float(vals[-1]))
+    cut = tol * max(1.0, float(vals[-1]) if vals.size else 0.0)
     null = vals <= cut
     if np.any((vals > cut / 1.0e3) & (vals <= cut * 1.0e3)):
         below = float(vals[null].max()) if null.any() else float("nan")
         above = float(vals[~null].min()) if (~null).any() else float("nan")
         raise ValueError(
-            f"ambiguous commutant rank: Gram eigenvalues {below:.3e} and {above:.3e} "
+            f"ambiguous {what} rank: Gram eigenvalues {below:.3e} and {above:.3e} "
             f"lie on either side of the cut {cut:.3e} with an eigenvalue within 1e3 of it"
         )
-    return OperatorAlgebra(d, vecs[:, null].T)
+    return vecs[:, null]
 
 
 def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
@@ -224,8 +239,32 @@ def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
 
 
 def centre(alg: OperatorAlgebra) -> OperatorAlgebra:
-    rows = span_intersection(alg.rows, commutant(alg).rows)
-    return OperatorAlgebra(alg.ambient_dim, rows)
+    """The elements of ``alg`` that commute with all of it, found in its own
+    m coordinates: c = sum_k c_k a_k is central when every commutator map
+    C_i : c -> [c, a_i] kills it, so the centre is the null space of the
+    m x m Gram matrix sum_i C_i^dag C_i, cut as ``commutant`` cuts at its
+    default tol. No d^2 x d^2 eigendecomposition is made.
+
+    The Gram matrix is formed the cheaper way: from the m^2 commutators
+    [a_k, a_i], m^2 d^3 work and m d^2 memory; or, for m > d, as the
+    compression conj(R) G R^T of ``commutant``'s Gram operator G to the
+    basis rows R, m d^4 work and d^4 memory.
+    """
+    d = alg.ambient_dim
+    rows = alg.rows
+    m = rows.shape[0]
+    if m > d:
+        gram = rows.conj() @ (_commutation_gram(alg) @ rows.T)
+    else:
+        stack = rows.reshape(-1, d, d)
+        gram = np.zeros((m, m), dtype=complex)
+        for a in stack:
+            # Row k holds vec([a_k, a]).
+            comm = (stack @ a - a @ stack).reshape(m, -1)
+            gram += comm.conj() @ comm.T
+    gram = (gram + dagger(gram)) / 2.0
+    coeffs = _gram_null_vectors(gram, 1.0e-9, "centre")
+    return OperatorAlgebra(d, coeffs.T @ rows)
 
 
 def is_factor(alg: OperatorAlgebra) -> bool:

@@ -154,6 +154,48 @@ def hand_built_generators(action: GroupAction) -> tuple[list[np.ndarray], int]:
     return gens, d * n
 
 
+def all_pairs_closure_defect(alg: OperatorAlgebra) -> float:
+    """Closure over all basis pairs: the worst distance to the span of a
+    basis element's adjoint or of a product of two basis elements, formed
+    one left factor at a time."""
+    rows = alg.rows
+    stack = rows.reshape(-1, alg.ambient_dim, alg.ambient_dim)
+    worst = 0.0
+    for mats in [stack.conj().transpose(0, 2, 1), *(a @ stack for a in stack)]:
+        x = mats.reshape(rows.shape)
+        worst = max(worst, float(np.linalg.norm(x - (x @ dagger(rows)) @ rows, axis=1).max()))
+    return worst
+
+
+def growth_cases():
+    """The shapes of the benchmark's crossed-growth commutation checks:
+    scalars under conjugated regular reps of Z_n, M_2 under conjugated
+    Z_n phase reps, and the S3 group algebra under its conjugated regular
+    rep."""
+    rng = np.random.default_rng(20241101)
+    cases = []
+    for n in (4, 6, 7, 8):
+        w = random_unitary(rng, n)
+        lam = regular_representation(cyclic_group(n))
+        rep = FiniteRep(lam.group, [w @ u @ dagger(w) for u in lam.unitaries])
+        cases.append((f"scalars-Z{n}-regular", GroupAction(trivial_algebra(n), rep)))
+    for n in (4, 6, 8, 9, 10):
+        w = random_unitary(rng, 2)
+        phases = [np.diag([1.0, np.exp(2j * np.pi * k / n)]) for k in range(n)]
+        rep = FiniteRep(cyclic_group(n), [w @ u @ dagger(w) for u in phases])
+        cases.append((f"M2-Z{n}-phase", GroupAction(full_algebra(2), rep)))
+    w = random_unitary(rng, 6)
+    lam = regular_representation(symmetric_group(3))
+    rep = FiniteRep(lam.group, [w @ u @ dagger(w) for u in lam.unitaries])
+    cases.append(("S3-group-algebra", GroupAction(algebra_from_matrices(rep.unitaries, 6), rep)))
+    return cases
+
+
+def hand_built_span(action: GroupAction, mats) -> CrossedProductAlgebra:
+    """A candidate crossed product spanned by the given matrices."""
+    return CrossedProductAlgebra(action, algebra_from_matrices(mats, mats[0].shape[0]))
+
+
 class TestEmbedding:
     def test_twisted_copy_is_a_conjugated_tensor_factor(self, rng):
         rep = flip_rep()
@@ -252,6 +294,7 @@ class TestCommutationTheorem:
         unclosed = CrossedProductAlgebra(action, algebra_from_matrices(gens, ambient))
         report = verify_commutation_theorem(unclosed)
         assert report.closure_defect >= 0.1
+        assert all_pairs_closure_defect(unclosed.algebra) >= 0.1
         assert not report.passed
 
     def test_closure_defect_flags_a_span_without_adjoints(self):
@@ -260,6 +303,58 @@ class TestCommutationTheorem:
         units = np.eye(16, dtype=complex)
         upper = OperatorAlgebra(4, units[[i * 4 + j for i in range(4) for j in range(i, 4)]])
         report = verify_commutation_theorem(CrossedProductAlgebra(action, upper))
+        assert report.closure_defect >= 0.1
+        assert all_pairs_closure_defect(upper) >= 0.1
+        assert not report.passed
+
+    def test_closure_defect_flags_a_span_missing_a_translation_power(self):
+        # scalars under Z3 spanned by 1 and rho(s) alone: rho(s) rho(s) =
+        # rho(s^2) lies outside the span
+        name, action, _ = fixtures()[1]
+        assert name == "scalars-by-z3"
+        gens, _ = hand_built_generators(action)
+        (s,) = action.rep.group.generators()
+        cp = hand_built_span(action, [gens[0], gens[1 + s]])
+        s2 = action.rep.group.table[s, s]
+        assert cp.algebra.distance(gens[1 + s2]) >= 0.1 * np.linalg.norm(gens[1 + s2])
+        report = verify_commutation_theorem(cp)
+        assert report.closure_defect >= 0.1
+        assert not report.passed
+
+    def test_closure_defect_flags_a_subalgebra_without_the_translations(self):
+        # span{1, rho(s) + rho(s)^dag} under Z3 is a *-subalgebra, so the
+        # all-pairs check passes it; it is not closed under the generator
+        # rho(s), so it is not the crossed product
+        _, action, _ = fixtures()[1]
+        gens, _ = hand_built_generators(action)
+        (s,) = action.rep.group.generators()
+        cp = hand_built_span(action, [gens[0], gens[1 + s] + dagger(gens[1 + s])])
+        assert all_pairs_closure_defect(cp.algebra) <= 1e-12
+        report = verify_commutation_theorem(cp)
+        assert report.closure_defect >= 0.1
+        assert not report.passed
+
+    def test_closure_defect_flags_a_span_without_the_identity(self):
+        # e_00 (x) C[Z2] inside scalars under Z2: closed under adjoints,
+        # products and both generators, but it misses the identity
+        name, action, _ = fixtures()[0]
+        assert name == "scalars-by-z2"
+        gens, _ = hand_built_generators(action)
+        e00 = np.diag([1.0, 0.0]).astype(complex)
+        cp = hand_built_span(action, [np.kron(e00, np.eye(2)) @ g for g in gens[1:]])
+        assert all_pairs_closure_defect(cp.algebra) <= 1e-12
+        report = verify_commutation_theorem(cp)
+        assert report.closure_defect >= 0.1
+        assert not report.passed
+
+    def test_closure_defect_flags_a_generator_closed_span_without_adjoints(self):
+        # span{1, e_01} (x) C[Z2] under scalars by Z2 holds the identity and
+        # is closed under both generators, but e_01^dag = e_10 is missing
+        _, action, _ = fixtures()[0]
+        gens, _ = hand_built_generators(action)
+        e01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        mats = [*gens[1:], *(np.kron(e01, np.eye(2)) @ g for g in gens[1:])]
+        report = verify_commutation_theorem(hand_built_span(action, mats))
         assert report.closure_defect >= 0.1
         assert not report.passed
 
@@ -278,6 +373,47 @@ class TestCommutationTheorem:
         action = GroupAction(full_algebra(2), rep)
         with pytest.raises(ValueError, match="handled analytically"):
             build_crossed_product(action)
+
+
+class TestClosureAgainstAllPairs:
+    """The generator check against the closure over all basis pairs."""
+
+    CASES = [(name, action) for name, action, _ in fixtures()] + growth_cases()
+
+    @pytest.mark.parametrize("name,action", CASES, ids=[c[0] for c in CASES])
+    def test_both_defects_vanish_on_crossed_products(self, name, action):
+        cp = build_crossed_product(action)
+        assert verify_commutation_theorem(cp).closure_defect <= 1e-12
+        assert all_pairs_closure_defect(cp.algebra) <= 1e-12
+
+    def test_closure_projects_generator_products_only(self, monkeypatch):
+        # M2 under Z10: dim M = 4, one generator of Z10, dim = 40; the
+        # all-pairs check would project dim^2 = 1600 products
+        (action,) = [a for name, a in growth_cases() if name == "M2-Z10-phase"]
+        cp = build_crossed_product(action)
+        dim, dim_m = cp.dim, action.algebra.dim
+        n_gens = len(action.rep.group.generators())
+        assert (dim, dim_m, n_gens) == (40, 4, 1)
+        projected = []
+        residual = qrflab.crossed._worst_residual
+        built = []
+        right_regular = qrflab.crossed.right_regular_representation
+
+        def count_rows(x, rows):
+            projected.append(x.shape[0])
+            return residual(x, rows)
+
+        def count_builds(group):
+            built.append(group)
+            return right_regular(group)
+
+        monkeypatch.setattr(qrflab.crossed, "_worst_residual", count_rows)
+        monkeypatch.setattr(qrflab.crossed, "right_regular_representation", count_builds)
+        report = verify_commutation_theorem(cp)
+        assert report.passed
+        assert sum(projected) <= (dim_m + n_gens + 1) * dim + dim
+        assert max(projected) <= dim
+        assert len(built) == 1
 
 
 class TestDihedral:

@@ -101,6 +101,21 @@ def element_order(group, a: int) -> int:
     return k
 
 
+def cayley_reach(group, gens) -> set[int]:
+    """Elements reached from the identity by right multiplication with the
+    generators, a breadth-first search over the Cayley table."""
+    seen = {int(group.identity)}
+    queue = [int(group.identity)]
+    while queue:
+        h = queue.pop(0)
+        for g in gens:
+            k = int(group.table[h, g])
+            if k not in seen:
+                seen.add(k)
+                queue.append(k)
+    return seen
+
+
 def character_rank(u) -> int:
     """dim Fix(Ad U) = (1 / |nodes|) sum_g |tr U(g)|^2."""
     nodes = u.group.quadrature_nodes()
@@ -218,6 +233,29 @@ class TestFiniteGroups:
     def test_z2_times_z3_is_cyclic_of_order_six(self):
         g = direct_product(cyclic_group(2), cyclic_group(3))
         assert max(element_order(g, a) for a in range(g.order)) == 6
+
+    @pytest.mark.parametrize("group,count", [
+        (cyclic_group(1), 0),
+        (cyclic_group(7), 1),
+        (symmetric_group(3), None),
+        (symmetric_group(4), None),
+        (dihedral_group(6), None),
+        (direct_product(cyclic_group(2), cyclic_group(3)), None),
+    ], ids=["Z1", "Z7", "S3", "S4", "D6", "Z2xZ3"])
+    def test_generators_reach_the_whole_group(self, group, count):
+        gens = group.generators()
+        assert group.identity not in gens
+        assert len(set(gens)) == len(gens)
+        if count is not None:
+            assert len(gens) == count
+        assert cayley_reach(group, gens) == set(range(group.order))
+        # greedy: each generator lies outside the subgroup of those before it
+        for k, g in enumerate(gens):
+            assert g not in cayley_reach(group, gens[:k])
+
+    def test_cyclic_groups_have_one_generator(self):
+        for n in (2, 3, 5, 12):
+            assert len(cyclic_group(n).generators()) == 1
 
     def test_rejects_nonassociative_table(self):
         # smallest nonassociative loop: a Latin square with identity and

@@ -211,6 +211,104 @@ class TestCentre:
         assert np.allclose(b, b[0, 0] * np.eye(3), atol=1e-10)
 
 
+def intersection_centre_rows(alg: OperatorAlgebra) -> np.ndarray:
+    """Oracle: the algebra intersected with its full ambient commutant."""
+    return span_intersection(alg.rows, commutant(alg).rows)
+
+
+def group_algebra(group) -> OperatorAlgebra:
+    return generate_algebra(regular_representation(group).unitaries, group.order)
+
+
+def crossed_fixture_algebras():
+    from test_crossed import fixtures
+    from qrflab.crossed import build_crossed_product
+
+    return [(name, build_crossed_product(action).algebra) for name, action, _ in fixtures()]
+
+
+class TestCentreAgainstCommutantIntersection:
+    def assert_matches_oracle(self, alg):
+        z = centre(alg)
+        oracle = intersection_centre_rows(alg)
+        assert z.dim == oracle.shape[0]
+        assert span_distance(z, oracle) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "group,classes",
+        [(symmetric_group(3), 3), (cyclic_group(5), 5), (symmetric_group(4), 5)],
+        ids=["S3", "Z5", "S4"],
+    )
+    def test_group_algebras(self, group, classes):
+        alg = group_algebra(group)
+        assert centre(alg).dim == classes
+        self.assert_matches_oracle(alg)
+
+    @pytest.mark.parametrize("name,alg", crossed_fixture_algebras(),
+                             ids=[c[0] for c in crossed_fixture_algebras()])
+    def test_crossed_products(self, name, alg):
+        self.assert_matches_oracle(alg)
+
+    @settings(max_examples=25)
+    @given(seeds, st.integers(2, 4), st.integers(1, 2))
+    def test_generated_algebras(self, seed, d, k):
+        gen = np.random.default_rng(seed)
+        self.assert_matches_oracle(
+            generate_algebra([random_hermitian(gen, d) for _ in range(k)], d))
+
+    @pytest.mark.parametrize("alg,centre_dim,operators", [
+        # m = d = 24: the Gram matrix from the commutators, no d^2 x d^2 operator
+        (group_algebra(symmetric_group(4)), 5, []),
+        # m = 64 > d = 8: the compressed 64 x 64 commutant Gram operator
+        (full_matrix_algebra(8), 1, [(64, 64)]),
+    ], ids=["S4-group-algebra", "M8"])
+    def test_diagonalises_one_matrix_in_the_algebras_coordinates(
+        self, alg, centre_dim, operators, monkeypatch
+    ):
+        # only the m x m Gram matrix is diagonalised, never the d^2 x d^2 one
+        formed = []
+        operator = qrflab.vnalg._commutation_gram
+
+        def record(a):
+            gram = operator(a)
+            formed.append(gram.shape)
+            return gram
+
+        monkeypatch.setattr(qrflab.vnalg, "_commutation_gram", record)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def no_commutant(*args, **kwargs):
+            raise AssertionError("centre must not take the ambient commutant")
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(qrflab.vnalg, "commutant", no_commutant)
+        assert centre(alg).dim == centre_dim
+        assert shapes == [(alg.dim, alg.dim)]
+        assert formed == operators
+
+    def test_empty_span_has_an_empty_centre(self):
+        empty = OperatorAlgebra(3, np.zeros((0, 9), dtype=complex))
+        assert centre(empty).dim == intersection_centre_rows(empty).shape[0] == 0
+
+    def test_ambiguous_rank_raises_with_both_eigenvalues(self):
+        # Z/sqrt2 and (I + delta X)/norm on a 2 x 2 block, plus the unit of
+        # a 1 x 1 block: the Gram eigenvalues are 0 and, twice,
+        # 4 delta^2 / (2 + 2 delta^2) ~ 1.8e-9, next to the 1e-9 cut
+        delta = 3e-5
+        mats = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
+        mats[0][:2, :2] = SIGMA_Z / np.sqrt(2)
+        mats[1][:2, :2] = (np.eye(2) + delta * SIGMA_X) / np.sqrt(2 + 2 * delta**2)
+        mats[2][2, 2] = 1.0
+        alg = OperatorAlgebra(3, np.array([m.ravel() for m in mats]))
+        with pytest.raises(ValueError, match=r"ambiguous centre rank: Gram eigenvalues \S+ and 1\.800e-09"):
+            centre(alg)
+
+
 class TestDecompose:
     def test_symmetric_group_algebra_splits_1_1_2(self):
         rep = regular_representation(symmetric_group(3))
