@@ -11,7 +11,6 @@ of a frame from a corner of the crossed product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .vnalg import (
     OperatorAlgebra,
     SPAN_TOL,
     _orthonormal_rows,
+    _worst_residual,
     span_distance,
 )
 
@@ -45,12 +45,17 @@ def _diagonal_blocks(stack: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, d * n, d * n)
 
 
+def _alphas(mats: np.ndarray, rep: FiniteRep) -> np.ndarray:
+    """alpha(g, a) = U(g) a U(g)^dag for a (k, d, d) stack of matrices and
+    every g at once, as a (k, n, d, d) stack from one einsum."""
+    us = np.asarray(rep.unitaries)
+    return np.einsum("gij,kjl,gml->kgim", us, mats, us.conj(), optimize=True)
+
+
 def _twisted_stack(mats: np.ndarray, rep: FiniteRep) -> np.ndarray:
     """pi(a) for a (k, d, d) stack of matrices at once, as a (k, d n, d n)
-    stack: one einsum for every alpha(g, a), one placement on the diagonal."""
-    us = np.asarray(rep.unitaries)
-    alphas = np.einsum("gij,kjl,gml->kgim", us, mats, us.conj(), optimize=True)
-    return _diagonal_blocks(alphas)
+    stack: the alpha(g, a) placed on the diagonal."""
+    return _diagonal_blocks(_alphas(mats, rep))
 
 
 def embed_twisted(a: np.ndarray, rep: FiniteRep) -> np.ndarray:
@@ -193,21 +198,21 @@ class CommutationReport:
         )
 
 
-def _worst_residual(x: np.ndarray, rows: np.ndarray) -> float:
-    """Largest HS distance from a row of ``x`` to the span of orthonormal ``rows``."""
-    return float(np.linalg.norm(x - (x @ dagger(rows)) @ rows, axis=1).max())
-
-
-def _closure_defect(alg: OperatorAlgebra, generators) -> float:
+def _closure_defect(alg: OperatorAlgebra, alphas: np.ndarray, group: FiniteGroup) -> float:
     """Worst distance to the span S of a basis element's adjoint, of the
-    identity over its norm, and of x a_j for each of the k d x d
-    ``generators`` x and each basis element a_j.
+    identity over its norm, and of x a_j for each generator x and each
+    basis element a_j. The generators are pi(b) for the alpha(g, b) in the
+    (k, n, d, d) ``alphas`` of M's basis, and 1 (x) rho(s) for s in the
+    group's ``generators()``.
 
     A span that holds 1 and satisfies x S in S holds every word in the
     generators, by induction on the word's length; a span spanned by such
     words is then the unital algebra they generate, closed under products,
-    and the adjoint half makes it a *-algebra. So (k + 1) dim products
-    replace the dim^2 products of all basis pairs.
+    and the adjoint half makes it a *-algebra. So (k + |gens|) dim products
+    replace the dim^2 products of all basis pairs. No generator is formed:
+    on the row index (t, h) of H_S (x) l2(G), pi(b) acts on row block h as
+    alpha(h, b), and rho(s), which sends |h> to |h s^-1>, permutes the
+    blocks, h -> h s.
     """
     d = alg.ambient_dim
     rows = alg.rows
@@ -215,8 +220,14 @@ def _closure_defect(alg: OperatorAlgebra, generators) -> float:
     unit = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
     adjoints = np.conj(stack.transpose(0, 2, 1), out=np.empty_like(stack))
     worst = max(_worst_residual(unit, rows), _worst_residual(adjoints.reshape(rows.shape), rows))
-    for x in generators:
-        worst = max(worst, _worst_residual((x @ stack).reshape(rows.shape), rows))
+    _, n, d_s, _ = alphas.shape
+    blocks = rows.reshape(-1, d_s, n, d)
+    for alpha in alphas:
+        moved = np.einsum("hts,jshc->jthc", alpha, blocks, optimize=True)
+        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows))
+    for s in group.generators():
+        moved = blocks[:, :, group.table[:, s]]
+        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows))
     return worst
 
 
@@ -240,7 +251,8 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     span_defect = span_distance(cp.algebra.rows, fixed_in_m)
 
     basis = action.algebra.rows.reshape(-1, d, d)
-    pis = _twisted_stack(basis, rep)
+    alphas = _alphas(basis, rep)
+    pis = _diagonal_blocks(alphas)
     rho = right_regular_representation(group)
     eye = np.eye(d)
 
@@ -253,14 +265,13 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
         lhs = v @ np.kron(rep.unitary(g), rho.unitaries[g]) @ dagger(v)
         translation = max(translation, hs_norm(lhs - np.kron(eye, rho.unitaries[g])))
 
-    generators = chain(pis, (np.kron(eye, rho.unitaries[s]) for s in group.generators()))
     return CommutationReport(
         crossed_dim=cp.dim,
         fixed_dim=fixed_in_m.shape[0],
         span_defect=span_defect,
         untwist_defect=untwist,
         translation_defect=translation,
-        closure_defect=_closure_defect(cp.algebra, generators),
+        closure_defect=_closure_defect(cp.algebra, alphas, group),
     )
 
 

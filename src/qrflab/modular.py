@@ -20,7 +20,7 @@ from .opcore import (
     hs_norm,
     rel_err,
 )
-from .vnalg import OperatorAlgebra, commutant
+from .vnalg import OperatorAlgebra, _rank, _worst_residual, commutant
 
 # Real times at which flow invariance of the algebra is probed.
 FLOW_PROBE_TIMES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
@@ -73,8 +73,7 @@ class ModularData:
         for t in times:
             u = self.delta_power(t)
             moved = (u @ basis @ dagger(u)).reshape(rows.shape)
-            resid = moved - (moved @ dagger(rows)) @ rows
-            worst = max(worst, float(np.linalg.norm(resid, axis=1).max()))
+            worst = max(worst, _worst_residual(moved, rows))
         return worst
 
     def conjugation_defect(self) -> float:
@@ -95,9 +94,10 @@ class ModularData:
 def modular_data(alg: OperatorAlgebra, omega: np.ndarray, tol: float = 1.0e-9) -> ModularData:
     """Build S, Delta and J for the vector omega.
 
-    S is fixed on the (necessarily full) set {x omega} by S x omega =
-    x^dag omega, then polar-decomposed as J Delta^(1/2): with the SVD
-    S = U Sigma V^dag, J = U V^dag and Delta = conj(V) Sigma^2 V^T.
+    The rank of the set {x omega} is cut by ``_rank``. S is fixed on that
+    (necessarily full) set by S x omega = x^dag omega, then
+    polar-decomposed as J Delta^(1/2): with the SVD S = U Sigma V^dag,
+    J = U V^dag and Delta = conj(V) Sigma^2 V^T.
     """
     omega = np.asarray(omega, dtype=complex).ravel()
     d = alg.ambient_dim
@@ -105,7 +105,7 @@ def modular_data(alg: OperatorAlgebra, omega: np.ndarray, tol: float = 1.0e-9) -
         raise ValueError("vector dimension does not match the algebra")
     mats = alg.basis_matrices()
     c = np.column_stack([m @ omega for m in mats])
-    rank = np.linalg.matrix_rank(c, tol=1.0e-9 * max(1.0, float(np.linalg.norm(c))))
+    rank = int(_rank(np.linalg.svd(c, compute_uv=False), "cyclicity rank: singular values").sum())
     if rank < d:
         raise ValueError("omega is not cyclic for the algebra")
     if rank < alg.dim or alg.dim > d:

@@ -22,7 +22,7 @@ from .opcore import (
     partial_trace,
 )
 from .symmetry import CircleRep, FiniteRep, Rep
-from .vnalg import OperatorAlgebra
+from .vnalg import OperatorAlgebra, _worst_residual
 
 
 @dataclass
@@ -37,17 +37,16 @@ class GroupAction:
         if self.algebra.ambient_dim != self.rep.dim:
             raise ValueError("algebra and representation dimensions differ")
         # At each quadrature node the whole basis stack is conjugated at once
-        # and projected onto the span in one product; each element keeps its
-        # own test, distance > closure_tol * max(1, |moved|).
+        # and projected onto the span in one product. The rows are
+        # orthonormal and conjugation is unitary, so each moved element has
+        # norm 1 and the test is distance > closure_tol.
         rows = self.algebra.rows
         d = self.rep.dim
         basis = rows.reshape(-1, d, d)
         for g in self.rep.group.quadrature_nodes():
             u = self.rep.unitary(g)
             moved = (u @ basis @ dagger(u)).reshape(rows.shape)
-            resid = moved - (moved @ dagger(rows)) @ rows
-            dist = np.linalg.norm(resid, axis=1)
-            if (dist > self.closure_tol * np.maximum(1.0, np.linalg.norm(moved, axis=1))).any():
+            if _worst_residual(moved, rows) > self.closure_tol:
                 raise ValueError("representation does not preserve the algebra")
 
 

@@ -14,8 +14,9 @@ import numpy as np
 
 from .opcore import DEFAULT_TOL, as_operator, dagger, hermitian_eig, hs_norm
 
-# Drop threshold for new directions during Gram-Schmidt closure passes.
-GS_DROP_TOL = 1.0e-9
+# The one rank cut on spans: a value counts towards a rank when it exceeds
+# RANK_TOL * max(1, largest value).
+RANK_TOL = 1.0e-9
 
 # Span comparisons throughout the package use this threshold.
 SPAN_TOL = 1.0e-7
@@ -29,43 +30,51 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(d, d)
 
 
-def _orthonormal_rows(
-    candidates: np.ndarray, basis: np.ndarray | None, drop_tol: float = GS_DROP_TOL
-) -> np.ndarray:
-    """Extend orthonormal ``basis`` rows by Gram-Schmidt over ``candidates``.
+def _rank(values: np.ndarray, what: str) -> np.ndarray:
+    """Mask of the ``values`` that count towards a rank: those above the
+    cut RANK_TOL * max(1, max value). A value within a factor 1e3 of the
+    cut on either side makes the rank ambiguous and raises ValueError
+    naming the values on both sides of the cut; ``what`` names the rank
+    and the values, as in "centre rank: Gram eigenvalues"."""
+    values = np.asarray(values, dtype=float)
+    cut = RANK_TOL * max(1.0, float(values.max()) if values.size else 0.0)
+    kept = values > cut
+    if np.any((values > cut / 1.0e3) & (values <= cut * 1.0e3)):
+        below = float(values[~kept].max()) if (~kept).any() else float("nan")
+        above = float(values[kept].min()) if kept.any() else float("nan")
+        raise ValueError(
+            f"ambiguous {what} {below:.3e} and {above:.3e} lie on either side "
+            f"of the cut {cut:.3e} with a value within 1e3 of it"
+        )
+    return kept
 
-    Candidates are normalised first; a candidate is dropped when its residual
-    after projection falls below ``drop_tol``.
+
+def _worst_residual(x: np.ndarray, rows: np.ndarray) -> float:
+    """Largest HS distance from a row of ``x`` to the span of orthonormal ``rows``."""
+    if not x.shape[0]:
+        return 0.0
+    return float(np.linalg.norm(x - (x @ dagger(rows)) @ rows, axis=1).max())
+
+
+def _orthonormal_rows(candidates: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """Extend orthonormal ``basis`` rows to span the ``candidates`` too.
+
+    Candidates whose norm ``_rank`` cuts are dropped, the rest normalised
+    and projected off the basis twice ("twice is enough": Giraud, Langou &
+    Rozloznik, Numer. Math. 101, 2005). Residual rows cut by ``_rank`` lie
+    in the basis span; a thin SVD of the survivors gives the new rows.
     """
     cur = basis if basis is not None else np.zeros((0, candidates.shape[1]), complex)
     norms = np.linalg.norm(candidates, axis=1)
-    cands = candidates[norms > drop_tol] / norms[norms > drop_tol, None]
-    if cur.shape[0]:
-        # Batched first projection; survivors get a sequential second pass.
-        cands = cands - (cands @ cur.conj().T) @ cur
-    new: list[np.ndarray] = []
-    for v in cands:
-        if cur.shape[0]:
-            v = v - (cur.conj() @ v) @ cur
-        for w in new:
-            v = v - np.vdot(w, v) * w
-        n = np.linalg.norm(v)
-        if n > drop_tol:
-            new.append(v / n)
-    if not new:
+    nonzero = _rank(norms, "span rank: candidate norms")
+    resid = candidates[nonzero] / norms[nonzero, None]
+    for _ in range(2):
+        resid = resid - (resid @ dagger(cur)) @ cur
+    resid = resid[_rank(np.linalg.norm(resid, axis=1), "span rank: residual norms")]
+    if not resid.shape[0]:
         return cur
-    return np.vstack([cur, np.array(new)])
-
-
-def _null_space(a: np.ndarray, tol: float = 1.0e-9) -> np.ndarray:
-    """Orthonormal rows spanning {x : a @ x = 0}."""
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    # U is never used; only a wide input needs the full vh for its null rows.
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int((s > cut).sum())
-    return vh[rank:].conj()
+    _, s, vh = np.linalg.svd(resid, full_matrices=False)
+    return np.vstack([cur, vh[_rank(s, "span rank: singular values")]])
 
 
 @dataclass
@@ -112,12 +121,9 @@ class OperatorAlgebra:
 
     def star_closure_defect(self) -> float:
         d = self.ambient_dim
-        worst = 0.0
-        for r in self.rows:
-            adj = _vec(dagger(_unvec(r, d)))
-            coef = self.rows.conj() @ adj
-            worst = max(worst, float(np.linalg.norm(adj - coef @ self.rows)))
-        return worst
+        stack = self.rows.reshape(-1, d, d)
+        adjoints = np.conj(stack.transpose(0, 2, 1), out=np.empty_like(stack))
+        return _worst_residual(adjoints.reshape(self.rows.shape), self.rows)
 
     def validate(self, tol: float = 1.0e-8) -> None:
         if self.star_closure_defect() > tol:
@@ -127,44 +133,43 @@ class OperatorAlgebra:
 
 
 def algebra_from_matrices(mats, ambient_dim: int) -> OperatorAlgebra:
-    """Orthonormalise a spanning set (no closure) into an algebra object."""
+    """Orthonormalise a spanning set (no closure) into an algebra object.
+
+    The set is scaled by its largest HS norm first, so that its span, and
+    not its units, decides which members are zero.
+    """
     cands = np.array([_vec(as_operator(m)) for m in mats])
-    rows = _orthonormal_rows(cands, None)
+    scale = np.linalg.norm(cands, axis=1).max()
+    rows = _orthonormal_rows(cands / scale if scale else cands, None)
     return OperatorAlgebra(ambient_dim, rows)
 
 
-def generate_algebra(
-    generators, ambient_dim: int, drop_tol: float = GS_DROP_TOL
-) -> OperatorAlgebra:
+def generate_algebra(generators, ambient_dim: int) -> OperatorAlgebra:
     """Smallest unital *-closed algebra containing the generators.
 
-    Alternates adjoining adjoints and all pairwise products, orthonormalising
-    as it goes, until one full pass produces no new direction.
+    Grows the span of words in the letters, the HS-normalised generators
+    and their adjoints, from the identity: each round multiplies the rows
+    it added by every letter, until a round adds nothing. A span that holds
+    1 and is carried into itself by every letter holds every word, and the
+    words in a *-closed set of letters span a *-algebra.
     """
     d = int(ambient_dim)
     gens = [as_operator(g, "generator") for g in generators]
     for g in gens:
         if g.shape[0] != d:
             raise ValueError("generator dimension does not match ambient_dim")
-    seed = [np.eye(d, dtype=complex)] + gens
-    rows = _orthonormal_rows(np.array([_vec(m) for m in seed]), None, drop_tol)
-    while True:
-        before = rows.shape[0]
-        mats = [_unvec(r, d) for r in rows]
-        adjs = np.array([_vec(dagger(m)) for m in mats])
-        rows = _orthonormal_rows(adjs, rows, drop_tol)
-        mats = [_unvec(r, d) for r in rows]
-        stack = np.array(mats)
-        prods = np.einsum("aij,bjk->abik", stack, stack).reshape(-1, d * d)
-        rows = _orthonormal_rows(prods, rows, drop_tol)
-        if rows.shape[0] == before:
-            break
-        if rows.shape[0] > d * d:
-            raise RuntimeError("closure exceeded the ambient operator space")
+    letters = np.array([g / hs_norm(g) for g in gens if hs_norm(g) > 0.0]).reshape(-1, d, d)
+    letters = np.concatenate([letters, letters.transpose(0, 2, 1).conj()])
+    rows = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
+    new = rows
+    while new.shape[0]:
+        words = letters[:, None] @ new.reshape(1, -1, d, d)
+        grown = _orthonormal_rows(words.reshape(-1, d * d), rows)
+        new, rows = grown[rows.shape[0]:], grown
     return OperatorAlgebra(d, rows)
 
 
-def commutant(alg: OperatorAlgebra, tol: float = 1.0e-9) -> OperatorAlgebra:
+def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     """All matrices commuting with every element of ``alg``.
 
     For row-major vec, vec(bx - xb) = L_b vec(x) with L_b = b (x) I - I (x) b^T,
@@ -174,12 +179,11 @@ def commutant(alg: OperatorAlgebra, tol: float = 1.0e-9) -> OperatorAlgebra:
     closed form on the d^2-dimensional operator space, never the stacked
     (dim d^2) x d^2 system.
 
-    ``tol`` cuts eigenvalues of G, the squared singular values of the stacked
-    system, at tol * max(1, lambda_max). An eigenvalue within a factor 1e3 of
-    the cut on either side makes the rank ambiguous and raises ValueError.
+    The eigenvalues of G, the squared singular values of the stacked system,
+    are cut by ``_rank``; an ambiguous rank raises ValueError.
     """
     gram = _commutation_gram(alg)
-    return OperatorAlgebra(alg.ambient_dim, _gram_null_vectors(gram, tol, "commutant").T)
+    return OperatorAlgebra(alg.ambient_dim, _gram_null_vectors(gram, "commutant").T)
 
 
 def _commutation_gram(alg: OperatorAlgebra) -> np.ndarray:
@@ -207,43 +211,36 @@ def _commutation_gram(alg: OperatorAlgebra) -> np.ndarray:
     return gram
 
 
-def _gram_null_vectors(gram: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Eigenvector columns of a positive Gram matrix for eigenvalues at most
-    tol * max(1, lambda_max), from one ``eigh``. An eigenvalue within a
-    factor 1e3 of the cut on either side makes the rank ambiguous and
-    raises ValueError naming the eigenvalues on both sides of the cut."""
+def _gram_null_vectors(gram: np.ndarray, what: str) -> np.ndarray:
+    """Eigenvector columns of a positive Gram matrix for the eigenvalues
+    ``_rank`` cuts, from one ``eigh``."""
     vals, vecs = np.linalg.eigh(gram)
-    cut = tol * max(1.0, float(vals[-1]) if vals.size else 0.0)
-    null = vals <= cut
-    if np.any((vals > cut / 1.0e3) & (vals <= cut * 1.0e3)):
-        below = float(vals[null].max()) if null.any() else float("nan")
-        above = float(vals[~null].min()) if (~null).any() else float("nan")
-        raise ValueError(
-            f"ambiguous {what} rank: Gram eigenvalues {below:.3e} and {above:.3e} "
-            f"lie on either side of the cut {cut:.3e} with an eigenvalue within 1e3 of it"
-        )
-    return vecs[:, null]
+    return vecs[:, ~_rank(vals, f"{what} rank: Gram eigenvalues")]
 
 
 def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the intersection of two row-span subspaces."""
-    m1 = a_rows.shape[0]
-    if m1 == 0 or b_rows.shape[0] == 0:
-        return np.zeros((0, a_rows.shape[1]), complex)
-    stacked = np.vstack([a_rows, -b_rows])
-    combos = _null_space(stacked.T)
-    if combos.shape[0] == 0:
-        return np.zeros((0, a_rows.shape[1]), complex)
-    vecs = combos[:, :m1] @ a_rows
-    return _orthonormal_rows(vecs, None)
+    """Orthonormal rows spanning the intersection of the spans of two sets
+    of orthonormal rows.
+
+    sum_k c_k a_k lies in span(b) exactly when c kills the residual R of
+    the a rows off the b rows, so the intersection is spanned by the left
+    singular vectors of R whose singular values ``_rank`` cuts, applied to
+    the a rows; they come out orthonormal.
+    """
+    if not a_rows.shape[0]:
+        return a_rows
+    resid = a_rows - (a_rows @ dagger(b_rows)) @ b_rows
+    u, s, _ = np.linalg.svd(resid, full_matrices=False)
+    null = ~_rank(s, "intersection rank: singular values")
+    return dagger(u[:, null]) @ a_rows
 
 
 def centre(alg: OperatorAlgebra) -> OperatorAlgebra:
     """The elements of ``alg`` that commute with all of it, found in its own
     m coordinates: c = sum_k c_k a_k is central when every commutator map
     C_i : c -> [c, a_i] kills it, so the centre is the null space of the
-    m x m Gram matrix sum_i C_i^dag C_i, cut as ``commutant`` cuts at its
-    default tol. No d^2 x d^2 eigendecomposition is made.
+    m x m Gram matrix sum_i C_i^dag C_i, cut by ``_rank`` as ``commutant``'s.
+    No d^2 x d^2 eigendecomposition is made.
 
     The Gram matrix is formed the cheaper way: from the m^2 commutators
     [a_k, a_i], m^2 d^3 work and m d^2 memory; or, for m > d, as the
@@ -263,7 +260,7 @@ def centre(alg: OperatorAlgebra) -> OperatorAlgebra:
             comm = (stack @ a - a @ stack).reshape(m, -1)
             gram += comm.conj() @ comm.T
     gram = (gram + dagger(gram)) / 2.0
-    coeffs = _gram_null_vectors(gram, 1.0e-9, "centre")
+    coeffs = _gram_null_vectors(gram, "centre")
     return OperatorAlgebra(d, coeffs.T @ rows)
 
 
@@ -276,16 +273,7 @@ def span_distance(a: OperatorAlgebra | np.ndarray, b: OperatorAlgebra | np.ndarr
     element to the other span, maximised over both directions."""
     ra = a.rows if isinstance(a, OperatorAlgebra) else a
     rb = b.rows if isinstance(b, OperatorAlgebra) else b
-    worst = 0.0
-    for rows, other in ((ra, rb), (rb, ra)):
-        if other.shape[0] == 0:
-            if rows.shape[0]:
-                return 1.0
-            continue
-        resid = rows - (rows @ other.conj().T) @ other
-        if resid.size:
-            worst = max(worst, float(np.linalg.norm(resid, axis=1).max()))
-    return worst
+    return max(_worst_residual(ra, rb), _worst_residual(rb, ra))
 
 
 @dataclass

@@ -33,10 +33,10 @@ from qrflab.vnalg import (
     decompose,
     generate_algebra,
     span_distance,
-    span_intersection,
 )
 
 from _factories import SIGMA_X, SIGMA_Z, random_complex, random_unitary
+from _span_oracles import null_space_intersection
 from test_symmetry import dihedral_irrep, superoperator_fixed_rows
 
 
@@ -106,7 +106,7 @@ def superoperator_joint_fixed_rows(action: GroupAction, frame_rep) -> np.ndarray
         for a in action.algebra.basis_matrices()
         for kl in range(d_w * d_w)
     ])
-    return span_intersection(superoperator_fixed_rows(joint), tensor_rows)
+    return null_space_intersection(superoperator_fixed_rows(joint), tensor_rows)
 
 
 def orthonormal_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -274,8 +274,9 @@ class TestCommutationTheorem:
 
     @pytest.mark.parametrize("name,action,expected", fixtures(), ids=[f[0] for f in fixtures()])
     def test_closed_form_span_equals_the_generated_algebra(self, name, action, expected):
-        # oracle: closure of pi(M) and rho(G), written out from the
-        # definitions, by alternating adjoints and pairwise products
+        # oracle: the words in pi(M) and rho(G), written out from the
+        # definitions, grown from the identity by generate_algebra, which
+        # tests/test_spans.py pins against closure by all pairwise products
         gens, ambient = hand_built_generators(action)
         generated = generate_algebra(gens, ambient)
         closed_form = build_crossed_product(action).algebra
@@ -329,6 +330,19 @@ class TestCommutationTheorem:
         gens, _ = hand_built_generators(action)
         (s,) = action.rep.group.generators()
         cp = hand_built_span(action, [gens[0], gens[1 + s] + dagger(gens[1 + s])])
+        assert all_pairs_closure_defect(cp.algebra) <= 1e-12
+        report = verify_commutation_theorem(cp)
+        assert report.closure_defect >= 0.1
+        assert not report.passed
+
+    def test_closure_defect_flags_the_translations_without_pi(self):
+        # span{1 (x) rho(g)} under the flip on M_2 is a *-algebra holding
+        # the identity and closed under every rho(s), so the all-pairs check
+        # passes it; it is not closed under the generators pi(b)
+        name, action, _ = fixtures()[3]
+        assert name == "qubit-by-flip"
+        gens, _ = hand_built_generators(action)
+        cp = hand_built_span(action, gens[action.algebra.dim:])
         assert all_pairs_closure_defect(cp.algebra) <= 1e-12
         report = verify_commutation_theorem(cp)
         assert report.closure_defect >= 0.1

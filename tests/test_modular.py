@@ -173,13 +173,13 @@ class TestConjugationClosedForm:
 class TestRankAndEigenpairsOnce:
     def test_rank_is_taken_once_and_both_messages_remain(self, monkeypatch):
         ranks = []
-        matrix_rank = np.linalg.matrix_rank
+        rank = qrflab.modular._rank
 
         def counting(*args, **kwargs):
             ranks.append(1)
-            return matrix_rank(*args, **kwargs)
+            return rank(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        monkeypatch.setattr(qrflab.modular, "_rank", counting)
         alg, omega = gns_doubling(skew_qubit())
         modular_data(alg, omega)
         assert len(ranks) == 1

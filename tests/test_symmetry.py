@@ -31,24 +31,27 @@ from qrflab.vnalg import (
     commutant,
     generate_algebra,
     span_distance,
-    span_intersection,
 )
 from qrflab.opcore import DEFAULT_TOL, rel_err
 
 from _factories import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian, random_unitary
+from _span_oracles import gram_schmidt_rows, null_space_intersection
 
 seeds = st.integers(0, 2**31 - 1)
 
 
-def superoperator_fixed_rows(u) -> np.ndarray:
-    """Oracle for the fixed points of Ad U: the D^2 x D^2 averaging
-    superoperator on row-major vectorised operators,
-    vec(U x U^dag) = (U (x) conj(U)) vec(x), summed over the quadrature
-    nodes; it is idempotent, so Gram-Schmidt over its columns spans its
-    range."""
+def superoperator_projector(u) -> np.ndarray:
+    """The D^2 x D^2 averaging superoperator of Ad U on row-major vectorised
+    operators, vec(U x U^dag) = (U (x) conj(U)) vec(x), summed over the
+    quadrature nodes."""
     nodes = u.group.quadrature_nodes()
-    proj = sum(np.kron(u.unitary(g), u.unitary(g).conj()) for g in nodes) / nodes.size
-    return _orthonormal_rows(proj.T, None)
+    return sum(np.kron(u.unitary(g), u.unitary(g).conj()) for g in nodes) / nodes.size
+
+
+def superoperator_fixed_rows(u) -> np.ndarray:
+    """Oracle for the fixed points of Ad U: the averaging superoperator is
+    idempotent, so Gram-Schmidt over its columns spans its range."""
+    return gram_schmidt_rows(superoperator_projector(u).T)
 
 
 def loop_regular(group) -> list[np.ndarray]:
@@ -439,6 +442,16 @@ class TestFixedPointKernel:
         assert span_distance(got, oracle) <= 1e-10
         assert np.linalg.norm(got @ got.conj().T - np.eye(got.shape[0])) <= 1e-12
 
+    @pytest.mark.parametrize("name,rep", kernel_cases(), ids=[c[0] for c in kernel_cases()])
+    def test_span_kernel_matches_gram_schmidt_on_the_superoperator(self, name, rep):
+        # the superoperator's columns: many are zero up to rounding, the
+        # rest span the fixed points with heavy repetition
+        columns = superoperator_projector(rep).T
+        got = _orthonormal_rows(columns, None)
+        oracle = gram_schmidt_rows(columns)
+        assert got.shape[0] == oracle.shape[0] == character_rank(rep)
+        assert span_distance(got, oracle) <= 1e-10
+
     def test_m2_tensor_identity_under_a_circle_rep(self):
         # M_2 (x) 1_2 on C^4 under exp(i theta (N_1 (x) 1 + 1 (x) N_2)) with N_1
         # non-diagonal, so Ad U mixes M's basis; frame exp(i theta N_V).
@@ -453,7 +466,7 @@ class TestFixedPointKernel:
         units = np.eye(9)
         tensor_rows = np.array([np.kron(a.reshape(4, 4), e.reshape(3, 3)).ravel()
                                 for a in rows for e in units])
-        oracle = span_intersection(
+        oracle = null_space_intersection(
             superoperator_fixed_rows(tensor_rep(u, v, group=CircleGroup(4))), tensor_rows
         )
         assert got.shape[0] == oracle.shape[0] > 0
