@@ -747,27 +747,34 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
     if not isinstance(tasks, list) or not tasks:
         raise ScenarioError("tasks", "scenario needs a non-empty task list")
 
-    seen = set()
+    names, tols = [], []
     for i, task in enumerate(tasks):
         path = f"tasks[{i}]"
         op = _require(task, "op", path)
-        if op not in OPS:
-            raise ScenarioError(f"{path}.op", f"unknown op {op!r}")
+        _lookup(OPS, op, f"{path}.op", "op")
         name = task.get("name", f"{op}-{i}")
-        if name in seen:
+        if not isinstance(name, str):
+            raise ScenarioError(f"{path}.name", f"expected a string, got {name!r}")
+        if name in names:
             raise ScenarioError(f"{path}.name", f"duplicate task name {name!r}")
-        seen.add(name)
+        names.append(name)
+        tol = tolerance
+        if "tolerance" in task:
+            tol = _number(task["tolerance"], f"{path}.tolerance")
+            if not 0.0 < tol < math.inf:
+                raise ScenarioError(f"{path}.tolerance", f"expected a finite number > 0, got {tol!r}")
+        tols.append(tol)
+        if "expect" in task and not isinstance(task["expect"], dict):
+            raise ScenarioError(f"{path}.expect", "expected an object of result fields to rules")
         if op == "scheme_equivariance" and task.get("convention") == "forward":
             if not task.get("expect"):
                 raise ScenarioError(path, "the forward convention is a regression witness; pin its defect with an expect block")
 
     records = []
     n_passed = 0
-    for i, task in enumerate(tasks):
+    for i, (task, name, tol) in enumerate(zip(tasks, names, tols)):
         path = f"tasks[{i}]"
         op = task["op"]
-        name = task.get("name", f"{op}-{i}")
-        tol = float(task.get("tolerance", tolerance))
         started = time.perf_counter()
         failures: list[str] = []
         result: dict = {}
@@ -903,8 +910,8 @@ def main(argv=None) -> int:
         print("config error: version: expected 1", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     try:
+        seed = args.seed if args.seed is not None else _integer(doc.get("seed", 0), "seed")
         report = run_scenario(
             doc,
             seed=seed,

@@ -33,6 +33,9 @@ from .vnalg import (
     span_distance,
 )
 
+# The defect at which a frame projection counts as one and as translation-invariant.
+_PROJECTION_TOL = 1.0e-8
+
 
 def _diagonal_blocks(stack: np.ndarray) -> np.ndarray:
     """sum_g A_g (x) |g><g| for each leading index of a (..., n, d, d) stack:
@@ -158,7 +161,7 @@ def invariant_joint_algebra(action: GroupAction, frame_rep: Rep) -> OperatorAlge
     Taken by ``tensor_fixed_point_rows`` from M_S's own basis, for finite
     and band-limited circle representations alike; no superoperator on the
     joint operator space is built. The result stays inside M_S (x) B(H_R)
-    because the action keeps M_S invariant to its closure_tol.
+    because the action keeps M_S invariant to ``relativise._INVARIANCE_TOL``.
     """
     if action.rep.group != frame_rep.group:
         raise ValueError("system and frame must share one symmetry group")
@@ -185,14 +188,13 @@ class CommutationReport:
     untwist_defect: float
     translation_defect: float
     closure_defect: float
-    tolerance: float = SPAN_TOL
 
     @property
     def passed(self) -> bool:
         return (
             self.crossed_dim == self.fixed_dim
-            and self.span_defect <= self.tolerance
-            and self.closure_defect <= self.tolerance
+            and self.span_defect <= SPAN_TOL
+            and self.closure_defect <= SPAN_TOL
             and self.untwist_defect <= 1.0e-10
             and self.translation_defect <= 1.0e-10
         )
@@ -275,20 +277,18 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     )
 
 
-def _check_frame_projection(p: np.ndarray, translations: list[np.ndarray], tol: float) -> None:
+def _check_frame_projection(p: np.ndarray, translations: list[np.ndarray]) -> None:
     """Reject p unless it is a projection whose corner keeps the translation symmetry."""
-    if hs_norm(p @ p - p) > tol * max(1.0, hs_norm(p)) or hs_norm(p - dagger(p)) > tol:
+    scale = max(1.0, hs_norm(p))
+    if hs_norm(p @ p - p) > _PROJECTION_TOL * scale or hs_norm(p - dagger(p)) > _PROJECTION_TOL:
         raise ValueError("compression needs a self-adjoint idempotent")
     for u in translations:
-        if hs_norm(p @ u - u @ p) > tol * max(1.0, hs_norm(p)):
+        if hs_norm(p @ u - u @ p) > _PROJECTION_TOL * scale:
             raise ValueError("projection does not commute with the frame translations")
 
 
 def compress_by_frame(
-    alg: OperatorAlgebra,
-    p: np.ndarray,
-    translations: list[np.ndarray],
-    tol: float = 1.0e-8,
+    alg: OperatorAlgebra, p: np.ndarray, translations: list[np.ndarray]
 ) -> OperatorAlgebra:
     """Corner of an algebra cut by a translation-invariant projection.
 
@@ -298,7 +298,7 @@ def compress_by_frame(
     d = alg.ambient_dim
     if p.shape != (d, d):
         raise ValueError("projection dimension mismatch")
-    _check_frame_projection(p, translations, tol)
+    _check_frame_projection(p, translations)
     cands = np.array([(p @ b @ p).ravel() for b in alg.basis_matrices()])
     rows = _orthonormal_rows(cands, None)
     return OperatorAlgebra(d, rows)
@@ -311,11 +311,10 @@ class CompressionReport:
     invariant_dim: int
     compressed_dim: int
     span_defect: float
-    tolerance: float = SPAN_TOL
 
     @property
     def passed(self) -> bool:
-        return self.invariant_dim == self.compressed_dim and self.span_defect <= self.tolerance
+        return self.invariant_dim == self.compressed_dim and self.span_defect <= SPAN_TOL
 
 
 def verify_frame_compression(
@@ -340,7 +339,7 @@ def verify_frame_compression(
     n = frame.rep.group.order
     lam = regular_representation(frame.rep.group)
     # W W^dag must commute with 1_K (x) lambda(g) on K (x) l2(G).
-    _check_frame_projection(w @ dagger(w), [np.kron(np.eye(d_k), u) for u in lam.unitaries], 1e-8)
+    _check_frame_projection(w @ dagger(w), [np.kron(np.eye(d_k), u) for u in lam.unitaries])
 
     cp = build_crossed_product(action)
     # W's rows run over K (x) l2(G), k-major; c's indices over H_S (x) l2(G).

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import (
+    DEFAULT_TOL,
     as_operator,
     dagger,
     hermitian_eig,
@@ -27,6 +28,9 @@ from .symmetry import (
     Rep,
     regular_representation,
 )
+
+# The defect at which a frame counts as sharp, complete or covariant.
+_FRAME_TOL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -113,12 +117,11 @@ class Povm:
     """A discrete positive operator valued measure.
 
     Effects are Hermitian, sit between 0 and 1 and sum to the identity,
-    all within ``tol``.
+    all within ``DEFAULT_TOL``.
     """
 
     space: ValueSpace
     effects: list[np.ndarray]
-    tol: float = 1.0e-9
     # For phase observables, the correlation matrix that generated the
     # effects; circle-frame relativisation needs it to contract modes.
     phase_c: np.ndarray | None = None
@@ -131,12 +134,12 @@ class Povm:
         for e in self.effects:
             if e.shape[0] != d:
                 raise ValueError("effects differ in dimension")
-            if hs_norm(e - dagger(e)) > self.tol * max(1.0, hs_norm(e)):
+            if hs_norm(e - dagger(e)) > DEFAULT_TOL * max(1.0, hs_norm(e)):
                 raise ValueError("effect is not Hermitian")
             vals = np.linalg.eigvalsh((e + dagger(e)) / 2.0)
-            if vals.min() < -self.tol or vals.max() > 1.0 + self.tol:
+            if vals.min() < -DEFAULT_TOL or vals.max() > 1.0 + DEFAULT_TOL:
                 raise ValueError("effect eigenvalues must lie in [0, 1]")
-        if rel_err(sum(self.effects), np.eye(d)) > self.tol:
+        if rel_err(sum(self.effects), np.eye(d)) > DEFAULT_TOL:
             raise ValueError("effects do not sum to the identity")
 
     @property
@@ -165,10 +168,10 @@ class MarkovKernel:
             raise ValueError("kernel rows must sum to one")
 
 
-def smear(povm: Povm, kernel: MarkovKernel, out_space: ValueSpace | None = None) -> Povm:
+def smear(povm: Povm, kernel: MarkovKernel) -> Povm:
     """Classically post-process a POVM through a Markov kernel.
 
-    The new effect for output y is sum_x kernel[x, y] * E_x.
+    The new effect for plain output cell y is sum_x kernel[x, y] * E_x.
     """
     if kernel.rows.shape[0] != povm.n_outcomes:
         raise ValueError("kernel input count does not match the POVM")
@@ -179,7 +182,7 @@ def smear(povm: Povm, kernel: MarkovKernel, out_space: ValueSpace | None = None)
         for x in range(povm.n_outcomes):
             e += kernel.rows[x, y] * povm.effects[x]
         effects.append(e)
-    return Povm(out_space if out_space is not None else PlainCells(n_out), effects)
+    return Povm(PlainCells(n_out), effects)
 
 
 def check_norm1(povm: Povm) -> list[float]:
@@ -198,12 +201,12 @@ def check_norm1(povm: Povm) -> list[float]:
     return scores
 
 
-def is_sharp(povm: Povm, tol: float = 1.0e-8) -> bool:
+def is_sharp(povm: Povm) -> bool:
     """Projection-valued with orthogonal effects: E_x E_y = delta_xy E_x."""
     for i, a in enumerate(povm.effects):
         for j, b in enumerate(povm.effects):
             target = a if i == j else np.zeros_like(a)
-            if hs_norm(a @ b - target) > tol * max(1.0, hs_norm(a)):
+            if hs_norm(a @ b - target) > _FRAME_TOL * max(1.0, hs_norm(a)):
                 return False
     return True
 
@@ -282,10 +285,10 @@ class QuantumReferenceFrame:
     def norm1_scores(self) -> list[float]:
         return check_norm1(self.povm)
 
-    def is_sharp(self, tol: float = 1.0e-8) -> bool:
-        return is_sharp(self.povm, tol)
+    def is_sharp(self) -> bool:
+        return is_sharp(self.povm)
 
-    def is_complete(self, tol: float = 1.0e-8) -> bool | None:
+    def is_complete(self) -> bool | None:
         """Whether only the identity leaves every effect fixed.
 
         Evaluated exhaustively for finite frames; for circle frames the
@@ -298,7 +301,7 @@ class QuantumReferenceFrame:
             if g == g0:
                 continue
             if all(
-                op_norm(self.rep.conjugate(g, e) - e) <= tol for e in self.povm.effects
+                op_norm(self.rep.conjugate(g, e) - e) <= _FRAME_TOL for e in self.povm.effects
             ):
                 return False
         return True
@@ -381,7 +384,7 @@ def naimark_dilate(povm: Povm) -> Dilation:
     return Dilation(w, _position_projections(d, k), ambient_dim=d * k)
 
 
-def covariant_dilate(frame: QuantumReferenceFrame, tol: float = 1.0e-8) -> Dilation:
+def covariant_dilate(frame: QuantumReferenceFrame) -> Dilation:
     """Dilate a finite principal frame to a projective one on H (x) l2(G).
 
     The isometry sends psi to the function g -> sqrt(E_e) U(g^-1) psi; it
@@ -390,7 +393,7 @@ def covariant_dilate(frame: QuantumReferenceFrame, tol: float = 1.0e-8) -> Dilat
     """
     if not isinstance(frame.rep, FiniteRep) or not frame.is_principal:
         raise ValueError("covariant dilation implemented for finite principal frames only")
-    if frame.covariance_defect() > tol:
+    if frame.covariance_defect() > _FRAME_TOL:
         raise ValueError("frame is not covariant within tolerance")
     group = frame.rep.group
     cells: CosetCells = frame.povm.space

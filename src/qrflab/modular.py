@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import (
+    DEFAULT_TOL,
     as_operator,
     check_density,
     dagger,
     hermitian_eig,
-    hs_norm,
     rel_err,
 )
 from .vnalg import OperatorAlgebra, _rank, _worst_residual, commutant
@@ -29,10 +29,13 @@ FLOW_PROBE_TIMES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
 # two-level mismatch fixture attains its analytic maximum on the grid.
 KMS_TIME_GRID = (-2.7, -1.0, -0.3, 0.0, 0.3, 1.0, np.pi / 2.0, 2.7)
 
+# A state is faithful when its least eigenvalue is this fraction of its largest.
+_FAITHFUL_RATIO = 1.0e-12
 
-def is_faithful_state(rho: np.ndarray, ratio: float = 1.0e-12) -> bool:
+
+def is_faithful_state(rho: np.ndarray) -> bool:
     vals = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    return bool(vals.min() >= ratio * max(vals.max(), 0.0))
+    return bool(vals.min() >= _FAITHFUL_RATIO * max(vals.max(), 0.0))
 
 
 @dataclass
@@ -64,13 +67,13 @@ class ModularData:
         """The linear operator J x J."""
         return self.j_matrix @ x.conj() @ self.j_matrix.conj()
 
-    def flow_defect(self, times=FLOW_PROBE_TIMES) -> float:
+    def flow_defect(self) -> float:
         """Worst distance of a flowed basis element from the algebra; the
-        whole basis stack is flowed and projected at once at each time."""
+        whole basis stack is flowed and projected at once at each probe time."""
         rows = self.algebra.rows
         basis = rows.reshape(-1, self.algebra.ambient_dim, self.algebra.ambient_dim)
         worst = 0.0
-        for t in times:
+        for t in FLOW_PROBE_TIMES:
             u = self.delta_power(t)
             moved = (u @ basis @ dagger(u)).reshape(rows.shape)
             worst = max(worst, _worst_residual(moved, rows))
@@ -91,7 +94,7 @@ class ModularData:
         return max(j_def, d_def)
 
 
-def modular_data(alg: OperatorAlgebra, omega: np.ndarray, tol: float = 1.0e-9) -> ModularData:
+def modular_data(alg: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     """Build S, Delta and J for the vector omega.
 
     The rank of the set {x omega} is cut by ``_rank``. S is fixed on that
@@ -115,37 +118,37 @@ def modular_data(alg: OperatorAlgebra, omega: np.ndarray, tol: float = 1.0e-9) -
 
     u, _, vh = np.linalg.svd(s)
     md = ModularData(alg, omega, s, s.T @ s.conj(), u @ vh)
-    _validate_modular(md, tol)
+    _validate_modular(md)
     return md
 
 
-def _validate_modular(md: ModularData, tol: float) -> None:
+def _validate_modular(md: ModularData) -> None:
     s, j = md.s_matrix, md.j_matrix
     vals, vecs = md.delta_eig
     if vals.min() <= 0.0:
         raise ValueError("modular operator is not positive definite")
     root = (vecs * np.sqrt(vals)) @ dagger(vecs)
-    if rel_err(j @ root.conj(), s) > tol:
+    if rel_err(j @ root.conj(), s) > DEFAULT_TOL:
         raise RuntimeError("polar decomposition of S failed")
-    if rel_err(j @ dagger(j), np.eye(j.shape[0])) > tol:
+    if rel_err(j @ dagger(j), np.eye(j.shape[0])) > DEFAULT_TOL:
         raise RuntimeError("modular conjugation is not unitary")
-    if rel_err(j @ j.conj(), np.eye(j.shape[0])) > tol:
+    if rel_err(j @ j.conj(), np.eye(j.shape[0])) > DEFAULT_TOL:
         raise RuntimeError("modular conjugation is not an involution")
     worst = 0.0
     for m in md.algebra.basis_matrices():
         lhs = s @ (m @ md.omega).conj()
         worst = max(worst, float(np.linalg.norm(lhs - dagger(m) @ md.omega)))
-    if worst > tol * max(1.0, float(np.linalg.norm(md.omega))):
+    if worst > DEFAULT_TOL * max(1.0, float(np.linalg.norm(md.omega))):
         raise RuntimeError("S does not send x omega to x^dag omega")
 
 
-def modular_flow(md: ModularData, x: np.ndarray, t: float, tol: float = 1.0e-8) -> np.ndarray:
+def modular_flow(md: ModularData, x: np.ndarray, t: float) -> np.ndarray:
     """sigma_t(x) = Delta^{it} x Delta^{-it}, checked to stay in the algebra."""
     x = as_operator(x)
-    if md.algebra.distance(x) > tol * max(1.0, hs_norm(x)):
+    if not md.algebra.contains(x):
         raise ValueError("observable lies outside the algebra")
     out = md.flow(x, t)
-    if md.algebra.distance(out) > tol * max(1.0, hs_norm(out)):
+    if not md.algebra.contains(out):
         raise RuntimeError("modular flow left the algebra")
     return out
 

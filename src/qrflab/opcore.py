@@ -94,9 +94,7 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / abs(pivot))
 
 
-def hermitian_eig(
-    x: np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a fixed ordering.
 
     Eigenvalues come out ascending. Within a degenerate cluster the
@@ -110,7 +108,7 @@ def hermitian_eig(
     """
     x = as_operator(x)
     scale = max(1.0, hs_norm(x))
-    if hs_norm(x - dagger(x)) > tol * scale:
+    if hs_norm(x - dagger(x)) > DEFAULT_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     xh = (x + dagger(x)) / 2.0
     vals, vecs = np.linalg.eigh(xh)
@@ -141,11 +139,9 @@ def _first_component(v: np.ndarray) -> float:
     return float(v[nz[0]].real)
 
 
-def apply_spectral_function(
-    x: np.ndarray, f: Callable[[float], complex], tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def apply_spectral_function(x: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    vals, vecs = hermitian_eig(x, tol=tol)
+    vals, vecs = hermitian_eig(x)
     fv = np.array([f(float(v)) for v in vals], dtype=complex)
     if not np.isfinite(fv).all():
         bad = float(vals[int(np.flatnonzero(~np.isfinite(fv))[0])])
@@ -153,19 +149,19 @@ def apply_spectral_function(
     return (vecs * fv) @ dagger(vecs)
 
 
-def psd_sqrt(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
     """Square root of a positive semidefinite matrix.
 
-    With scale = max(1, max |eigenvalue|), eigenvalues in
-    [-tol * scale, tol * scale] are rounding noise around zero and are set
-    to zero, so that sqrt does not lift them to sqrt(tol)-sized entries;
+    With scale = max(1, max |eigenvalue|) and tol = DEFAULT_TOL, eigenvalues
+    in [-tol * scale, tol * scale] are rounding noise around zero and are
+    set to zero, so that sqrt does not lift them to sqrt(tol)-sized entries;
     anything more negative is an error.
     """
-    vals, vecs = hermitian_eig(x, tol=tol)
+    vals, vecs = hermitian_eig(x)
     scale = max(1.0, float(np.abs(vals).max()))
-    if vals.min() < -tol * scale:
+    if vals.min() < -DEFAULT_TOL * scale:
         raise ValueError("matrix is not positive semidefinite")
-    root = np.sqrt(np.where(vals > tol * scale, vals, 0.0))
+    root = np.sqrt(np.where(vals > DEFAULT_TOL * scale, vals, 0.0))
     return (vecs * root) @ dagger(vecs)
 
 
@@ -174,8 +170,8 @@ def unitary_defect(u: np.ndarray) -> float:
     return rel_err(u @ dagger(u), np.eye(u.shape[0]))
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return unitary_defect(u) <= tol
+def is_unitary(u: np.ndarray) -> bool:
+    return unitary_defect(u) <= DEFAULT_TOL
 
 
 def check_density(rho, tol: float = 1.0e-10) -> np.ndarray:

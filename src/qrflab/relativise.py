@@ -24,6 +24,9 @@ from .opcore import (
 from .symmetry import CircleRep, FiniteRep, Rep
 from .vnalg import OperatorAlgebra, _worst_residual
 
+# How far an algebra or an observable may move under the group and stay invariant.
+_INVARIANCE_TOL = 1.0e-8
+
 
 @dataclass
 class GroupAction:
@@ -31,7 +34,6 @@ class GroupAction:
 
     algebra: OperatorAlgebra
     rep: Rep
-    closure_tol: float = 1.0e-8
 
     def __post_init__(self) -> None:
         if self.algebra.ambient_dim != self.rep.dim:
@@ -39,14 +41,14 @@ class GroupAction:
         # At each quadrature node the whole basis stack is conjugated at once
         # and projected onto the span in one product. The rows are
         # orthonormal and conjugation is unitary, so each moved element has
-        # norm 1 and the test is distance > closure_tol.
+        # norm 1 and the test is distance > _INVARIANCE_TOL.
         rows = self.algebra.rows
         d = self.rep.dim
         basis = rows.reshape(-1, d, d)
         for g in self.rep.group.quadrature_nodes():
             u = self.rep.unitary(g)
             moved = (u @ basis @ dagger(u)).reshape(rows.shape)
-            if _worst_residual(moved, rows) > self.closure_tol:
+            if _worst_residual(moved, rows) > _INVARIANCE_TOL:
                 raise ValueError("representation does not preserve the algebra")
 
 
@@ -66,12 +68,7 @@ def _stabiliser_defect(x: np.ndarray, action: GroupAction, frame: QuantumReferen
     return worst
 
 
-def relativize(
-    x: np.ndarray,
-    action: GroupAction,
-    frame: QuantumReferenceFrame,
-    invariance_tol: float = 1.0e-8,
-) -> np.ndarray:
+def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:
     """Pair the orbit of x with the frame effects.
 
     For finitely many cells this is sum_s U(g_s) x U(g_s)^dag (x) E_s over
@@ -86,7 +83,7 @@ def relativize(
         raise ValueError("observable dimension does not match the system")
     if not action.algebra.contains(x):
         raise ValueError("observable lies outside the system algebra")
-    if _stabiliser_defect(x, action, frame) > invariance_tol * max(1.0, op_norm(x)):
+    if _stabiliser_defect(x, action, frame) > _INVARIANCE_TOL * max(1.0, op_norm(x)):
         raise ValueError("relativisation requires stabiliser-invariant input")
     if isinstance(frame.rep, FiniteRep):
         cells: CosetCells = frame.povm.space
@@ -229,7 +226,6 @@ class FrameAssignment:
     action: GroupAction
     frame: QuantumReferenceFrame
     anchors: dict[str, np.ndarray]
-    invariance_tol: float = 1.0e-8
     _table: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -238,7 +234,7 @@ class FrameAssignment:
             raise ValueError("frame assignments are tabulated for finite frames only")
         self.anchors = {k: as_operator(v, f"anchor {k!r}") for k, v in self.anchors.items()}
         for label, a in self.anchors.items():
-            if _stabiliser_defect(a, self.action, self.frame) > self.invariance_tol:
+            if _stabiliser_defect(a, self.action, self.frame) > _INVARIANCE_TOL:
                 raise ValueError(f"anchor {label!r} is not stabiliser-invariant")
             if not self.action.algebra.contains(a):
                 raise ValueError(f"anchor {label!r} lies outside the system algebra")
@@ -271,6 +267,4 @@ class FrameAssignment:
         return worst
 
     def relativized(self, label: str) -> np.ndarray:
-        return relativize(
-            self.anchors[label], self.action, self.frame, self.invariance_tol
-        )
+        return relativize(self.anchors[label], self.action, self.frame)

@@ -37,7 +37,6 @@ class MeasurementScheme:
     scattering: np.ndarray
     probe_prep: np.ndarray
     probe_obs: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.system_dim < 1 or self.probe_dim < 1:
@@ -46,16 +45,16 @@ class MeasurementScheme:
         theta = as_operator(self.scattering, "scattering")
         if theta.shape[0] != joint:
             raise ValueError("scattering map must act on system tensor probe")
-        if unitary_defect(theta) > self.tol:
+        if unitary_defect(theta) > DEFAULT_TOL:
             raise ValueError("scattering map is not unitary within tolerance")
         prep = as_operator(self.probe_prep, "probe_prep")
         if prep.shape[0] != self.probe_dim:
             raise ValueError("probe preparation must act on the probe")
-        check_density(prep, tol=max(self.tol, 1e-10))
+        check_density(prep, tol=DEFAULT_TOL)
         obs = as_operator(self.probe_obs, "probe_obs")
         if obs.shape[0] != self.probe_dim:
             raise ValueError("probe observable must act on the probe")
-        if op_norm(obs - dagger(obs)) > self.tol:
+        if op_norm(obs - dagger(obs)) > DEFAULT_TOL:
             raise ValueError("probe observable is not Hermitian within tolerance")
         object.__setattr__(self, "scattering", theta)
         object.__setattr__(self, "probe_prep", prep)
@@ -80,7 +79,7 @@ def induced_observable(scheme: MeasurementScheme) -> np.ndarray:
     weighted = moved @ np.kron(np.eye(d_s), scheme.probe_prep)
     out = partial_trace(weighted, (d_s, d_p), "second")
     defect = op_norm(out - dagger(out))
-    if defect > scheme.tol:
+    if defect > DEFAULT_TOL:
         raise RuntimeError(f"induced observable failed hermiticity by {defect:.3e}")
     return out
 
@@ -121,9 +120,7 @@ def transform_scheme(
         prep = dagger(u_p) @ scheme.probe_prep @ u_p
     else:
         raise ValueError("convention must be 'inverse' or 'forward'")
-    return MeasurementScheme(
-        scheme.system_dim, scheme.probe_dim, theta, prep, obs, scheme.tol
-    )
+    return MeasurementScheme(scheme.system_dim, scheme.probe_dim, theta, prep, obs)
 
 
 def equivariance_defect(

@@ -46,7 +46,7 @@ _SKETCH_SEED = 7
 # sigma_r <= _SKETCH_GAP * sigma_{r-1} (0-based, descending).
 _SKETCH_GAP = 1.0e-6
 # How far the character trace may sit from the integer rank.
-_RANK_TOL = 1.0e-6
+_TRACE_TOL = 1.0e-6
 
 
 @dataclass
@@ -373,7 +373,7 @@ def tensor_fixed_point_rows(rows: np.ndarray, u: Rep, v: Rep) -> np.ndarray:
     chi = np.trace(cs, axis1=1, axis2=2)
     trace = complex(chi @ np.abs(np.trace(vs, axis1=1, axis2=2)) ** 2) / nodes.size
     r = int(round(trace.real))
-    if abs(trace - r) > _RANK_TOL * max(1.0, abs(trace)):
+    if abs(trace - r) > _TRACE_TOL * max(1.0, abs(trace)):
         raise ValueError(f"group-average trace {trace:.6g} is not a rank; M is not invariant")
 
     rng = np.random.default_rng(_SKETCH_SEED)

@@ -21,6 +21,13 @@ RANK_TOL = 1.0e-9
 # Span comparisons throughout the package use this threshold.
 SPAN_TOL = 1.0e-7
 
+# The HS distance to a span, over max(1, ||x||), at which x is a member.
+_MEMBER_TOL = 1.0e-8
+
+# ``decompose``'s seeded draws, so runs are reproducible, and how many it makes.
+_DECOMPOSE_SEED = 7
+_DECOMPOSE_ATTEMPTS = 8
+
 
 def _vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).ravel()
@@ -116,8 +123,8 @@ class OperatorAlgebra:
         coef = self.rows.conj() @ v
         return float(np.linalg.norm(v - coef @ self.rows))
 
-    def contains(self, x: np.ndarray, tol: float = 1.0e-8) -> bool:
-        return self.distance(x) <= tol * max(1.0, hs_norm(x))
+    def contains(self, x: np.ndarray) -> bool:
+        return self.distance(x) <= _MEMBER_TOL * max(1.0, hs_norm(x))
 
     def star_closure_defect(self) -> float:
         d = self.ambient_dim
@@ -125,10 +132,10 @@ class OperatorAlgebra:
         adjoints = np.conj(stack.transpose(0, 2, 1), out=np.empty_like(stack))
         return _worst_residual(adjoints.reshape(self.rows.shape), self.rows)
 
-    def validate(self, tol: float = 1.0e-8) -> None:
-        if self.star_closure_defect() > tol:
+    def validate(self) -> None:
+        if self.star_closure_defect() > _MEMBER_TOL:
             raise ValueError("basis span is not closed under adjoints")
-        if self.distance(np.eye(self.ambient_dim)) > tol * np.sqrt(self.ambient_dim):
+        if self.distance(np.eye(self.ambient_dim)) > _MEMBER_TOL * np.sqrt(self.ambient_dim):
             raise ValueError("basis span does not contain the identity")
 
 
@@ -294,14 +301,11 @@ class BlockStructure:
         return sum(m * m for _, m in self.blocks)
 
 
-def _cluster(vals: np.ndarray, gap: float) -> list[np.ndarray]:
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.array(g) for g in groups]
+def _eigen_clusters(vals: np.ndarray, what: str) -> list[np.ndarray]:
+    """Index groups of an ascending spectrum, split at the gaps ``_rank``
+    keeps; an ambiguous gap raises ValueError."""
+    split = np.flatnonzero(_rank(np.diff(vals), f"{what}: eigenvalue gaps")) + 1
+    return np.split(np.arange(vals.size), split)
 
 
 def _hermitian_span_rows(rows: np.ndarray, d: int) -> list[np.ndarray]:
@@ -332,13 +336,16 @@ def _split_block(
         raise _Degenerate
     m = r // n
 
+    # An ambiguous rank from a random draw marks the draw degenerate.
     herm = _hermitian_span_rows(rows, r)
     for _ in range(8):
         coeff = rng.standard_normal(len(herm))
         a = sum(c * h for c, h in zip(coeff, herm))
         vals, vecs = hermitian_eig(a)
-        gap = 1.0e-8 * max(1.0, float(np.abs(vals).max()))
-        clusters = _cluster(vals, gap)
+        try:
+            clusters = _eigen_clusters(vals, "block split")
+        except ValueError:
+            continue
         if len(clusters) == n and all(len(c) == m for c in clusters):
             break
     else:
@@ -348,52 +355,45 @@ def _split_block(
     for _ in range(8):
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         g = _unvec(z @ rows, r)
-        aligners = []
-        ok = True
-        for k, ck in enumerate(chunks):
-            w = dagger(ck) @ g @ chunks[0]
-            u, s, vh = np.linalg.svd(w)
-            if s.min() < 1.0e-8 * max(1.0, s.max()):
-                ok = False
+        u, s, vh = np.linalg.svd([dagger(ck) @ g @ chunks[0] for ck in chunks])
+        try:
+            if _rank(s.ravel(), "block alignment: singular values").all():
                 break
-            aligners.append(u @ vh)
-        if ok:
-            break
+        except ValueError:
+            pass
     else:
         raise _Degenerate
-
-    cols = [ck @ uk for ck, uk in zip(chunks, aligners)]
-    q = np.hstack(cols)
-    return n, m, q
+    return n, m, np.hstack([ck @ (uk @ vk) for ck, uk, vk in zip(chunks, u, vh)])
 
 
 class _Degenerate(Exception):
     pass
 
 
-def decompose(
-    alg: OperatorAlgebra, seed: int = 7, max_retries: int = 8, tol: float = SPAN_TOL
-) -> BlockStructure:
+def decompose(alg: OperatorAlgebra) -> BlockStructure:
     """Exhibit the block structure of a finite-dimensional algebra.
 
     A generic Hermitian element of the centre is sampled (seeded, so runs
     are reproducible): the orthogonal projection onto the centre of a random
     Hermitian matrix on the ambient space, so the draw depends on the
     centre's span and not on the basis ``centre`` returns. Its spectral
-    projections carve the ambient space into the central blocks, which are
-    then split individually. Degenerate draws are retried up to
-    ``max_retries`` times.
+    projections, split at the eigenvalue gaps ``_rank`` keeps, carve the
+    ambient space into the central blocks, which are then split
+    individually. Degenerate draws, ambiguous gaps among them, are retried
+    up to ``_DECOMPOSE_ATTEMPTS`` times.
     """
     d = alg.ambient_dim
     z_rows = centre(alg).rows
-    rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
+    rng = np.random.default_rng(_DECOMPOSE_SEED)
+    for _ in range(_DECOMPOSE_ATTEMPTS):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = _vec((g + dagger(g)) / 2.0)
         z = _unvec((z_rows.conj() @ h) @ z_rows, d)
         vals, vecs = hermitian_eig((z + dagger(z)) / 2.0)
-        gap = 1.0e-8 * max(1.0, float(np.abs(vals).max()))
-        clusters = _cluster(vals, gap)
+        try:
+            clusters = _eigen_clusters(vals, "central split")
+        except ValueError:
+            continue
         if len(clusters) != z_rows.shape[0]:
             continue
         try:
@@ -408,11 +408,11 @@ def decompose(
         u = np.hstack([p[2] for p in pieces])
         blocks = [(n, m) for n, m, _ in pieces]
         defect = _block_defect(alg, blocks, u)
-        if defect <= tol:
+        if defect <= SPAN_TOL:
             return BlockStructure(blocks, u, defect)
     raise RuntimeError(
         "central element remained degenerate after "
-        f"{max_retries} seeded attempts"
+        f"{_DECOMPOSE_ATTEMPTS} seeded attempts"
     )
 
 
@@ -468,6 +468,6 @@ class ProductTrace:
         v = _vec(x)
         coef = self._rows.conj() @ v
         resid = v - coef @ self._rows
-        if np.linalg.norm(resid) > 1.0e-8 * max(1.0, float(np.linalg.norm(v))):
+        if np.linalg.norm(resid) > _MEMBER_TOL * max(1.0, float(np.linalg.norm(v))):
             raise ValueError("operator lies outside the tensor product algebra")
         return complex(coef @ self._values)

@@ -284,6 +284,29 @@ class TestConfigErrors:
         })
         self.assert_config_error(capsys, path, "regression witness")
 
+    @pytest.mark.parametrize(
+        "top, task, where",
+        [
+            ({}, {"tolerance": "abc"}, "tasks[0].tolerance"),
+            ({}, {"tolerance": None}, "tasks[0].tolerance"),
+            ({}, {"tolerance": True}, "tasks[0].tolerance"),
+            ({}, {"tolerance": -1.0}, "tasks[0].tolerance"),
+            ({}, {"tolerance": 0}, "tasks[0].tolerance"),
+            ({}, {"tolerance": float("inf")}, "tasks[0].tolerance"),
+            ({"seed": "x"}, {}, "seed"),
+            ({}, {"name": ["band"]}, "tasks[0].name"),
+            ({}, {"expect": [{"value": {"max": 2.0}}]}, "tasks[0].expect"),
+            ({}, {"op": ["trace_of_band"]}, "tasks[0].op"),
+        ],
+        ids=[
+            "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-negative",
+            "tolerance-zero", "tolerance-inf", "seed-string", "name-list", "expect-list", "op-list",
+        ],
+    )
+    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, top, task, where):
+        path = write_scenario(tmp_path, {"version": 1, **top, "tasks": [band_task(**task)]})
+        self.assert_config_error(capsys, path, f"config error: {where}: ")
+
 
 def test_schema_document_matches_the_runner():
     schema = json.loads((SCENARIO_DIR / "scenario.schema.json").read_text())

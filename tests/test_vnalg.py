@@ -337,6 +337,57 @@ class TestDecompose:
         assert structure.blocks == [(2, 2)]
         assert structure.defect <= 1e-7
 
+    def test_an_eigenvalue_gap_on_the_cut_raises_with_both_gaps(self):
+        # gaps 1e-9 and 1 - 1e-9: the first sits on the 1e-9 cut, inside its 1e3 band
+        with pytest.raises(
+            ValueError, match=r"ambiguous central split: eigenvalue gaps 1\.000e-09 and 1\.000e\+00"
+        ):
+            qrflab.vnalg._eigen_clusters(np.array([0.0, 1e-9, 1.0]), "central split")
+
+    @pytest.mark.parametrize("call", [1, 2], ids=["central-draw", "block-draw"])
+    def test_a_draw_with_an_ambiguous_gap_is_retried(self, call, monkeypatch):
+        # the call-th spectrum decompose takes gets a gap on the 1e-9 cut; the
+        # draw must count as degenerate and the next one be taken. M2 (x) 1_2
+        # has one central block, so the second spectrum is the block split's
+        alg = generate_algebra([np.kron(SIGMA_X, np.eye(2)), np.kron(SIGMA_Z, np.eye(2))], 4)
+        real_eig = qrflab.vnalg.hermitian_eig
+        calls = []
+
+        def spy(x):
+            vals, vecs = real_eig(x)
+            calls.append(vals)
+            if len(calls) == call:
+                vals = vals.copy()
+                vals[2] = vals[1] + 1e-9
+            return vals, vecs
+
+        monkeypatch.setattr(qrflab.vnalg, "hermitian_eig", spy)
+        structure = decompose(alg)
+        assert structure.blocks == [(2, 2)]
+        assert structure.defect <= 1e-7
+        assert len(calls) > call
+
+    def test_an_alignment_draw_with_an_ambiguous_singular_value_is_retried(self, monkeypatch):
+        # the first stack of aligner blocks gets a singular value on the cut
+        alg = generate_algebra([np.kron(SIGMA_X, np.eye(2)), np.kron(SIGMA_Z, np.eye(2))], 4)
+        real_svd = np.linalg.svd
+        stacks = []
+
+        def spy(a, *args, **kwargs):
+            u, s, vh = real_svd(a, *args, **kwargs)
+            if np.ndim(a) == 3:
+                stacks.append(a)
+                if len(stacks) == 1:
+                    s = s.copy()
+                    s[0, -1] = 1e-9 * s.max()
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        structure = decompose(alg)
+        assert structure.blocks == [(2, 2)]
+        assert structure.defect <= 1e-7
+        assert len(stacks) > 1
+
 
     @pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(5)], ids=["S3", "Z5"])
     def test_central_sample_does_not_depend_on_the_centre_basis(self, group, monkeypatch):
