@@ -88,6 +88,15 @@ def _integer(x, path) -> int:
     return x
 
 
+def _tolerance(x, path, *, zero_ok=False) -> float:
+    """A finite number > 0, or >= 0 where ``zero_ok`` allows an exact match."""
+    tol = _number(x, path)
+    if not (0.0 <= tol if zero_ok else 0.0 < tol) or tol == math.inf:
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ScenarioError(path, f"expected a finite number {bound}, got {tol!r}")
+    return tol
+
+
 def _extended(x, path) -> float:
     # Interval endpoints admit the two infinities, spelled as strings
     # because strict JSON has no literal for them.
@@ -726,7 +735,8 @@ def check_expectations(result: dict, expect: dict, path: str) -> list[str]:
             raise ScenarioError(here, "expected an object with equals/min/max")
         value = result[key]
         if "equals" in rule:
-            ok, msg = _close(value, rule["equals"], _number(rule.get("tol", 0.0), here), key)
+            tol = _tolerance(rule.get("tol", 0.0), f"{here}.tol", zero_ok=True)
+            ok, msg = _close(value, rule["equals"], tol, key)
             if not ok:
                 failures.append(msg)
         for bound, cmp in (("min", lambda v, b: v >= b), ("max", lambda v, b: v <= b)):
@@ -760,9 +770,7 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
         names.append(name)
         tol = tolerance
         if "tolerance" in task:
-            tol = _number(task["tolerance"], f"{path}.tolerance")
-            if not 0.0 < tol < math.inf:
-                raise ScenarioError(f"{path}.tolerance", f"expected a finite number > 0, got {tol!r}")
+            tol = _tolerance(task["tolerance"], f"{path}.tolerance")
         tols.append(tol)
         if "expect" in task and not isinstance(task["expect"], dict):
             raise ScenarioError(f"{path}.expect", "expected an object of result fields to rules")
@@ -915,7 +923,7 @@ def main(argv=None) -> int:
         report = run_scenario(
             doc,
             seed=seed,
-            tolerance=args.tolerance,
+            tolerance=_tolerance(args.tolerance, "--tolerance"),
             kms_sign=args.kms_sign,
             verbose=args.verbose,
             out=sys.stdout,

@@ -123,7 +123,7 @@ class Povm:
     space: ValueSpace
     effects: list[np.ndarray]
     # For phase observables, the correlation matrix that generated the
-    # effects; circle-frame relativisation needs it to contract modes.
+    # effects; circle-frame relativisation builds each node's effect from it.
     phase_c: np.ndarray | None = None
 
     def __post_init__(self) -> None:

@@ -19,7 +19,6 @@ from .opcore import (
     check_density,
     dagger,
     op_norm,
-    partial_trace,
 )
 from .symmetry import CircleRep, FiniteRep, Rep
 from .vnalg import OperatorAlgebra, _worst_residual
@@ -45,8 +44,7 @@ class GroupAction:
         rows = self.algebra.rows
         d = self.rep.dim
         basis = rows.reshape(-1, d, d)
-        for g in self.rep.group.quadrature_nodes():
-            u = self.rep.unitary(g)
+        for u in self.rep.unitary_stack(self.rep.group.quadrature_nodes()):
             moved = (u @ basis @ dagger(u)).reshape(rows.shape)
             if _worst_residual(moved, rows) > _INVARIANCE_TOL:
                 raise ValueError("representation does not preserve the algebra")
@@ -68,14 +66,40 @@ def _stabiliser_defect(x: np.ndarray, action: GroupAction, frame: QuantumReferen
     return worst
 
 
-def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:
-    """Pair the orbit of x with the frame effects.
+def _orbit_and_effects(
+    x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
+) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit X_k = U_S(g_k) x U_S(g_k)^dag at the frame's group points,
+    stacked with the effect E_k that each point carries.
 
-    For finitely many cells this is sum_s U(g_s) x U(g_s)^dag (x) E_s over
-    coset representatives g_s; x must be invariant under the stabiliser
-    subgroup for the result to be independent of how representatives were
-    chosen. Band-limited circle frames contract Fourier modes exactly
-    instead of summing.
+    A finite frame pairs cell s with its coset representative g_s and its
+    effect E_s. A phase frame pairs each of the 4B + 1 quadrature nodes theta
+    of its group with U_R(theta) c U_R(theta)^dag / (4B + 1).
+    """
+    if isinstance(frame.rep, FiniteRep):
+        cells: CosetCells = frame.povm.space
+        points = np.array(cells.space.representatives)
+        effects = np.array(frame.povm.effects)
+    else:
+        c = _phase_density_matrix(frame)
+        points = frame.rep.group.quadrature_nodes()
+        ur = frame.rep.unitary_stack(points)
+        effects = ur @ c @ ur.conj().transpose(0, 2, 1) / points.size
+    us = action.rep.unitary_stack(points)
+    return us @ x @ us.conj().transpose(0, 2, 1), effects
+
+
+def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:
+    """Pair the orbit of x with the frame effects: sum_k X_k (x) E_k.
+
+    The points g_k are the coset representatives of a finite frame, whose
+    input x must be invariant under the stabiliser subgroup for the result
+    to be independent of how representatives were chosen. For a circle
+    frame they are the group's 4B + 1 quadrature nodes, and the node sum is
+    the exact circle integral: ``_require_same_group`` makes both reps share
+    the band limit B, so an orbit entry carries a frequency of at most 2B,
+    an effect entry one of at most 2B, and every entry of the sum one of at
+    most 4B < 4B + 1.
     """
     x = as_operator(x)
     _require_same_group(action, frame)
@@ -85,14 +109,9 @@ def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame)
         raise ValueError("observable lies outside the system algebra")
     if _stabiliser_defect(x, action, frame) > _INVARIANCE_TOL * max(1.0, op_norm(x)):
         raise ValueError("relativisation requires stabiliser-invariant input")
-    if isinstance(frame.rep, FiniteRep):
-        cells: CosetCells = frame.povm.space
-        d_s, d_r = action.rep.dim, frame.rep.dim
-        out = np.zeros((d_s * d_r, d_s * d_r), dtype=complex)
-        for s, g_s in enumerate(cells.space.representatives):
-            out += np.kron(action.rep.conjugate(g_s, x), frame.povm.effects[s])
-        return out
-    return _relativize_circle(x, action, frame)
+    orbit, effects = _orbit_and_effects(x, action, frame)
+    d = action.rep.dim * frame.rep.dim
+    return np.tensordot(orbit, effects, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(d, d)
 
 
 def _phase_density_matrix(frame: QuantumReferenceFrame) -> np.ndarray:
@@ -105,38 +124,6 @@ def _phase_density_matrix(frame: QuantumReferenceFrame) -> np.ndarray:
     return c
 
 
-def _circle_modes(
-    x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared set-up of the two exact circle contractions.
-
-    Returns x in the eigenbasis of the system generator, the phase density
-    c, and the mode mask mask[j, n, k, m] = (k_j - k_k + N_n - N_m == 0):
-    the orbit entry x_jk carries e^{i theta (k_j - k_k)}, the density entry
-    c_nm carries e^{i theta (N_n - N_m)}, and integrating over the circle
-    keeps exactly the pairs whose frequencies cancel.
-    """
-    c = _phase_density_matrix(frame)
-    v = action.rep.vecs
-    k = action.rep.freqs
-    nr = np.rint(np.diag(frame.rep.generator).real).astype(int)
-    nu = k[:, None, None, None] - k[None, None, :, None]
-    mask = nu + nr[None, :, None, None] - nr[None, None, None, :] == 0
-    return dagger(v) @ x @ v, c, mask
-
-
-def _relativize_circle(
-    x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
-) -> np.ndarray:
-    """Exact Fourier-mode contraction of the orbit against the phase density."""
-    xt, c, mask = _circle_modes(x, action, frame)
-    v = action.rep.vecs
-    d_s, d_r = action.rep.dim, frame.rep.dim
-    out = np.where(mask, xt[:, None, :, None] * c[None, :, None, :], 0.0)
-    big_v = np.kron(v, np.eye(d_r))
-    return big_v @ out.reshape(d_s * d_r, d_s * d_r) @ dagger(big_v)
-
-
 def restrict(joint: np.ndarray, sigma: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Slice a joint observable at a frame state: X -> tr_R(X (1 (x) sigma))."""
     joint = as_operator(joint, "joint observable")
@@ -144,7 +131,9 @@ def restrict(joint: np.ndarray, sigma: np.ndarray, dims: tuple[int, int]) -> np.
     d_s, d_r = dims
     if sigma.shape[0] != d_r:
         raise ValueError("frame state dimension mismatch")
-    return partial_trace(joint @ np.kron(np.eye(d_s), sigma), dims, "second")
+    if joint.shape[0] != d_s * d_r:
+        raise ValueError("incompatible factor dimensions")
+    return np.einsum("injm,mn->ij", joint.reshape(d_s, d_r, d_s, d_r), sigma)
 
 
 def expected_relative_outcome(
@@ -158,44 +147,26 @@ def expected_relative_outcome(
     """Expectation of the relativised observable in a product state.
 
     Evaluated twice: directly on the joint space, and as the orbit
-    expectation weighted by the frame's outcome distribution. The two
-    routes must agree; their residual is part of the runtime contract.
+    expectation weighted by the frame's outcome distribution,
+    sum_k tr(omega_S X_k) tr(omega_R E_k), which never forms the joint
+    operator. The two routes must agree; their residual is part of the
+    runtime contract.
     """
     omega_s = check_density(omega_s)
     omega_r = check_density(omega_r)
-    joint = relativize(x, action, frame)
-    direct = complex(np.trace(np.kron(omega_s, omega_r) @ joint))
-    if isinstance(frame.rep, FiniteRep):
-        cells: CosetCells = frame.povm.space
-        weighted = 0.0 + 0.0j
-        for s, g_s in enumerate(cells.space.representatives):
-            orbit = complex(np.trace(omega_s @ action.rep.conjugate(g_s, x)))
-            weight = complex(np.trace(omega_r @ frame.povm.effects[s]))
-            weighted += orbit * weight
-    else:
-        weighted = _circle_pairing(x, action, frame, omega_s, omega_r)
+    d_s, d_r = action.rep.dim, frame.rep.dim
+    joint = relativize(x, action, frame).reshape(d_s, d_r, d_s, d_r)
+    direct = complex(np.einsum("injm,ji,mn->", joint, omega_s, omega_r))
+    orbit, effects = _orbit_and_effects(x, action, frame)
+    weighted = complex(
+        np.einsum("kij,ji->k", orbit, omega_s) @ np.einsum("kij,ji->k", effects, omega_r)
+    )
     if abs(direct - weighted) > tol * max(1.0, abs(direct)):
         raise RuntimeError(
             "joint and outcome-weighted expectations disagree: "
             f"{direct!r} vs {weighted!r}"
         )
     return direct
-
-
-def _circle_pairing(
-    x: np.ndarray,
-    action: GroupAction,
-    frame: QuantumReferenceFrame,
-    omega_s: np.ndarray,
-    omega_r: np.ndarray,
-) -> complex:
-    # integral of omega_S(orbit(theta)) against the outcome density of
-    # omega_R, contracted mode by mode. It is kept apart from relativize so
-    # that expected_relative_outcome compares two independent routes.
-    xt, c, mask = _circle_modes(x, action, frame)
-    v = action.rep.vecs
-    rs = dagger(v) @ omega_s @ v
-    return complex(np.einsum("jnkm,jk,kj,nm,mn->", mask, xt, rs, c, omega_r))
 
 
 def localization_defect(

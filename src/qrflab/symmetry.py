@@ -8,9 +8,9 @@ average suffices for left and right invariance.
 Every group exposes the same quadrature through ``quadrature_nodes()``:
 the element indices of a finite group, or the ``4 * bandwidth + 1``
 equispaced angles of the band-limited circle. The nodes carry equal
-weights, and ``rep.unitary(node)`` gives the representation there, so a
-Haar average is ``sum(f(node) for node in nodes) / nodes.size`` for both
-kinds of group.
+weights, and ``rep.unitary_stack(nodes)`` gives the representation at
+all of them at once, so a Haar average is
+``sum(f(node) for node in nodes) / nodes.size`` for both kinds of group.
 
 Fixed points of a conjugation action have one kernel,
 ``tensor_fixed_point_rows``: the Ad(U (x) V) fixed points of M (x) B(H_V)
@@ -240,6 +240,10 @@ class FiniteRep:
     def unitary(self, g: int) -> np.ndarray:
         return self.unitaries[g]
 
+    def unitary_stack(self, points: np.ndarray) -> np.ndarray:
+        """The unitaries at an array of element indices, stacked on axis 0."""
+        return np.array([self.unitaries[g] for g in points])
+
     def conjugate(self, g: int, x: np.ndarray) -> np.ndarray:
         u = self.unitaries[g]
         return u @ x @ dagger(u)
@@ -277,6 +281,11 @@ class CircleRep:
     def unitary(self, theta: float) -> np.ndarray:
         phases = np.exp(1j * theta * self.freqs)
         return (self.vecs * phases) @ dagger(self.vecs)
+
+    def unitary_stack(self, points: np.ndarray) -> np.ndarray:
+        """U(theta) at an array of angles, stacked on axis 0."""
+        phases = np.exp(1j * np.multiply.outer(points, self.freqs))
+        return (self.vecs * phases[:, None, :]) @ dagger(self.vecs)
 
     def conjugate(self, theta: float, x: np.ndarray) -> np.ndarray:
         u = self.unitary(theta)
@@ -333,8 +342,8 @@ def average_over_group(u: Rep, v: Rep, x: np.ndarray) -> np.ndarray:
         raise ValueError("operator has non-finite entries")
     nodes = u.group.quadrature_nodes()
     acc = np.zeros_like(x)
-    for g in nodes:
-        acc += u.unitary(g) @ x @ dagger(v.unitary(g))
+    for ug, vg in zip(u.unitary_stack(nodes), v.unitary_stack(nodes)):
+        acc += ug @ x @ dagger(vg)
     return acc / nodes.size
 
 
@@ -365,10 +374,9 @@ def tensor_fixed_point_rows(rows: np.ndarray, u: Rep, v: Rep) -> np.ndarray:
     m = a.shape[0]
     a_conj = a.reshape(m, -1).conj()
     nodes = u.group.quadrature_nodes()
-    vs = np.array([v.unitary(g) for g in nodes])
+    vs = v.unitary_stack(nodes)
     cs = np.empty((nodes.size, m, m), dtype=complex)
-    for c, g in zip(cs, nodes):
-        ug = u.unitary(g)
+    for c, ug in zip(cs, u.unitary_stack(nodes)):
         c[...] = a_conj @ (ug @ a @ dagger(ug)).reshape(m, -1).T
     chi = np.trace(cs, axis1=1, axis2=2)
     trace = complex(chi @ np.abs(np.trace(vs, axis1=1, axis2=2)) ** 2) / nodes.size

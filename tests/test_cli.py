@@ -297,15 +297,36 @@ class TestConfigErrors:
             ({}, {"name": ["band"]}, "tasks[0].name"),
             ({}, {"expect": [{"value": {"max": 2.0}}]}, "tasks[0].expect"),
             ({}, {"op": ["trace_of_band"]}, "tasks[0].op"),
+            ({}, {"expect": {"value": {"equals": 1.718281828459045, "tol": -1}}},
+             "tasks[0].expect.value.tol"),
+            ({}, {"expect": {"value": {"equals": 1.718281828459045, "tol": float("nan")}}},
+             "tasks[0].expect.value.tol"),
         ],
         ids=[
             "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-negative",
             "tolerance-zero", "tolerance-inf", "seed-string", "name-list", "expect-list", "op-list",
+            "expect-tol-negative", "expect-tol-nan",
         ],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, top, task, where):
         path = write_scenario(tmp_path, {"version": 1, **top, "tasks": [band_task(**task)]})
         self.assert_config_error(capsys, path, f"config error: {where}: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_malformed_tolerance_flag_is_a_config_error(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, {"version": 1, "tasks": [band_task()]})
+        report = tmp_path / "report"
+        code, _, err = run_cli(capsys, "run", str(path), "--tolerance", value, "--report", str(report))
+        assert code == 2
+        assert err.startswith("config error: --tolerance: expected a finite number > 0")
+        assert not report.exists()
+
+    def test_expect_tol_of_zero_is_valid(self, tmp_path, capsys):
+        exact = {"value": {"equals": 1.718281828459045, "tol": 0}}
+        path = write_scenario(tmp_path, {"version": 1, "tasks": [band_task(expect=exact)]})
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 0
+        assert "1/1 tasks passed" in out
 
 
 def test_schema_document_matches_the_runner():

@@ -30,11 +30,13 @@ from qrflab.symmetry import (
 )
 from qrflab.vnalg import OperatorAlgebra, algebra_from_matrices, generate_algebra
 
+import _relativise_oracles as oracle
 from _factories import (
     SIGMA_X,
     SIGMA_Z,
     random_complex,
     random_density,
+    random_hermitian,
     random_unitary,
 )
 
@@ -311,7 +313,7 @@ class TestCircleFrames:
             x = random_complex(rng, 3)
             omega_s, omega_r = random_density(rng, 3), random_density(rng, 4)
             want = np.trace(np.kron(omega_s, omega_r) @ circle_oracle(x, sys_gen, frame_gen, c))
-            # raises RuntimeError if the joint and mode-contraction routes disagree
+            # raises RuntimeError if the joint and outcome-weighted routes disagree
             got = expected_relative_outcome(x, action, frame, omega_s, omega_r)
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
@@ -324,3 +326,103 @@ class TestCircleFrames:
         assert want >= 0.1
         got = localization_defect(x, action, frame, sigma)
         assert got == pytest.approx(want, abs=1e-12 * max(1.0, want))
+
+
+def thermal_frame_case(rng):
+    """The largest relativise shape of the thermal-frames benchmark: M_10
+    under a random circle generator with frequencies in [-12, 12], observed
+    through a 24-level phase frame with frame frequencies 0..23, all under
+    the band limit B = 23, on a random four-arc partition."""
+    d_s, d_r = 10, 24
+    group = CircleGroup(d_r - 1)
+    w = random_unitary(rng, d_s)
+    sys_gen = (w * rng.integers(-(d_r // 2), d_r // 2 + 1, d_s)) @ dagger(w)
+    frame_gen = np.diag(np.arange(d_r)).astype(complex)
+    vecs = random_complex(rng, d_r)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    c = dagger(vecs) @ vecs
+    partition = CirclePartition(tuple(np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))))
+    frame = QuantumReferenceFrame(CircleRep(group, frame_gen), phase_povm(d_r, c, partition))
+    full = OperatorAlgebra(d_s, np.eye(d_s * d_s, dtype=complex))
+    return GroupAction(full, CircleRep(group, sys_gen)), frame, sys_gen, frame_gen, c
+
+
+def oracle_case(name, rng):
+    """(action, frame, x, oracle joint operator, oracle expectation) for one
+    of the three frames the one quadrature path is pinned on."""
+    if name == "coset":
+        g, lam, action, frame, _ = coset_fixture()
+        # a random element of the translation algebra, averaged over the
+        # stabiliser so that relativisation accepts it
+        a = sum(z * lam.unitary(k) for k, z in enumerate(random_complex(rng, 1, g.order)[0]))
+        sub = frame.povm.space.space.subgroup
+        x = sum(lam.conjugate(h, a) for h in sub) / len(sub)
+        us = [lam.unitary(r) for r in frame.povm.space.space.representatives]
+        effects = frame.povm.effects
+        return (
+            action, frame, x, oracle.finite_relativize(x, us, effects),
+            lambda om_s, om_r: oracle.finite_expectation(x, us, effects, om_s, om_r),
+        )
+    builder = circle_fixture if name == "circle" else thermal_frame_case
+    action, frame, sys_gen, frame_gen, c = builder(rng)
+    x = random_complex(rng, action.rep.dim)
+    return (
+        action, frame, x, oracle.circle_relativize(x, sys_gen, frame_gen, c),
+        lambda om_s, om_r: oracle.circle_expectation(x, sys_gen, frame_gen, c, om_s, om_r),
+    )
+
+
+ORACLE_CASES = ["circle", "thermal-10x24", "coset"]
+
+
+class TestOneQuadraturePath:
+    """relativize, expected_relative_outcome and localization_defect against
+    the test-side mode contraction and Kronecker sum."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_relativize_matches_the_oracle(self, rng, name):
+        action, frame, x, want, _ = oracle_case(name, rng)
+        got = relativize(x, action, frame)
+        assert op_norm(got - want) <= 1e-12 * op_norm(want)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_expected_outcome_matches_the_oracle(self, rng, name):
+        action, frame, x, _, expectation = oracle_case(name, rng)
+        omega_s = random_density(rng, action.rep.dim)
+        omega_r = random_density(rng, frame.rep.dim)
+        want = expectation(omega_s, omega_r)
+        got = expected_relative_outcome(x, action, frame, omega_s, omega_r)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_localization_defect_matches_the_oracle(self, rng, name):
+        action, frame, x, joint, _ = oracle_case(name, rng)
+        d_s, d_r = action.rep.dim, frame.rep.dim
+        sigma = random_density(rng, d_r)
+        want = op_norm(oracle.restrict(joint, sigma, d_s, d_r) - x)
+        assert want >= 0.1
+        got = localization_defect(x, action, frame, sigma)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_restrict_matches_the_kronecker_route(self, rng):
+        joint = random_complex(rng, 12)
+        sigma = random_density(rng, 4)
+        want = oracle.restrict(joint, sigma, 3, 4)
+        assert op_norm(restrict(joint, sigma, (3, 4)) - want) <= 1e-12 * op_norm(want)
+
+    def test_restrict_rejects_a_joint_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="incompatible factor dimensions"):
+            restrict(np.eye(6), np.eye(2) / 2, (2, 2))
+
+    def test_circle_frame_without_its_c_matrix_is_rejected(self, rng):
+        action, frame, *_ = circle_fixture(rng)
+        bare = QuantumReferenceFrame(frame.rep, Povm(frame.povm.space, frame.povm.effects))
+        with pytest.raises(ValueError, match="needs a phase POVM with its c matrix"):
+            relativize(random_hermitian(rng, 3), action, bare)
+
+    def test_non_diagonal_frame_generator_is_rejected(self, rng):
+        action, frame, _, frame_gen, _ = circle_fixture(rng)
+        v = random_unitary(rng, 4)
+        turned = CircleRep(frame.rep.group, v @ frame_gen @ dagger(v))
+        with pytest.raises(ValueError, match="generator must be diagonal in the POVM basis"):
+            relativize(random_hermitian(rng, 3), action, QuantumReferenceFrame(turned, frame.povm))

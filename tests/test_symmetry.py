@@ -593,6 +593,20 @@ class TestCircle:
         assert np.allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["finite", "circle"])
+def test_unitary_stack_matches_the_unitary_at_each_node(rng, kind):
+    if kind == "finite":
+        rep = regular_representation(symmetric_group(3))
+    else:
+        w = random_unitary(rng, 3)
+        rep = CircleRep(CircleGroup(2), w @ np.diag([-2.0, 0.0, 1.0]) @ w.conj().T)
+    nodes = rep.group.quadrature_nodes()
+    stack = rep.unitary_stack(nodes)
+    assert stack.shape == (nodes.size, rep.dim, rep.dim)
+    for u, g in zip(stack, nodes):
+        assert rel_err(u, rep.unitary(g)) <= 1e-14
+
+
 class TestTensorRep:
     def test_finite_tensor_is_pointwise_kron(self):
         g = cyclic_group(2)
