@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -76,8 +77,12 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _number(x, path) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if not _is_number(x):
         raise ScenarioError(path, f"expected a number, got {x!r}")
     return float(x)
 
@@ -107,16 +112,33 @@ def _extended(x, path) -> float:
     return _number(x, path)
 
 
+def _list(x, path, item, *, nonempty=False) -> list:
+    """A list-valued field, entry i read with ``item(v, f"{path}[{i}]")``."""
+    if not isinstance(x, list) or (nonempty and not x):
+        raise ScenarioError(path, f"expected a {'non-empty ' if nonempty else ''}list, got {x!r}")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(x)]
+
+
+def _fixed(x, path, *items) -> tuple:
+    """A list of exactly ``len(items)`` entries, entry i read with ``items[i]``."""
+    if not isinstance(x, list) or len(x) != len(items):
+        raise ScenarioError(path, f"expected a list of {len(items)} entries, got {x!r}")
+    return tuple(item(v, f"{path}[{i}]") for i, (item, v) in enumerate(zip(items, x)))
+
+
+@contextmanager
+def _config(path):
+    """Report a library ``ValueError`` raised while building ``path`` as a config error."""
+    try:
+        yield
+    except ValueError as e:
+        raise ScenarioError(path, str(e)) from None
+
+
 def _entry(x, path) -> complex:
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return complex(x)
-    if (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-    ):
-        return complex(x[0], x[1])
-    raise ScenarioError(path, f"matrix entries are numbers or [re, im] pairs, got {x!r}")
+    if isinstance(x, list):
+        return complex(*_fixed(x, path, _number, _number))
+    return complex(_number(x, path))
 
 
 def _matrix(x, path) -> np.ndarray:
@@ -125,38 +147,21 @@ def _matrix(x, path) -> np.ndarray:
     width = len(x[0])
     if width == 0 or any(len(r) != width for r in x):
         raise ScenarioError(path, "matrix rows differ in length")
-    return np.array(
-        [[_entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(x)],
-        dtype=complex,
-    )
+    return np.array(_list(x, path, lambda row, here: _list(row, here, _entry)), dtype=complex)
+
+
+def _weight(x, path):
+    return tc.INFINITE if x == "INFINITE" else _integer(x, path)
 
 
 def _multiplicity(terms, path) -> tc.SpectralMultiplicity:
-    if not isinstance(terms, list):
-        raise ScenarioError(path, "expected a list of [weight, lower, upper] terms")
-    parsed = []
-    for i, t in enumerate(terms):
-        here = f"{path}[{i}]"
-        if not isinstance(t, list) or len(t) != 3:
-            raise ScenarioError(here, "each term is [weight, lower, upper]")
-        w = tc.INFINITE if t[0] == "INFINITE" else _integer(t[0], here)
-        parsed.append((w, _extended(t[1], here), _extended(t[2], here)))
-    try:
+    parsed = _list(terms, path, lambda t, here: _fixed(t, here, _weight, _extended, _extended))
+    with _config(path):
         return tc.SpectralMultiplicity(parsed)
-    except ValueError as e:
-        raise ScenarioError(path, str(e)) from None
 
 
 def _intervals(x, path) -> list[tuple[float, float]]:
-    if not isinstance(x, list):
-        raise ScenarioError(path, "expected a list of [lower, upper] intervals")
-    out = []
-    for i, pair in enumerate(x):
-        here = f"{path}[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(here, "each interval is [lower, upper]")
-        out.append((_extended(pair[0], here), _extended(pair[1], here)))
-    return out
+    return _list(x, path, lambda pair, here: _fixed(pair, here, _extended, _extended))
 
 
 # ------------------------------------------------------------- serialising
@@ -199,7 +204,7 @@ def _lookup(table: dict, name, path: str, what: str):
     return table[name]
 
 
-def _build_group(spec, path):
+def _build_group(ctx: Context, spec, path):
     kind = _require(spec, "kind", path)
     if kind == "cyclic":
         return cyclic_group(_integer(_require(spec, "n", path), f"{path}.n"))
@@ -213,60 +218,50 @@ def _build_group(spec, path):
 def _build_rep(ctx: Context, spec, path):
     kind = _require(spec, "kind", path)
     group = _lookup(ctx.groups, _require(spec, "group", path), f"{path}.group", "group")
-    try:
-        if kind == "regular":
-            return regular_representation(group)
-        if kind == "matrices":
-            mats = _require(spec, "unitaries", path)
-            if not isinstance(mats, list):
-                raise ScenarioError(f"{path}.unitaries", "expected a list of matrices")
-            us = [_matrix(m, f"{path}.unitaries[{i}]") for i, m in enumerate(mats)]
-            return FiniteRep(group, us)
-        if kind == "circle":
-            gen = _matrix(_require(spec, "generator", path), f"{path}.generator")
-            return CircleRep(group, gen)
-        if kind == "trivial":
-            return trivial_rep(group, _integer(_require(spec, "dim", path), f"{path}.dim"))
-    except ValueError as e:
-        raise ScenarioError(path, str(e)) from None
+    if kind == "regular":
+        return regular_representation(group)
+    if kind == "matrices":
+        us = _list(_require(spec, "unitaries", path), f"{path}.unitaries", _matrix)
+        return FiniteRep(group, us)
+    if kind == "circle":
+        gen = _matrix(_require(spec, "generator", path), f"{path}.generator")
+        return CircleRep(group, gen)
+    if kind == "trivial":
+        return trivial_rep(group, _integer(_require(spec, "dim", path), f"{path}.dim"))
     raise ScenarioError(path, f"unknown representation kind {kind!r}")
 
 
 def _build_algebra(ctx: Context, spec, path):
     kind = _require(spec, "kind", path)
-    try:
-        if kind == "full":
-            d = _integer(_require(spec, "dim", path), f"{path}.dim")
-            return OperatorAlgebra(d, np.eye(d * d, dtype=complex))
-        if kind == "trivial":
-            d = _integer(_require(spec, "dim", path), f"{path}.dim")
-            rows = np.eye(d, dtype=complex).reshape(1, d * d) / math.sqrt(d)
-            return OperatorAlgebra(d, rows)
-        if kind == "diagonal":
-            d = _integer(_require(spec, "dim", path), f"{path}.dim")
-            rows = np.zeros((d, d * d), dtype=complex)
-            for i in range(d):
-                rows[i, i * d + i] = 1.0
-            return OperatorAlgebra(d, rows)
-        if kind == "generated":
-            d = _integer(_require(spec, "ambient_dim", path), f"{path}.ambient_dim")
-            mats = _require(spec, "generators", path)
-            gens = [_matrix(m, f"{path}.generators[{i}]") for i, m in enumerate(mats)]
-            return generate_algebra(gens, d)
-        if kind == "group":
-            rep = _lookup(ctx.reps, _require(spec, "rep", path), f"{path}.rep", "representation")
-            if not isinstance(rep, FiniteRep):
-                raise ScenarioError(path, "group algebras need a finite representation")
-            return generate_algebra(list(rep.unitaries), rep.dim)
-    except ValueError as e:
-        raise ScenarioError(path, str(e)) from None
+    if kind == "full":
+        d = _integer(_require(spec, "dim", path), f"{path}.dim")
+        return OperatorAlgebra(d, np.eye(d * d, dtype=complex))
+    if kind == "trivial":
+        d = _integer(_require(spec, "dim", path), f"{path}.dim")
+        rows = np.eye(d, dtype=complex).reshape(1, d * d) / math.sqrt(d)
+        return OperatorAlgebra(d, rows)
+    if kind == "diagonal":
+        d = _integer(_require(spec, "dim", path), f"{path}.dim")
+        rows = np.zeros((d, d * d), dtype=complex)
+        for i in range(d):
+            rows[i, i * d + i] = 1.0
+        return OperatorAlgebra(d, rows)
+    if kind == "generated":
+        d = _integer(_require(spec, "ambient_dim", path), f"{path}.ambient_dim")
+        gens = _list(_require(spec, "generators", path), f"{path}.generators", _matrix)
+        return generate_algebra(gens, d)
+    if kind == "group":
+        rep = _lookup(ctx.reps, _require(spec, "rep", path), f"{path}.rep", "representation")
+        if not isinstance(rep, FiniteRep):
+            raise ScenarioError(path, "group algebras need a finite representation")
+        return generate_algebra(list(rep.unitaries), rep.dim)
     raise ScenarioError(path, f"unknown algebra kind {kind!r}")
 
 
 def _build_state(ctx: Context, spec, path) -> np.ndarray:
     if isinstance(spec, str):
         return _lookup(ctx.states, spec, path, "state")
-    try:
+    with _config(path):
         if isinstance(spec, dict):
             kind = _require(spec, "kind", path)
             if kind == "gibbs":
@@ -281,21 +276,15 @@ def _build_state(ctx: Context, spec, path) -> np.ndarray:
                 rho = v @ v.conj().T
                 return rho / np.trace(rho).real
             if kind == "pure":
-                raw = _require(spec, "vector", path)
-                if not isinstance(raw, list) or not raw:
-                    raise ScenarioError(f"{path}.vector", "expected a non-empty list")
-                v = np.array(
-                    [_entry(x, f"{path}.vector[{i}]") for i, x in enumerate(raw)], dtype=complex
-                )
+                here = f"{path}.vector"
+                v = np.array(_list(_require(spec, "vector", path), here, _entry, nonempty=True))
                 n = np.linalg.norm(v)
                 if n < 1e-12:
-                    raise ScenarioError(f"{path}.vector", "vector has zero norm")
+                    raise ScenarioError(here, "vector has zero norm")
                 v = v / n
                 return np.outer(v, v.conj())
             raise ScenarioError(path, f"unknown state kind {kind!r}")
         return check_density(_matrix(spec, path))
-    except ValueError as e:
-        raise ScenarioError(path, str(e)) from None
 
 
 def _build_cells(ctx: Context, spec, path, n_effects: int):
@@ -306,80 +295,68 @@ def _build_cells(ctx: Context, spec, path, n_effects: int):
         return PlainCells(_integer(spec.get("size", n_effects), f"{path}.size"))
     if kind == "coset":
         group = _lookup(ctx.groups, _require(spec, "group", path), f"{path}.group", "group")
-        sub = _require(spec, "subgroup", path)
-        if not isinstance(sub, list):
-            raise ScenarioError(f"{path}.subgroup", "expected a list of element indices")
-        members = tuple(_integer(g, f"{path}.subgroup[{i}]") for i, g in enumerate(sub))
-        try:
-            return CosetCells(HomogeneousSpace(group, members))
-        except ValueError as e:
-            raise ScenarioError(path, str(e)) from None
+        members = _list(_require(spec, "subgroup", path), f"{path}.subgroup", _integer)
+        with _config(path):
+            return CosetCells(HomogeneousSpace(group, tuple(members)))
     raise ScenarioError(path, f"unknown cell kind {kind!r}")
 
 
 def _build_frame(ctx: Context, spec, path):
     kind = _require(spec, "kind", path)
-    try:
-        if kind == "ideal":
-            rep = _lookup(ctx.reps, _require(spec, "rep", path), f"{path}.rep", "representation")
-            return ideal_frame(rep)
-        if kind == "explicit":
-            raw = _require(spec, "effects", path)
-            effects = [_matrix(m, f"{path}.effects[{i}]") for i, m in enumerate(raw)]
-            rep = None
-            if spec.get("rep") is not None:
-                rep = _lookup(ctx.reps, spec["rep"], f"{path}.rep", "representation")
-            if spec.get("cells") is None and isinstance(rep, FiniteRep):
-                # One effect per group element: the principal value space.
-                g = rep.group
-                cells = CosetCells(HomogeneousSpace(g, (g.identity,)))
-            else:
-                cells = _build_cells(ctx, spec.get("cells"), f"{path}.cells", len(effects))
-            povm = Povm(cells, effects)
-            return povm if rep is None else QuantumReferenceFrame(rep, povm)
-        if kind == "phase":
-            rep = _lookup(ctx.reps, _require(spec, "rep", path), f"{path}.rep", "representation")
-            if not isinstance(rep, CircleRep):
-                raise ScenarioError(f"{path}.rep", "phase frames need a circle representation")
-            c = _matrix(_require(spec, "c", path), f"{path}.c")
-            raw = _require(spec, "boundaries", path)
-            bounds = tuple(_number(b, f"{path}.boundaries[{i}]") for i, b in enumerate(raw))
-            povm = phase_povm(rep.dim, c, CirclePartition(bounds))
-            return QuantumReferenceFrame(rep, povm)
-    except ValueError as e:
-        raise ScenarioError(path, str(e)) from None
+    if kind == "ideal":
+        rep = _lookup(ctx.reps, _require(spec, "rep", path), f"{path}.rep", "representation")
+        return ideal_frame(rep)
+    if kind == "explicit":
+        effects = _list(_require(spec, "effects", path), f"{path}.effects", _matrix)
+        rep = None
+        if spec.get("rep") is not None:
+            rep = _lookup(ctx.reps, spec["rep"], f"{path}.rep", "representation")
+        if spec.get("cells") is None and isinstance(rep, FiniteRep):
+            # One effect per group element: the principal value space.
+            g = rep.group
+            cells = CosetCells(HomogeneousSpace(g, (g.identity,)))
+        else:
+            cells = _build_cells(ctx, spec.get("cells"), f"{path}.cells", len(effects))
+        povm = Povm(cells, effects)
+        return povm if rep is None else QuantumReferenceFrame(rep, povm)
+    if kind == "phase":
+        rep = _lookup(ctx.reps, _require(spec, "rep", path), f"{path}.rep", "representation")
+        if not isinstance(rep, CircleRep):
+            raise ScenarioError(f"{path}.rep", "phase frames need a circle representation")
+        c = _matrix(_require(spec, "c", path), f"{path}.c")
+        bounds = _list(_require(spec, "boundaries", path), f"{path}.boundaries", _number)
+        povm = phase_povm(rep.dim, c, CirclePartition(tuple(bounds)))
+        return QuantumReferenceFrame(rep, povm)
     raise ScenarioError(path, f"unknown frame kind {kind!r}")
 
 
-def _build_scheme(spec, path) -> MeasurementScheme:
-    try:
-        return MeasurementScheme(
-            system_dim=_integer(_require(spec, "system_dim", path), f"{path}.system_dim"),
-            probe_dim=_integer(_require(spec, "probe_dim", path), f"{path}.probe_dim"),
-            scattering=_matrix(_require(spec, "scattering", path), f"{path}.scattering"),
-            probe_prep=_matrix(_require(spec, "probe_prep", path), f"{path}.probe_prep"),
-            probe_obs=_matrix(_require(spec, "probe_obs", path), f"{path}.probe_obs"),
-        )
-    except ValueError as e:
-        raise ScenarioError(path, str(e)) from None
+def _build_scheme(ctx: Context, spec, path) -> MeasurementScheme:
+    return MeasurementScheme(
+        system_dim=_integer(_require(spec, "system_dim", path), f"{path}.system_dim"),
+        probe_dim=_integer(_require(spec, "probe_dim", path), f"{path}.probe_dim"),
+        scattering=_matrix(_require(spec, "scattering", path), f"{path}.scattering"),
+        probe_prep=_matrix(_require(spec, "probe_prep", path), f"{path}.probe_prep"),
+        probe_obs=_matrix(_require(spec, "probe_obs", path), f"{path}.probe_obs"),
+    )
 
 
 def build_context(doc: dict, seed: int) -> Context:
     ctx = Context(rng=np.random.default_rng(seed))
-    for section, builder in (
-        ("groups", lambda s, p: _build_group(s, p)),
-        ("representations", lambda s, p: _build_rep(ctx, s, p)),
-        ("algebras", lambda s, p: _build_algebra(ctx, s, p)),
-        ("states", lambda s, p: _build_state(ctx, s, p)),
-        ("frames", lambda s, p: _build_frame(ctx, s, p)),
-        ("schemes", lambda s, p: _build_scheme(s, p)),
+    for section, target, builder in (
+        ("groups", ctx.groups, _build_group),
+        ("representations", ctx.reps, _build_rep),
+        ("algebras", ctx.algebras, _build_algebra),
+        ("states", ctx.states, _build_state),
+        ("frames", ctx.frames, _build_frame),
+        ("schemes", ctx.schemes, _build_scheme),
     ):
         block = doc.get(section, {})
         if not isinstance(block, dict):
             raise ScenarioError(section, "expected an object of named entries")
-        target = getattr(ctx, {"representations": "reps"}.get(section, section))
         for name, spec in block.items():
-            target[name] = builder(spec, f"{section}.{name}")
+            path = f"{section}.{name}"
+            with _config(path):
+                target[name] = builder(ctx, spec, path)
     return ctx
 
 
@@ -434,15 +411,11 @@ def _op_trace_of_band(ctx, args, path, tol, sign):
 
 
 def _op_kms_weight(ctx, args, path, tol, sign):
-    raw = _require(args, "steps", path)
-    steps = [
-        (
-            _number(s[0], f"{path}.steps[{i}]"),
-            _number(s[1], f"{path}.steps[{i}]"),
-            _number(s[2], f"{path}.steps[{i}]"),
-        )
-        for i, s in enumerate(raw)
-    ]
+    steps = _list(
+        _require(args, "steps", path),
+        f"{path}.steps",
+        lambda s, here: _fixed(s, here, _number, _number, _number),
+    )
     m = _multiplicity(_require(args, "terms", path), f"{path}.terms")
     beta = _number(_require(args, "beta", path), f"{path}.beta")
     return {"value": _real(tc.kms_weight_on_step(steps, m, beta))}
@@ -458,7 +431,7 @@ def _op_so3_partition(ctx, args, path, tol, sign):
         energies = lambda l: scale * math.log(2 * l + 1)
     elif kind == "explicit":
         vals = _require(spec, "values", f"{path}.energies")
-        energies = [_number(v, f"{path}.energies.values[{i}]") for i, v in enumerate(vals)]
+        energies = _list(vals, f"{path}.energies.values", _number)
     else:
         raise ScenarioError(f"{path}.energies", f"unknown energy model {kind!r}")
     beta = _number(_require(args, "beta", path), f"{path}.beta")
@@ -514,16 +487,12 @@ def _op_kms_check(ctx, args, path, tol, sign):
     rho = _build_state(ctx, _require(args, "state", path), f"{path}.state")
     h = _matrix(_require(args, "hamiltonian", path), f"{path}.hamiltonian")
     beta = _number(_require(args, "beta", path), f"{path}.beta")
-    raw = _require(args, "pairs", path)
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError(f"{path}.pairs", "expected a non-empty list of [x, y] pairs")
-    pairs = []
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"{path}.pairs[{i}]", "each pair is [x, y]")
-        pairs.append(
-            (_matrix(pair[0], f"{path}.pairs[{i}][0]"), _matrix(pair[1], f"{path}.pairs[{i}][1]"))
-        )
+    pairs = _list(
+        _require(args, "pairs", path),
+        f"{path}.pairs",
+        lambda pair, here: _fixed(pair, here, _matrix, _matrix),
+        nonempty=True,
+    )
     use_sign = args.get("sign", sign)
     report = kms_check(rho, h, beta, pairs, sign=use_sign, tol=tol)
     rows = [
@@ -720,6 +689,15 @@ def _deviation(value, target) -> float:
     return abs(float(value) - float(target))
 
 
+def _target(x, path):
+    """An ``equals`` target: a number, string, boolean or nested list of these."""
+    if isinstance(x, list):
+        return _list(x, path, _target)
+    if not isinstance(x, (int, float, str)):
+        raise ScenarioError(path, f"expected a number, string, boolean or list, got {x!r}")
+    return x
+
+
 def _close(value, target, tol, key):
     worst = _deviation(value, target)
     return worst <= tol, f"{key}: expected {target} within {tol}, got {value}"
@@ -736,13 +714,13 @@ def check_expectations(result: dict, expect: dict, path: str) -> list[str]:
         value = result[key]
         if "equals" in rule:
             tol = _tolerance(rule.get("tol", 0.0), f"{here}.tol", zero_ok=True)
-            ok, msg = _close(value, rule["equals"], tol, key)
+            ok, msg = _close(value, _target(rule["equals"], f"{here}.equals"), tol, key)
             if not ok:
                 failures.append(msg)
         for bound, cmp in (("min", lambda v, b: v >= b), ("max", lambda v, b: v <= b)):
             if bound in rule:
-                b = _number(rule[bound], here)
-                if isinstance(value, str) or not cmp(float(value), b):
+                b = _number(rule[bound], f"{here}.{bound}")
+                if not _is_number(value) or not cmp(value, b):
                     failures.append(f"{key}: expected {bound} {b}, got {value}")
         if not (set(rule) & {"equals", "min", "max"}):
             raise ScenarioError(here, "rule needs one of equals/min/max")

@@ -149,8 +149,12 @@ def expected_relative_outcome(
     Evaluated twice: directly on the joint space, and as the orbit
     expectation weighted by the frame's outcome distribution,
     sum_k tr(omega_S X_k) tr(omega_R E_k), which never forms the joint
-    operator. The two routes must agree; their residual is part of the
-    runtime contract.
+    operator. The two routes must agree, or a ``RuntimeError`` is raised.
+    Both take the orbit X_k and the node effects E_k from
+    ``_orbit_and_effects``, so their residual guards the contraction and
+    reshape in ``relativize`` but not the effects themselves; those are
+    checked against an independent Fourier-mode and coset-sum oracle by
+    ``tests/test_relativise.py::TestOneQuadraturePath``.
     """
     omega_s = check_density(omega_s)
     omega_r = check_density(omega_r)

@@ -162,6 +162,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n with permutations composed as functions, p*q : i -> p[q[i]]."""
+    if n < 1:
+        raise ValueError("symmetric group needs n >= 1")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)

@@ -188,22 +188,43 @@ class TestOutcomes:
         assert code == 1
         assert "expected the internal check to fail" in out
 
+    def test_bound_on_a_list_valued_field_fails_the_task(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "version": 1,
+            "groups": {"z2": {"kind": "cyclic", "n": 2}},
+            "representations": {"r": {"kind": "regular", "group": "z2"}},
+            "frames": {"f": {"kind": "ideal", "rep": "r"}},
+            "tasks": [{
+                "op": "frame_covariance", "name": "cov", "frame": "f",
+                "expect": {"norm1": {"max": 2}},
+            }],
+        })
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        first = out.splitlines()[0]
+        assert first.startswith("FAIL cov (frame_covariance): norm1: expected max 2.0, got [")
+        assert err == ""
+
     def test_verbose_prints_result_fields(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"version": 1, "tasks": [band_task()]})
         _, out, _ = run_cli(capsys, "run", str(path), "--verbose")
         assert "value" in out
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
-    """Run ``python -m qrflab.cli`` in a fresh interpreter."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a fresh interpreter with ``src`` on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "qrflab.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m qrflab.cli`` in a fresh interpreter."""
+    return run_python("-m", "qrflab.cli", *argv)
 
 
 class TestModuleEntryPoint:
@@ -217,6 +238,20 @@ class TestModuleEntryPoint:
         proc = run_module("run", str(path))
         assert proc.returncode != 0
         assert proc.stderr.startswith("config error:")
+
+
+class TestScripts:
+    """The example scripts the README names run from a source checkout."""
+
+    def test_type_survey(self):
+        proc = run_python(str(REPO / "scripts" / "type_survey.py"))
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^24 evaluations: ", proc.stdout, re.MULTILINE), proc.stdout
+
+    def test_modular_flow_demo(self):
+        proc = run_python(str(REPO / "scripts" / "modular_flow_demo.py"))
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^max residual \S+ \(ok\)$", proc.stdout, re.MULTILINE), proc.stdout
 
 
 class TestConfigErrors:
@@ -301,11 +336,41 @@ class TestConfigErrors:
              "tasks[0].expect.value.tol"),
             ({}, {"expect": {"value": {"equals": 1.718281828459045, "tol": float("nan")}}},
              "tasks[0].expect.value.tol"),
+            ({}, {"expect": {"value": {"equals": None}}}, "tasks[0].expect.value.equals"),
+            ({}, {"expect": {"value": {"equals": {"a": 1}}}}, "tasks[0].expect.value.equals"),
+            ({}, {"expect": {"value": {"max": "2"}}}, "tasks[0].expect.value.max"),
+            ({}, {"op": "kms_weight_on_step", "steps": 7, "terms": [[1, 0, 1]], "beta": 1.0},
+             "tasks[0].steps"),
+            ({}, {"op": "kms_weight_on_step", "steps": [[1, 0]], "terms": [[1, 0, 1]], "beta": 1.0},
+             "tasks[0].steps[0]"),
+            ({}, {"op": "so3_partition", "energies": {"kind": "explicit", "values": 4},
+                  "beta": 1.0},
+             "tasks[0].energies.values"),
+            ({"algebras": {"a": {"kind": "generated", "ambient_dim": 2, "generators": 3}}}, {},
+             "algebras.a.generators"),
+            ({"frames": {"f": {"kind": "explicit", "effects": 5}}}, {}, "frames.f.effects"),
+            ({
+                "groups": {"t": {"kind": "circle", "bandwidth": 1}},
+                "representations": {"r": {"kind": "circle", "group": "t",
+                                          "generator": [[0, 0], [0, 1]]}},
+                "frames": {"f": {"kind": "phase", "rep": "r", "c": [[1, 1], [1, 1]],
+                                 "boundaries": 3}},
+            }, {}, "frames.f.boundaries"),
+            ({"frames": {"f": {
+                "kind": "explicit", "effects": [[[0.5, 0], [0, 0.5]]] * 2,
+                "cells": {"kind": "coset", "group": "s3", "subgroup": [1]},
+            }}, "groups": {"s3": {"kind": "symmetric", "n": 3}}}, {}, "frames.f.cells"),
+            ({"groups": {"c": {"kind": "circle", "bandwidth": -1}}}, {}, "groups.c"),
+            ({"groups": {"c": {"kind": "cyclic", "n": 0}}}, {}, "groups.c"),
+            ({"groups": {"s": {"kind": "symmetric", "n": -2}}}, {}, "groups.s"),
         ],
         ids=[
             "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-negative",
             "tolerance-zero", "tolerance-inf", "seed-string", "name-list", "expect-list", "op-list",
-            "expect-tol-negative", "expect-tol-nan",
+            "expect-tol-negative", "expect-tol-nan", "expect-equals-null", "expect-equals-object",
+            "expect-max-string", "steps-number", "step-short", "energies-number",
+            "generators-number", "effects-number", "boundaries-number", "coset-without-identity",
+            "circle-negative-bandwidth", "cyclic-zero", "symmetric-negative",
         ],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, top, task, where):

@@ -181,6 +181,11 @@ class TestFiniteGroups:
         with pytest.raises(ValueError, match="n >= 1"):
             cyclic_group(0)
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_symmetric_needs_positive_degree(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            symmetric_group(n)
+
     def test_symmetric_three_is_nonabelian(self):
         g = symmetric_group(3)
         assert g.order == 6
