@@ -84,7 +84,10 @@ def _is_number(x) -> bool:
 def _number(x, path) -> float:
     if not _is_number(x):
         raise ScenarioError(path, f"expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ScenarioError(path, "expected a number within float range") from None
 
 
 def _integer(x, path) -> int:
@@ -110,6 +113,12 @@ def _extended(x, path) -> float:
     if x == "-inf":
         return -math.inf
     return _number(x, path)
+
+
+def _choice(x, path, allowed: tuple[str, ...]) -> str:
+    if x not in allowed:
+        raise ScenarioError(path, f"expected one of {', '.join(map(repr, allowed))}, got {x!r}")
+    return x
 
 
 def _list(x, path, item, *, nonempty=False) -> list:
@@ -362,6 +371,11 @@ def build_context(doc: dict, seed: int) -> Context:
 
 # ------------------------------------------------------------------ tasks
 
+# The values kms_check takes for ``sign`` and equivariance_defect for ``convention``.
+_KMS_SIGNS = ("physics", "paper")
+_CONVENTIONS = ("inverse", "forward")
+
+
 def _action(ctx: Context, args, path) -> GroupAction:
     alg = _lookup(ctx.algebras, _require(args, "algebra", path), f"{path}.algebra", "algebra")
     rep = _lookup(ctx.reps, _require(args, "rep", path), f"{path}.rep", "representation")
@@ -493,7 +507,7 @@ def _op_kms_check(ctx, args, path, tol, sign):
         lambda pair, here: _fixed(pair, here, _matrix, _matrix),
         nonempty=True,
     )
-    use_sign = args.get("sign", sign)
+    use_sign = _choice(args.get("sign", sign), f"{path}.sign", _KMS_SIGNS)
     report = kms_check(rho, h, beta, pairs, sign=use_sign, tol=tol)
     rows = [
         [i, _real(t), _real(report.residuals[i, j])]
@@ -559,7 +573,7 @@ def _op_scheme_equivariance(ctx, args, path, tol, sign):
     probe_rep = _lookup(
         ctx.reps, _require(args, "probe_rep", path), f"{path}.probe_rep", "representation"
     )
-    convention = args.get("convention", "inverse")
+    convention = _choice(args.get("convention", "inverse"), f"{path}.convention", _CONVENTIONS)
     defect = equivariance_defect(s, sys_rep, probe_rep, convention=convention)
     out = {"convention": convention, "defect": _real(defect)}
     if convention == "inverse":
@@ -873,7 +887,7 @@ def main(argv=None) -> int:
     )
     runner.add_argument(
         "--kms-sign",
-        choices=("physics", "paper"),
+        choices=_KMS_SIGNS,
         default="physics",
         help="analytic continuation convention for KMS checks",
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Dilation, QuantumReferenceFrame, covariant_dilate
+from .frames import QuantumReferenceFrame, covariant_dilate
 from .opcore import dagger, hs_norm
 from .relativise import GroupAction
 from .symmetry import (
@@ -328,18 +328,17 @@ def verify_frame_compression(
     c in M x| G and e_kl matrix units of B(K), under the Hilbert-Schmidt
     isometry Y -> (1 (x) W) Y (1 (x) W)^dag; so the Y are compared with the
     invariant algebra on H_S (x) H_R, with the same dims and span distance.
+
+    W W^dag needs no check of its own: ``Dilation`` has checked W^dag W = 1,
+    so it is a projection, and ``covariant_dilate`` W U(g) = (1 (x) lambda(g)) W,
+    so (1 (x) lambda(g)) W W^dag = W U(g) W^dag = W W^dag (1 (x) lambda(g)).
     """
     if not isinstance(frame.rep, FiniteRep):
         raise ValueError("frame compression is verified for finite frames only")
     inv = invariant_joint_algebra(action, frame.rep)
-    dil: Dilation = covariant_dilate(frame)
+    dil = covariant_dilate(frame)
     w = dil.isometry
-    d_s = action.rep.dim
-    d_k = dil.kdim
-    n = frame.rep.group.order
-    lam = regular_representation(frame.rep.group)
-    # W W^dag must commute with 1_K (x) lambda(g) on K (x) l2(G).
-    _check_frame_projection(w @ dagger(w), [np.kron(np.eye(d_k), u) for u in lam.unitaries])
+    d_s, d_k, n = action.rep.dim, dil.kdim, dil.outcomes
 
     cp = build_crossed_product(action)
     # W's rows run over K (x) l2(G), k-major; c's indices over H_S (x) l2(G).

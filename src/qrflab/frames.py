@@ -327,27 +327,35 @@ def ideal_frame(rep: FiniteRep) -> QuantumReferenceFrame:
 
 @dataclass
 class Dilation:
-    """An isometry onto a larger space where the POVM becomes projective."""
+    """An isometry W onto K (x) C^k on which the POVM becomes projective.
+
+    Row i * k + x of W is row i of a block M_x, for k = ``outcomes``, so the
+    projection 1 (x) |x><x| is never formed: it pulls back to M_x^dag M_x.
+    """
 
     isometry: np.ndarray
-    projections: list[np.ndarray]
-    ambient_dim: int
-    covariant: bool = False
-    ambient_rep: FiniteRep | None = None
-    kdim: int | None = None
+    outcomes: int
 
     def __post_init__(self) -> None:
         w = np.asarray(self.isometry, dtype=complex)
+        if self.outcomes < 1 or w.shape[0] % self.outcomes:
+            raise ValueError("isometry rows do not split into one block per outcome")
         if rel_err(dagger(w) @ w, np.eye(w.shape[1])) > 1.0e-9:
             raise ValueError("dilation map is not an isometry")
-        for p in self.projections:
-            if hs_norm(p @ p - p) > 1.0e-8 * max(1.0, hs_norm(p)):
-                raise ValueError("ambient effect is not a projection")
         self.isometry = w
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.isometry.shape[0]
+
+    @property
+    def kdim(self) -> int:
+        """The dimension of K."""
+        return self.ambient_dim // self.outcomes
+
     def pulled_back_effects(self) -> list[np.ndarray]:
-        w = self.isometry
-        return [dagger(w) @ p @ w for p in self.projections]
+        blocks = self.isometry.reshape(self.kdim, self.outcomes, -1).transpose(1, 0, 2)
+        return list(blocks.conj().transpose(0, 2, 1) @ blocks)
 
     def reconstruction_defect(self, povm: Povm) -> float:
         worst = 0.0
@@ -367,21 +375,14 @@ def _stack_isometry(blocks: list[np.ndarray]) -> np.ndarray:
     return stack.transpose(1, 0, 2).reshape(d * k, d)
 
 
-def _position_projections(d: int, k: int) -> list[np.ndarray]:
-    """The projections 1 (x) |x><x| on C^d (x) C^k, for x = 0 .. k-1."""
-    eye = np.eye(d)
-    return [np.kron(eye, np.diag(e)) for e in np.eye(k, dtype=complex)]
-
-
 def naimark_dilate(povm: Povm) -> Dilation:
     """Square-root dilation on the system tensored with the outcome space.
 
-    W psi = sum_x (sqrt(E_x) psi) (x) |x>, and the ambient projections are
-    1 (x) |x><x|; pulling them back recovers the POVM exactly.
+    W psi = sum_x (sqrt(E_x) psi) (x) |x>; pulling the position projections
+    1 (x) |x><x| back through W recovers the POVM exactly.
     """
-    d, k = povm.dim, povm.n_outcomes
     w = _stack_isometry([psd_sqrt(e) for e in povm.effects])
-    return Dilation(w, _position_projections(d, k), ambient_dim=d * k)
+    return Dilation(w, povm.n_outcomes)
 
 
 def covariant_dilate(frame: QuantumReferenceFrame) -> Dilation:
@@ -389,7 +390,8 @@ def covariant_dilate(frame: QuantumReferenceFrame) -> Dilation:
 
     The isometry sends psi to the function g -> sqrt(E_e) U(g^-1) psi; it
     intertwines U with 1 (x) lambda and pulls the position projections
-    1 (x) |g><g| back to the original effects.
+    1 (x) |g><g| back to the original effects. 1 (x) lambda(g) sends row
+    block h of W to block g h, so it is checked as a permutation of blocks.
     """
     if not isinstance(frame.rep, FiniteRep) or not frame.is_principal:
         raise ValueError("covariant dilation implemented for finite principal frames only")
@@ -401,17 +403,14 @@ def covariant_dilate(frame: QuantumReferenceFrame) -> Dilation:
     n = group.order
     cell_of = {hom_rep: c for c, hom_rep in enumerate(cells.space.representatives)}
     e_id = frame.povm.effects[cell_of[group.identity]]
-    root = psd_sqrt(e_id)
-    w = _stack_isometry([root @ frame.rep.unitary(group.inverse[g]) for g in range(n)])
-    eye = np.eye(d)
-    lam = regular_representation(group)
-    ambient = FiniteRep(group, [np.kron(eye, u) for u in lam.unitaries])
-    dil = Dilation(
-        w, _position_projections(d, n), ambient_dim=d * n, covariant=True,
-        ambient_rep=ambient, kdim=d,
-    )
+    us = frame.rep.unitary_stack(group.quadrature_nodes())
+    w = _stack_isometry(psd_sqrt(e_id) @ us[group.inverse])
+    dil = Dilation(w, n)
+    # Block x of (1 (x) lambda(g)) W is block g^-1 x of W.
+    blocks = w.reshape(d, n, d)
     worst = max(
-        rel_err(w @ frame.rep.unitary(g), ambient.unitaries[g] @ w) for g in range(n)
+        rel_err(w @ us[g], blocks[:, group.table[group.inverse[g]]].reshape(d * n, d))
+        for g in range(n)
     )
     if worst > 1.0e-9:
         raise RuntimeError("dilation failed to intertwine the representations")

@@ -97,6 +97,8 @@ class OperatorAlgebra:
 
     def __post_init__(self) -> None:
         d = self.ambient_dim
+        if d < 1:
+            raise ValueError("ambient dimension must be positive")
         if self.rows.ndim != 2 or self.rows.shape[1] != d * d:
             raise ValueError("basis rows do not match the ambient dimension")
         gram = self.rows @ self.rows.conj().T

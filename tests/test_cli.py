@@ -31,6 +31,27 @@ def report_structure(node):
     return None if isinstance(node, float) else node
 
 
+# A swap scheme on two qubits with a Z3 phase representation "r".
+SWAP_SCHEME = {
+    "schemes": {
+        "s": {
+            "system_dim": 2, "probe_dim": 2,
+            "scattering": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+            "probe_prep": [[0.5, 0.5], [0.5, 0.5]],
+            "probe_obs": [[0.0, 1.0], [1.0, 0.0]],
+        },
+    },
+    "groups": {"z3": {"kind": "cyclic", "n": 3}},
+    "representations": {
+        "r": {"kind": "matrices", "group": "z3", "unitaries": [
+            [[1, 0], [0, 1]],
+            [[1, 0], [0, [-0.5, 0.8660254037844386]]],
+            [[1, 0], [0, [-0.5, -0.8660254037844386]]],
+        ]},
+    },
+}
+
+
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -253,6 +274,23 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert re.search(r"^max residual \S+ \(ok\)$", proc.stdout, re.MULTILINE), proc.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench_commutant.py", "--cases", "tensor:2"],
+            ["bench_fixed_points.py", "--cases", "M2-Z4-phase"],
+            # bench_closure imports its cases from bench_fixed_points.
+            ["bench_closure.py", "--cases", "M2-Z4-phase", "--centre-cases", "M2-Z4-phase"],
+        ],
+        ids=["commutant", "fixed-points", "closure"],
+    )
+    def test_bench_script_prints_one_json_document(self, argv):
+        script, *rest = argv
+        proc = run_python(str(REPO / "scripts" / script), "--repeats", "1", *rest)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert [c["case"] for c in doc["cases"]] == [rest[1]]
+
 
 class TestConfigErrors:
     def assert_config_error(self, capsys, path, *fragments):
@@ -296,22 +334,7 @@ class TestConfigErrors:
     def test_forward_convention_requires_a_pinned_expectation(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "version": 1,
-            "schemes": {
-                "s": {
-                    "system_dim": 2, "probe_dim": 2,
-                    "scattering": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                    "probe_prep": [[0.5, 0.5], [0.5, 0.5]],
-                    "probe_obs": [[0.0, 1.0], [1.0, 0.0]],
-                },
-            },
-            "groups": {"z3": {"kind": "cyclic", "n": 3}},
-            "representations": {
-                "r": {"kind": "matrices", "group": "z3", "unitaries": [
-                    [[1, 0], [0, 1]],
-                    [[1, 0], [0, [-0.5, 0.8660254037844386]]],
-                    [[1, 0], [0, [-0.5, -0.8660254037844386]]],
-                ]},
-            },
+            **SWAP_SCHEME,
             "tasks": [{
                 "op": "scheme_equivariance", "name": "broken", "scheme": "s",
                 "system_rep": "r", "probe_rep": "r", "convention": "forward",
@@ -363,6 +386,16 @@ class TestConfigErrors:
             ({"groups": {"c": {"kind": "circle", "bandwidth": -1}}}, {}, "groups.c"),
             ({"groups": {"c": {"kind": "cyclic", "n": 0}}}, {}, "groups.c"),
             ({"groups": {"s": {"kind": "symmetric", "n": -2}}}, {}, "groups.s"),
+            ({}, {"intervals": [[0.0, 10**400]]}, "tasks[0].intervals[0][1]"),
+            ({"algebras": {"a": {"kind": "full", "dim": -1}}}, {}, "algebras.a"),
+            ({"algebras": {"a": {"kind": "diagonal", "dim": 0}}}, {}, "algebras.a"),
+            ({}, {"op": "kms_check", "sign": "bogus", "beta": 1.0,
+                  "state": {"kind": "gibbs", "hamiltonian": [[0, 0], [0, 1]], "beta": 1.0},
+                  "hamiltonian": [[0, 0], [0, 1]], "pairs": [[[[0, 1], [1, 0]], [[0, 1], [1, 0]]]]},
+             "tasks[0].sign"),
+            (SWAP_SCHEME, {"op": "scheme_equivariance", "scheme": "s", "system_rep": "r",
+                           "probe_rep": "r", "convention": "bogus"},
+             "tasks[0].convention"),
         ],
         ids=[
             "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-negative",
@@ -371,6 +404,8 @@ class TestConfigErrors:
             "expect-max-string", "steps-number", "step-short", "energies-number",
             "generators-number", "effects-number", "boundaries-number", "coset-without-identity",
             "circle-negative-bandwidth", "cyclic-zero", "symmetric-negative",
+            "interval-overflow", "full-negative-dim", "diagonal-zero-dim", "kms-sign-unknown",
+            "convention-unknown",
         ],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, top, task, where):

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qrflab import frames
 from qrflab.frames import (
     CirclePartition,
     CosetCells,
+    Dilation,
     MarkovKernel,
     PlainCells,
     Povm,
@@ -25,6 +28,7 @@ from qrflab.symmetry import (
     FiniteRep,
     HomogeneousSpace,
     cyclic_group,
+    dihedral_group,
     regular_representation,
     symmetric_group,
     trivial_rep,
@@ -263,18 +267,24 @@ class TestNaimark:
             dil = naimark_dilate(povm)
             v = dil.isometry
             assert np.allclose(dagger(v) @ v, np.eye(d), atol=1e-10)
-            for p in dil.projections:
-                assert np.allclose(p @ p, p, atol=1e-9)
             assert dil.reconstruction_defect(povm) <= 1e-9
             for got, want in zip(dil.pulled_back_effects(), povm.effects):
                 assert op_norm(got - want) <= 1e-9
-            assert not dil.covariant
 
     def test_ambient_space_is_block_sized(self):
         povm = ideal_frame(regular_representation(cyclic_group(2))).povm
         dil = naimark_dilate(povm)
         assert dil.ambient_dim == povm.dim * povm.n_outcomes
-        assert dil.kdim is None
+        assert dil.kdim == povm.dim
+
+    def test_isometry_rows_must_split_into_outcome_blocks(self):
+        with pytest.raises(ValueError, match="one block per outcome"):
+            Dilation(np.eye(4)[:, :2], 3)
+
+
+def position_projections(d: int, k: int) -> list[np.ndarray]:
+    """The projections 1 (x) |x><x| on C^d (x) C^k, for x = 0 .. k-1."""
+    return [np.kron(np.eye(d), np.diag(e)) for e in np.eye(k, dtype=complex)]
 
 
 class TestCovariantDilation:
@@ -283,20 +293,49 @@ class TestCovariantDilation:
         frame = ideal_frame(regular_representation(group))
         dil = covariant_dilate(frame)
         v = dil.isometry
-        assert np.allclose(dagger(v) @ v, np.eye(group.order), atol=1e-10)
-        assert dil.covariant
+        n = group.order
+        assert np.allclose(dagger(v) @ v, np.eye(n), atol=1e-10)
         assert dil.reconstruction_defect(frame.povm) <= 1e-9
+        projections = position_projections(dil.kdim, n)
+        for got, p in zip(dil.pulled_back_effects(), projections):
+            assert op_norm(got - dagger(v) @ p @ v) <= 1e-12
+        lam = regular_representation(group)
         space = frame.povm.space.space
-        for g in range(group.order):
-            u = dil.ambient_rep.unitary(g)
+        for g in range(n):
+            u = np.kron(np.eye(dil.kdim), lam.unitary(g))
+            assert op_norm(v @ frame.rep.unitary(g) - u @ v) <= 1e-9
             for cell in range(space.size):
-                moved = u @ dil.projections[cell] @ dagger(u)
-                assert op_norm(moved - dil.projections[space.act(g, cell)]) <= 1e-9
+                moved = u @ projections[cell] @ dagger(u)
+                assert op_norm(moved - projections[space.act(g, cell)]) <= 1e-9
+
+    def test_reordered_blocks_fail_to_intertwine(self, monkeypatch):
+        # Reversing W's blocks keeps W an isometry but breaks W U(g) = (1 (x) lambda(g)) W.
+        stack = frames._stack_isometry
+        monkeypatch.setattr(frames, "_stack_isometry", lambda blocks: stack(list(blocks)[::-1]))
+        frame = ideal_frame(regular_representation(symmetric_group(3)))
+        with pytest.raises(RuntimeError, match="failed to intertwine"):
+            covariant_dilate(frame)
+
+    @pytest.mark.parametrize(
+        "build", [covariant_dilate, lambda frame: naimark_dilate(frame.povm)],
+        ids=["covariant", "naimark"],
+    )
+    def test_dilations_form_no_ambient_operators(self, build):
+        # On K (x) l2(D6) one dense 1 (x) lambda(g) or position projection is
+        # 144 x 144 complex entries, 0.33 MB, and there are 12 of each.
+        frame = ideal_frame(regular_representation(dihedral_group(6)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            build(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_unsharp_frame_dilates_covariantly(self):
         frame = unsharp_qubit_frame()
         dil = covariant_dilate(frame)
-        assert dil.covariant
         assert dil.reconstruction_defect(frame.povm) <= 1e-9
         for got, want in zip(dil.pulled_back_effects(), frame.povm.effects):
             assert op_norm(got - want) <= 1e-9
