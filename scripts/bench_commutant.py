@@ -49,12 +49,12 @@ def build(case: str):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=None, help="qrflab source tree to import")
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
+                        help="qrflab source tree to import (default: src/ of this checkout)")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--cases", nargs="+", default=DEFAULT_CASES)
     args = parser.parse_args(argv)
-    if args.src:
-        sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, os.path.abspath(args.src))
 
     from qrflab.vnalg import commutant
 

@@ -18,7 +18,6 @@ from .crossed import (
 )
 from .frames import (
     CirclePartition,
-    CosetCells,
     Dilation,
     MarkovKernel,
     PlainCells,

@@ -31,7 +31,6 @@ from . import typecond as tc
 from .crossed import build_crossed_product, verify_commutation_theorem, verify_frame_compression
 from .frames import (
     CirclePartition,
-    CosetCells,
     MarkovKernel,
     PlainCells,
     Povm,
@@ -306,7 +305,7 @@ def _build_cells(ctx: Context, spec, path, n_effects: int):
         group = _lookup(ctx.groups, _require(spec, "group", path), f"{path}.group", "group")
         members = _list(_require(spec, "subgroup", path), f"{path}.subgroup", _integer)
         with _config(path):
-            return CosetCells(HomogeneousSpace(group, tuple(members)))
+            return HomogeneousSpace(group, tuple(members))
     raise ScenarioError(path, f"unknown cell kind {kind!r}")
 
 
@@ -323,7 +322,7 @@ def _build_frame(ctx: Context, spec, path):
         if spec.get("cells") is None and isinstance(rep, FiniteRep):
             # One effect per group element: the principal value space.
             g = rep.group
-            cells = CosetCells(HomogeneousSpace(g, (g.identity,)))
+            cells = HomogeneousSpace(g, (g.identity,))
         else:
             cells = _build_cells(ctx, spec.get("cells"), f"{path}.cells", len(effects))
         povm = Povm(cells, effects)
@@ -524,9 +523,10 @@ def _op_kms_check(ctx, args, path, tol, sign):
 
 
 def _product_invariance(action: GroupAction, frame: QuantumReferenceFrame, y: np.ndarray) -> float:
+    nodes = action.rep.group.quadrature_nodes()
     worst = 0.0
-    for g in action.rep.group.quadrature_nodes():
-        u = np.kron(action.rep.unitary(g), frame.rep.unitary(g))
+    for u_s, u_r in zip(action.rep.unitary_stack(nodes), frame.rep.unitary_stack(nodes)):
+        u = np.kron(u_s, u_r)
         worst = max(worst, op_norm(u @ y @ dagger(u) - y))
     return worst
 

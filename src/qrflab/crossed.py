@@ -99,9 +99,9 @@ class CrossedProductAlgebra:
         worst = 0.0
         for b in self.action.algebra.basis_matrices():
             pb = embed_twisted(b, rep)
-            for g in range(rep.group.order):
-                lhs = rhos[g] @ pb @ dagger(rhos[g])
-                rhs = embed_twisted(rep.conjugate(g, b), rep)
+            for rho, u in zip(rhos, rep.unitaries):
+                lhs = rho @ pb @ dagger(rho)
+                rhs = embed_twisted(u @ b @ dagger(u), rep)
                 worst = max(worst, hs_norm(lhs - rhs))
         return worst
 
@@ -263,9 +263,9 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     for a, pi in zip(basis, pis):
         untwist = max(untwist, hs_norm(v @ np.kron(a, np.eye(n)) @ dagger(v) - pi))
     translation = 0.0
-    for g in range(n):
-        lhs = v @ np.kron(rep.unitary(g), rho.unitaries[g]) @ dagger(v)
-        translation = max(translation, hs_norm(lhs - np.kron(eye, rho.unitaries[g])))
+    for u, r in zip(rep.unitaries, rho.unitaries):
+        lhs = v @ np.kron(u, r) @ dagger(v)
+        translation = max(translation, hs_norm(lhs - np.kron(eye, r)))
 
     return CommutationReport(
         crossed_dim=cp.dim,

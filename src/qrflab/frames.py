@@ -45,25 +45,6 @@ class PlainCells:
 
 
 @dataclass(frozen=True)
-class CosetCells:
-    """Outcomes labelled by the left cosets of a subgroup."""
-
-    space: HomogeneousSpace
-
-    @property
-    def size(self) -> int:
-        return self.space.size
-
-    def cell_permutations(self) -> list[tuple[int, list[int]]]:
-        """Every group element g with the cell map s -> g . s."""
-        hom = self.space
-        return [
-            (g, [hom.act(g, s) for s in range(hom.size)])
-            for g in hom.group.quadrature_nodes()
-        ]
-
-
-@dataclass(frozen=True)
 class CirclePartition:
     """Right-open arcs [b_i, b_{i+1}) cutting the circle at the given angles.
 
@@ -91,25 +72,27 @@ class CirclePartition:
         out.append((b[-1], b[0] + 2.0 * np.pi))
         return out
 
-    def cell_permutations(self) -> list[tuple[float, list[int]]]:
+    def cell_permutations(self) -> tuple[np.ndarray, np.ndarray]:
         """The rotations that map the partition onto itself, with their shift.
 
         Rotating by the gap from the first boundary to boundary j sends arc
         i to arc i + j cyclically, when it maps the boundaries onto
-        themselves; other rotations do not permute the arcs.
+        themselves; other rotations do not permute the arcs. Returns the
+        angles and, row by row, the arc each arc is sent to.
         """
         bounds = np.array(self.boundaries)
         n = len(bounds)
-        out = []
-        for j in range(n):
-            theta = float((bounds[j] - bounds[0]) % (2.0 * np.pi))
-            shifted = np.sort((bounds + theta) % (2.0 * np.pi))
-            if np.abs(shifted - bounds).max() <= 1.0e-12:
-                out.append((theta, [(s + j) % n for s in range(n)]))
-        return out
+        thetas = (bounds - bounds[0]) % (2.0 * np.pi)
+        keep = [
+            j
+            for j, theta in enumerate(thetas)
+            if np.abs(np.sort((bounds + theta) % (2.0 * np.pi)) - bounds).max() <= 1.0e-12
+        ]
+        shifts = np.array(keep, dtype=int)
+        return thetas[shifts], (np.arange(n) + shifts[:, None]) % n
 
 
-ValueSpace = PlainCells | CosetCells | CirclePartition
+ValueSpace = PlainCells | HomogeneousSpace | CirclePartition
 
 
 @dataclass
@@ -255,7 +238,7 @@ class QuantumReferenceFrame:
             raise ValueError("representation and POVM dimensions differ")
         sp = self.povm.space
         if isinstance(self.rep, FiniteRep):
-            if not isinstance(sp, CosetCells) or sp.space.group != self.rep.group:
+            if not isinstance(sp, HomogeneousSpace) or sp.group != self.rep.group:
                 raise ValueError("finite frame needs coset cells over the same group")
         else:
             if not isinstance(sp, CirclePartition):
@@ -264,7 +247,7 @@ class QuantumReferenceFrame:
     @property
     def is_principal(self) -> bool:
         sp = self.povm.space
-        return sp.space.principal if isinstance(sp, CosetCells) else True
+        return sp.principal if isinstance(sp, HomogeneousSpace) else True
 
     def covariance_defect(self) -> float:
         """Worst-case violation of U(g) E(X) U(g)^dag = E(g . X).
@@ -274,13 +257,13 @@ class QuantumReferenceFrame:
         the arc partition onto itself. Rotations incommensurate with the
         partition are not evaluated.
         """
-        effects = self.povm.effects
+        effects = np.array(self.povm.effects)
+        points, targets = self.povm.space.cell_permutations()
         worst = 0.0
-        for g, targets in self.povm.space.cell_permutations():
-            u = self.rep.unitary(g)
-            for e, t in zip(effects, targets):
-                worst = max(worst, op_norm(u @ e @ dagger(u) - effects[t]))
-        return worst
+        for u, t in zip(self.rep.unitary_stack(points), targets):
+            moved = u @ effects @ dagger(u)
+            worst = max(worst, np.linalg.norm(moved - effects[t], 2, axis=(1, 2)).max())
+        return float(worst)
 
     def norm1_scores(self) -> list[float]:
         return check_norm1(self.povm)
@@ -296,13 +279,13 @@ class QuantumReferenceFrame:
         """
         if not isinstance(self.rep, FiniteRep):
             return None
-        g0 = self.rep.group.identity
-        for g in range(self.rep.group.order):
-            if g == g0:
+        group = self.rep.group
+        # One effect that moves settles an element, and one element that
+        # fixes every effect settles the frame: both loops stop early.
+        for g, u in enumerate(self.rep.unitary_stack(group.quadrature_nodes())):
+            if g == group.identity:
                 continue
-            if all(
-                op_norm(self.rep.conjugate(g, e) - e) <= _FRAME_TOL for e in self.povm.effects
-            ):
+            if all(op_norm(u @ e @ dagger(u) - e) <= _FRAME_TOL for e in self.povm.effects):
                 return False
         return True
 
@@ -322,7 +305,7 @@ def ideal_frame(rep: FiniteRep) -> QuantumReferenceFrame:
         g = hom.representatives[c]
         e[g, g] = 1.0
         effects.append(e)
-    return QuantumReferenceFrame(rep, Povm(CosetCells(hom), effects))
+    return QuantumReferenceFrame(rep, Povm(hom, effects))
 
 
 @dataclass
@@ -398,10 +381,10 @@ def covariant_dilate(frame: QuantumReferenceFrame) -> Dilation:
     if frame.covariance_defect() > _FRAME_TOL:
         raise ValueError("frame is not covariant within tolerance")
     group = frame.rep.group
-    cells: CosetCells = frame.povm.space
+    cells: HomogeneousSpace = frame.povm.space
     d = frame.rep.dim
     n = group.order
-    cell_of = {hom_rep: c for c, hom_rep in enumerate(cells.space.representatives)}
+    cell_of = {hom_rep: c for c, hom_rep in enumerate(cells.representatives)}
     e_id = frame.povm.effects[cell_of[group.identity]]
     us = frame.rep.unitary_stack(group.quadrature_nodes())
     w = _stack_isometry(psd_sqrt(e_id) @ us[group.inverse])

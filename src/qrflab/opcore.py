@@ -91,7 +91,7 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     mags = np.abs(v)
     nz = np.flatnonzero(mags > _PHASE_EPS * mags.max())
     pivot = v[nz[0]]
-    return v * (pivot.conjugate() / abs(pivot))
+    return v * (np.conj(pivot) / abs(pivot))
 
 
 def hermitian_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import CosetCells, QuantumReferenceFrame
+from .frames import QuantumReferenceFrame
 from .opcore import (
     as_operator,
     check_density,
     dagger,
     op_norm,
 )
-from .symmetry import CircleRep, FiniteRep, Rep
+from .symmetry import CircleRep, FiniteRep, HomogeneousSpace, Rep
 from .vnalg import OperatorAlgebra, _worst_residual
 
 # How far an algebra or an observable may move under the group and stay invariant.
@@ -55,15 +55,25 @@ def _require_same_group(action: GroupAction, frame: QuantumReferenceFrame) -> No
         raise ValueError("system action and frame must share one symmetry group")
 
 
+def _conjugates(us: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The stack U_k x U_k^dag for a (k, d, d) stack of unitaries."""
+    return us @ x @ us.conj().transpose(0, 2, 1)
+
+
 def _stabiliser_defect(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> float:
     if isinstance(frame.rep, CircleRep):
         # Circle frames are principal; the stabiliser is trivial.
         return 0.0
-    cells: CosetCells = frame.povm.space
-    worst = 0.0
-    for h in cells.space.subgroup:
-        worst = max(worst, op_norm(action.rep.conjugate(h, x) - x))
-    return worst
+    cells: HomogeneousSpace = frame.povm.space
+    us = action.rep.unitary_stack(np.array(cells.subgroup))
+    return float(np.linalg.norm(_conjugates(us, x) - x, 2, axis=(1, 2)).max())
+
+
+def _is_stabiliser_invariant(
+    x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
+) -> bool:
+    """The stabiliser test at ``_INVARIANCE_TOL``, relative to max(1, ||x||)."""
+    return _stabiliser_defect(x, action, frame) <= _INVARIANCE_TOL * max(1.0, op_norm(x))
 
 
 def _orbit_and_effects(
@@ -77,16 +87,14 @@ def _orbit_and_effects(
     of its group with U_R(theta) c U_R(theta)^dag / (4B + 1).
     """
     if isinstance(frame.rep, FiniteRep):
-        cells: CosetCells = frame.povm.space
-        points = np.array(cells.space.representatives)
+        cells: HomogeneousSpace = frame.povm.space
+        points = np.array(cells.representatives)
         effects = np.array(frame.povm.effects)
     else:
         c = _phase_density_matrix(frame)
         points = frame.rep.group.quadrature_nodes()
-        ur = frame.rep.unitary_stack(points)
-        effects = ur @ c @ ur.conj().transpose(0, 2, 1) / points.size
-    us = action.rep.unitary_stack(points)
-    return us @ x @ us.conj().transpose(0, 2, 1), effects
+        effects = _conjugates(frame.rep.unitary_stack(points), c) / points.size
+    return _conjugates(action.rep.unitary_stack(points), x), effects
 
 
 def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:
@@ -107,7 +115,7 @@ def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame)
         raise ValueError("observable dimension does not match the system")
     if not action.algebra.contains(x):
         raise ValueError("observable lies outside the system algebra")
-    if _stabiliser_defect(x, action, frame) > _INVARIANCE_TOL * max(1.0, op_norm(x)):
+    if not _is_stabiliser_invariant(x, action, frame):
         raise ValueError("relativisation requires stabiliser-invariant input")
     orbit, effects = _orbit_and_effects(x, action, frame)
     d = action.rep.dim * frame.rep.dim
@@ -195,13 +203,14 @@ class FrameAssignment:
 
     Anchors are the observables assigned to the identity cell; the table
     entry for (label, cell) is the anchor conjugated to that cell's coset
-    representative. Entries are built on first use and cached.
+    representative. Each label's entries are its orbit from
+    ``_orbit_and_effects``, built once with the assignment.
     """
 
     action: GroupAction
     frame: QuantumReferenceFrame
     anchors: dict[str, np.ndarray]
-    _table: dict[tuple[str, int], np.ndarray] = field(default_factory=dict, repr=False)
+    _orbits: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_same_group(self.action, self.frame)
@@ -209,22 +218,21 @@ class FrameAssignment:
             raise ValueError("frame assignments are tabulated for finite frames only")
         self.anchors = {k: as_operator(v, f"anchor {k!r}") for k, v in self.anchors.items()}
         for label, a in self.anchors.items():
-            if _stabiliser_defect(a, self.action, self.frame) > _INVARIANCE_TOL:
+            if not _is_stabiliser_invariant(a, self.action, self.frame):
                 raise ValueError(f"anchor {label!r} is not stabiliser-invariant")
             if not self.action.algebra.contains(a):
                 raise ValueError(f"anchor {label!r} lies outside the system algebra")
+        self._orbits = {
+            label: _orbit_and_effects(a, self.action, self.frame)[0]
+            for label, a in self.anchors.items()
+        }
 
     @property
     def labels(self) -> list[str]:
         return sorted(self.anchors)
 
     def observable(self, label: str, cell: int) -> np.ndarray:
-        key = (label, cell)
-        if key not in self._table:
-            cells: CosetCells = self.frame.povm.space
-            g_s = cells.space.representatives[cell]
-            self._table[key] = self.action.rep.conjugate(g_s, self.anchors[label])
-        return self._table[key]
+        return self._orbits[label][cell]
 
     def equivariance_defect(self) -> float:
         """Worst violation of moving a table entry with the group action.
@@ -232,14 +240,14 @@ class FrameAssignment:
         Conjugating the entry at cell s by U(g) must land on the entry at
         g . s, up to the anchor's stabiliser invariance.
         """
-        cells: CosetCells = self.frame.povm.space
+        points, targets = self.frame.povm.space.cell_permutations()
+        us = self.action.rep.unitary_stack(points)
         worst = 0.0
-        for label in self.anchors:
-            for g, targets in cells.cell_permutations():
-                for s, t in enumerate(targets):
-                    moved = self.action.rep.conjugate(g, self.observable(label, s))
-                    worst = max(worst, op_norm(moved - self.observable(label, t)))
-        return worst
+        for orbit in self._orbits.values():
+            for u, t in zip(us, targets):
+                moved = u @ orbit @ dagger(u)
+                worst = max(worst, np.linalg.norm(moved - orbit[t], 2, axis=(1, 2)).max())
+        return float(worst)
 
     def relativized(self, label: str) -> np.ndarray:
         return relativize(self.anchors[label], self.action, self.frame)

@@ -109,8 +109,16 @@ def transform_scheme(
     reproducible witness of what breaking covariance does to the numbers.
     """
     _check_reps(scheme, sys_rep, probe_rep)
-    u_s = sys_rep.unitary(g)
-    u_p = probe_rep.unitary(g)
+    point = np.array([g])
+    return _moved_scheme(
+        scheme, sys_rep.unitary_stack(point)[0], probe_rep.unitary_stack(point)[0], convention
+    )
+
+
+def _moved_scheme(
+    scheme: MeasurementScheme, u_s: np.ndarray, u_p: np.ndarray, convention: str
+) -> MeasurementScheme:
+    """``transform_scheme`` at the point where the reps are u_s and u_p."""
     w = np.kron(u_s, u_p)
     theta = w @ scheme.scattering @ dagger(w)
     obs = u_p @ scheme.probe_obs @ dagger(u_p)
@@ -138,11 +146,9 @@ def equivariance_defect(
     """
     _check_reps(scheme, sys_rep, probe_rep)
     base = induced_observable(scheme)
+    nodes = sys_rep.group.quadrature_nodes()
     worst = 0.0
-    for g in sys_rep.group.quadrature_nodes():
-        moved = induced_observable(
-            transform_scheme(scheme, g, sys_rep, probe_rep, convention)
-        )
-        u_s = sys_rep.unitary(g)
+    for u_s, u_p in zip(sys_rep.unitary_stack(nodes), probe_rep.unitary_stack(nodes)):
+        moved = induced_observable(_moved_scheme(scheme, u_s, u_p, convention))
         worst = max(worst, op_norm(moved - u_s @ base @ dagger(u_s)))
     return worst

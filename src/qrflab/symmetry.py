@@ -8,9 +8,15 @@ average suffices for left and right invariance.
 Every group exposes the same quadrature through ``quadrature_nodes()``:
 the element indices of a finite group, or the ``4 * bandwidth + 1``
 equispaced angles of the band-limited circle. The nodes carry equal
-weights, and ``rep.unitary_stack(nodes)`` gives the representation at
-all of them at once, so a Haar average is
-``sum(f(node) for node in nodes) / nodes.size`` for both kinds of group.
+weights, so a Haar average is ``sum(f(node) for node in nodes) / nodes.size``
+for both kinds of group.
+
+A representation is ``group``, ``dim`` and ``unitary_stack(points)``, the
+unitaries at an array of group points stacked on axis 0; it is the only
+way the package reads a representation, at quadrature nodes, coset
+representatives, stabiliser elements or the rotations of a partition. A
+homogeneous space G/H tabulates its left action as ``action[g, cell]``, so
+a covariance check pairs row g of that table with the unitary at g.
 
 Fixed points of a conjugation action have one kernel,
 ``tensor_fixed_point_rows``: the Ad(U (x) V) fixed points of M (x) B(H_V)
@@ -239,16 +245,9 @@ class FiniteRep:
     def dim(self) -> int:
         return self.unitaries[0].shape[0]
 
-    def unitary(self, g: int) -> np.ndarray:
-        return self.unitaries[g]
-
     def unitary_stack(self, points: np.ndarray) -> np.ndarray:
         """The unitaries at an array of element indices, stacked on axis 0."""
         return np.array([self.unitaries[g] for g in points])
-
-    def conjugate(self, g: int, x: np.ndarray) -> np.ndarray:
-        u = self.unitaries[g]
-        return u @ x @ dagger(u)
 
 
 @dataclass
@@ -280,18 +279,10 @@ class CircleRep:
     def dim(self) -> int:
         return self.generator.shape[0]
 
-    def unitary(self, theta: float) -> np.ndarray:
-        phases = np.exp(1j * theta * self.freqs)
-        return (self.vecs * phases) @ dagger(self.vecs)
-
     def unitary_stack(self, points: np.ndarray) -> np.ndarray:
         """U(theta) at an array of angles, stacked on axis 0."""
         phases = np.exp(1j * np.multiply.outer(points, self.freqs))
         return (self.vecs * phases[:, None, :]) @ dagger(self.vecs)
-
-    def conjugate(self, theta: float, x: np.ndarray) -> np.ndarray:
-        u = self.unitary(theta)
-        return u @ x @ dagger(u)
 
 
 Rep = FiniteRep | CircleRep
@@ -455,7 +446,8 @@ class HomogeneousSpace:
     """Left cosets of a subgroup, with the left action tabulated.
 
     ``subgroup`` is a set of element indices; cosets are stored as sorted
-    tuples with the smallest member as representative.
+    tuples with the smallest member as representative. ``action[g, s]`` is
+    the cell g . (s H), for s H the coset of cell s.
     """
 
     group: FiniteGroup
@@ -463,6 +455,7 @@ class HomogeneousSpace:
     cosets: list[tuple[int, ...]] = field(init=False)
     representatives: list[int] = field(init=False)
     coset_index: np.ndarray = field(init=False)
+    action: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         g = self.group
@@ -491,6 +484,7 @@ class HomogeneousSpace:
         for e, c in seen.items():
             idx[e] = c
         self.coset_index = idx
+        self.action = idx[g.table[:, self.representatives]]
 
     @property
     def size(self) -> int:
@@ -500,6 +494,6 @@ class HomogeneousSpace:
     def principal(self) -> bool:
         return len(self.subgroup) == 1
 
-    def act(self, g: int, cell: int) -> int:
-        """Index of g . (sH) where s represents cell."""
-        return int(self.coset_index[self.group.table[g, self.representatives[cell]]])
+    def cell_permutations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every group element g, with row g of ``action`` mapping s -> g . s."""
+        return self.group.quadrature_nodes(), self.action

@@ -310,15 +310,6 @@ def _eigen_clusters(vals: np.ndarray, what: str) -> list[np.ndarray]:
     return np.split(np.arange(vals.size), split)
 
 
-def _hermitian_span_rows(rows: np.ndarray, d: int) -> list[np.ndarray]:
-    out = []
-    for r in rows:
-        m = _unvec(r, d)
-        out.append((m + dagger(m)) / 2.0)
-        out.append((m - dagger(m)) / 2.0j)
-    return out
-
-
 def _split_block(
     alg_rows: np.ndarray, iso: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, int, np.ndarray]:
@@ -327,6 +318,12 @@ def _split_block(
     ``iso`` has orthonormal columns spanning the block subspace. Inside the
     block the algebra is a full matrix factor M_n with multiplicity m; the
     returned unitary reorders the block so elements look like X (x) 1_m.
+
+    Both random elements come from ``draw``: a seeded complex Gaussian on
+    the ambient space, projected onto the algebra's span and compressed to
+    the block. The projection depends on that span and not on the rows that
+    carry it, and another basis ``iso W`` of the block only conjugates the
+    draw by W, so the spectra split here do not depend on either basis.
     """
     r = iso.shape[1]
     d = int(np.sqrt(alg_rows.shape[1]))
@@ -338,12 +335,14 @@ def _split_block(
         raise _Degenerate
     m = r // n
 
+    def draw() -> np.ndarray:
+        g = _vec(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return dagger(iso) @ _unvec((alg_rows.conj() @ g) @ alg_rows, d) @ iso
+
     # An ambiguous rank from a random draw marks the draw degenerate.
-    herm = _hermitian_span_rows(rows, r)
     for _ in range(8):
-        coeff = rng.standard_normal(len(herm))
-        a = sum(c * h for c, h in zip(coeff, herm))
-        vals, vecs = hermitian_eig(a)
+        a = draw()
+        vals, vecs = hermitian_eig((a + dagger(a)) / 2.0)
         try:
             clusters = _eigen_clusters(vals, "block split")
         except ValueError:
@@ -355,8 +354,7 @@ def _split_block(
     chunks = [vecs[:, c] for c in clusters]
 
     for _ in range(8):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        g = _unvec(z @ rows, r)
+        g = draw()
         u, s, vh = np.linalg.svd([dagger(ck) @ g @ chunks[0] for ck in chunks])
         try:
             if _rank(s.ravel(), "block alignment: singular values").all():

@@ -16,7 +16,7 @@ import pytest
 
 from qrflab.cli import main as cli_main
 from qrflab.crossed import build_crossed_product, verify_commutation_theorem, verify_frame_compression
-from qrflab.frames import CosetCells, Povm, QuantumReferenceFrame, covariant_dilate, ideal_frame
+from qrflab.frames import Povm, QuantumReferenceFrame, covariant_dilate, ideal_frame
 from qrflab.modular import gibbs_state, gns_doubling, kms_check, modular_data
 from qrflab.opcore import dagger, op_norm
 from qrflab.relativise import GroupAction, expected_relative_outcome, relativize
@@ -86,7 +86,7 @@ def phase_rep_z3(group=None) -> FiniteRep:
 
 def unsharp_frame(group=None, p: float = 0.75) -> QuantumReferenceFrame:
     g = group or cyclic_group(2)
-    cells = CosetCells(HomogeneousSpace(g, (g.identity,)))
+    cells = HomogeneousSpace(g, (g.identity,))
     effects = [np.diag([p, 1 - p]).astype(complex), np.diag([1 - p, p]).astype(complex)]
     return QuantumReferenceFrame(regular_representation(g), Povm(cells, effects))
 
@@ -259,8 +259,8 @@ def test_criterion_08_covariant_dilation():
         eye_k = np.eye(dil.kdim)
         worst_twine = 0.0
         for g in range(group.order):
-            model = np.kron(eye_k, lam.unitary(g))
-            worst_twine = max(worst_twine, op_norm(model @ v - v @ frame.rep.unitary(g)))
+            model = np.kron(eye_k, lam.unitaries[g])
+            worst_twine = max(worst_twine, op_norm(model @ v - v @ frame.rep.unitaries[g]))
         check(failures, worst_twine <= 1e-9, f"|G|={group.order}: intertwining defect {worst_twine:.2e}")
         recon = dil.reconstruction_defect(frame.povm)
         check(failures, recon <= 1e-9, f"|G|={group.order}: reconstruction defect {recon:.2e}")

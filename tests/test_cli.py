@@ -291,6 +291,18 @@ class TestScripts:
         doc = json.loads(proc.stdout)
         assert [c["case"] for c in doc["cases"]] == [rest[1]]
 
+    @pytest.mark.parametrize("script", ["bench_commutant.py", "bench_fixed_points.py"])
+    def test_bench_script_finds_the_checkout_without_pythonpath(self, script):
+        # the usage line of each script's docstring, with no PYTHONPATH set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        case = "tensor:2" if script == "bench_commutant.py" else "M2-Z4-phase"
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / script), "--repeats", "1", "--cases", case],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [c["case"] for c in json.loads(proc.stdout)["cases"]] == [case]
+
 
 class TestConfigErrors:
     def assert_config_error(self, capsys, path, *fragments):

@@ -13,7 +13,7 @@ from qrflab.crossed import (
     verify_commutation_theorem,
     verify_frame_compression,
 )
-from qrflab.frames import CosetCells, Povm, QuantumReferenceFrame, covariant_dilate, ideal_frame
+from qrflab.frames import Povm, QuantumReferenceFrame, covariant_dilate, ideal_frame
 from qrflab.opcore import dagger, op_norm, unitary_defect
 from qrflab.relativise import GroupAction
 from qrflab.symmetry import (
@@ -141,7 +141,7 @@ def hand_built_generators(action: GroupAction) -> tuple[list[np.ndarray], int]:
     for a in action.algebra.basis_matrices():
         pi = np.zeros((d * n, d * n), dtype=complex)
         for g in range(n):
-            block = action.rep.unitary(g) @ a @ dagger(action.rep.unitary(g))
+            block = action.rep.unitaries[g] @ a @ dagger(action.rep.unitaries[g])
             tag = np.zeros((n, n))
             tag[g, g] = 1.0
             pi += np.kron(block, tag)
@@ -217,7 +217,7 @@ class TestEmbedding:
             for h in range(group.order):
                 rho[group.table[h, int(group.inverse[g])], h] = 1.0
             w = np.kron(np.eye(6), rho)
-            target = embed_twisted(rep.unitary(g) @ a @ dagger(rep.unitary(g)), rep)
+            target = embed_twisted(rep.unitaries[g] @ a @ dagger(rep.unitaries[g]), rep)
             assert op_norm(w @ pi @ dagger(w) - target) <= 1e-12
 
     def test_reported_defects_vanish_on_a_clean_fixture(self):
@@ -451,7 +451,7 @@ class TestCompression:
 
     def unsharp_frame(self):
         g = cyclic_group(2)
-        cells = CosetCells(HomogeneousSpace(g, (g.identity,)))
+        cells = HomogeneousSpace(g, (g.identity,))
         effects = [np.diag([0.75, 0.25]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]
         return QuantumReferenceFrame(regular_representation(g), Povm(cells, effects))
 

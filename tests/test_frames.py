@@ -7,7 +7,6 @@ import pytest
 from qrflab import frames
 from qrflab.frames import (
     CirclePartition,
-    CosetCells,
     Dilation,
     MarkovKernel,
     PlainCells,
@@ -34,11 +33,12 @@ from qrflab.symmetry import (
     trivial_rep,
 )
 
+import _frame_oracles as oracle
 from _factories import random_complex
 
 
 def principal_cells(group):
-    return CosetCells(HomogeneousSpace(group, (group.identity,)))
+    return HomogeneousSpace(group, (group.identity,))
 
 
 def unsharp_qubit_frame(p: float = 0.75) -> QuantumReferenceFrame:
@@ -102,13 +102,16 @@ class TestCirclePartition:
         assert part.size == 3
 
     def test_even_partition_is_permuted_by_its_rotations(self):
-        perms = CirclePartition((0.5, 0.5 + 2 * math.pi / 3, 0.5 + 4 * math.pi / 3)).cell_permutations()
-        assert [t for _, t in perms] == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-        assert [g for g, _ in perms] == pytest.approx([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+        angles, targets = CirclePartition(
+            (0.5, 0.5 + 2 * math.pi / 3, 0.5 + 4 * math.pi / 3)
+        ).cell_permutations()
+        assert targets.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        assert angles == pytest.approx([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
 
     def test_uneven_partition_keeps_only_the_identity(self):
-        perms = CirclePartition((0.4, 1.3, 4.1)).cell_permutations()
-        assert perms == [(0.0, [0, 1, 2])]
+        angles, targets = CirclePartition((0.4, 1.3, 4.1)).cell_permutations()
+        assert angles.tolist() == [0.0]
+        assert targets.tolist() == [[0, 1, 2]]
 
 
 
@@ -228,11 +231,11 @@ class TestFrames:
 
     def test_coset_cells_list_every_element_with_its_action(self):
         g = symmetric_group(3)
-        cells = CosetCells(HomogeneousSpace(g, (g.identity, 1)))
-        perms = cells.cell_permutations()
-        assert [e for e, _ in perms] == list(range(g.order))
-        for e, targets in perms:
-            assert targets == [cells.space.act(e, s) for s in range(cells.size)]
+        cells = HomogeneousSpace(g, (g.identity, 1))
+        points, targets = cells.cell_permutations()
+        assert points.tolist() == list(range(g.order))
+        assert targets.shape == (g.order, cells.size)
+        assert np.array_equal(targets, cells.action)
 
     def test_phase_frame_is_covariant_under_the_number_rep(self):
         povm = phase_povm(2, np.ones((2, 2)), CirclePartition([0.0, math.pi]))
@@ -257,6 +260,99 @@ class TestFrames:
         effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         with pytest.raises(ValueError, match="coset cells"):
             QuantumReferenceFrame(regular_representation(g), Povm(PlainCells(2), effects))
+
+
+def coset_frame(group, subgroup, p: float = 1.0) -> QuantumReferenceFrame:
+    """The regular representation with effects p P_s + (1 - p) / k on the k
+    cosets s, P_s the projection onto the members of s: sharp at p = 1."""
+    space = HomogeneousSpace(group, tuple(subgroup))
+    n, k = group.order, space.size
+    effects = []
+    for coset in space.cosets:
+        proj = np.zeros((n, n), dtype=complex)
+        proj[list(coset), list(coset)] = 1.0
+        effects.append(p * proj + (1.0 - p) / k * np.eye(n))
+    return QuantumReferenceFrame(regular_representation(group), Povm(space, effects))
+
+
+def phase_frame(generator, boundaries) -> QuantumReferenceFrame:
+    d = len(generator)
+    c = np.full((d, d), 0.5) + 0.5 * np.eye(d)
+    povm = phase_povm(d, c, CirclePartition(boundaries))
+    return QuantumReferenceFrame(CircleRep(CircleGroup(2), np.diag(generator)), povm)
+
+
+def _s3_pair(g):
+    return (g.identity, next(a for a in range(1, 6) if g.table[a, a] == g.identity))
+
+
+def _non_covariant_frame():
+    g = cyclic_group(2)
+    effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    return QuantumReferenceFrame(trivial_rep(g, 2), Povm(principal_cells(g), effects))
+
+
+S3, S4 = symmetric_group(3), symmetric_group(4)
+# name: (builder, whether only the identity fixes every effect)
+FINITE_FRAMES = {
+    "S3-ideal": (lambda: ideal_frame(regular_representation(S3)), True),
+    "C2-unsharp": (unsharp_qubit_frame, True),
+    "C2-trivial-rep": (_non_covariant_frame, False),
+    "S3-pair-cosets": (lambda: coset_frame(S3, _s3_pair(S3)), True),
+    # A3 is normal, so its elements fix every coset
+    "S3-A3-cosets": (lambda: coset_frame(S3, [S3.labels.index(p) for p in ("012", "120", "201")], 0.7), False),
+    "S4-point-stabiliser-unsharp": (
+        lambda: coset_frame(S4, [i for i, w in enumerate(S4.labels) if w[3] == "3"], 0.6), True
+    ),
+}
+PHASE_FRAMES = {
+    "phase-even": lambda: phase_frame([0.0, 1.0, 2.0], (0.5, 0.5 + 2 * math.pi / 3, 0.5 + 4 * math.pi / 3)),
+    "phase-uneven": lambda: phase_frame([0.0, 1.0, 2.0], (0.4, 1.3, 4.1)),
+    "phase-half-turns": lambda: phase_frame([0.0, 1.0], (0.0, math.pi)),
+    "phase-doubled-generator": lambda: QuantumReferenceFrame(
+        CircleRep(CircleGroup(2), np.diag([0.0, 2.0])), phase_frame([0.0, 1.0], (0.0, math.pi)).povm
+    ),
+}
+FRAMES = {name: build for name, (build, _) in FINITE_FRAMES.items()} | PHASE_FRAMES
+
+
+def per_point_inputs(frame):
+    """The unitaries and cell maps of the per-point oracle, taken from the
+    group table or the cut points and not from the frame's own tables."""
+    if isinstance(frame.rep, FiniteRep):
+        group = frame.rep.group
+        _, action = oracle.coset_action(group.table, frame.povm.space.subgroup)
+        return frame.rep.unitaries, action
+    n = frame.povm.space.size
+    rotations = oracle.arc_rotations(frame.povm.space.boundaries)
+    us = [oracle.circle_unitary(frame.rep.generator, theta) for theta, _ in rotations]
+    return us, [[(s + j) % n for s in range(n)] for _, j in rotations]
+
+
+class TestAgainstPerPointLoops:
+    """The stacked checks against one group point and one cell at a time."""
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_covariance_defect(self, name):
+        frame = FRAMES[name]()
+        us, targets = per_point_inputs(frame)
+        want = oracle.covariance_defect(us, frame.povm.effects, targets)
+        assert abs(frame.covariance_defect() - want) <= 1e-12
+        covariant = name not in ("C2-trivial-rep", "phase-doubled-generator")
+        assert (want <= 1e-12) == covariant
+
+    @pytest.mark.parametrize("name", FINITE_FRAMES)
+    def test_is_complete(self, name):
+        build, complete = FINITE_FRAMES[name]
+        frame = build()
+        group = frame.rep.group
+        want = oracle.is_complete(frame.rep.unitaries, frame.povm.effects, group.identity, 1e-8)
+        assert want is complete
+        assert frame.is_complete() is want
+
+    @pytest.mark.parametrize("name", PHASE_FRAMES)
+    def test_is_complete_is_not_evaluated_on_the_circle(self, name):
+        assert PHASE_FRAMES[name]().is_complete() is None
 
 
 class TestNaimark:
@@ -300,13 +396,13 @@ class TestCovariantDilation:
         for got, p in zip(dil.pulled_back_effects(), projections):
             assert op_norm(got - dagger(v) @ p @ v) <= 1e-12
         lam = regular_representation(group)
-        space = frame.povm.space.space
+        space = frame.povm.space
         for g in range(n):
-            u = np.kron(np.eye(dil.kdim), lam.unitary(g))
-            assert op_norm(v @ frame.rep.unitary(g) - u @ v) <= 1e-9
+            u = np.kron(np.eye(dil.kdim), lam.unitaries[g])
+            assert op_norm(v @ frame.rep.unitaries[g] - u @ v) <= 1e-9
             for cell in range(space.size):
                 moved = u @ projections[cell] @ dagger(u)
-                assert op_norm(moved - projections[space.act(g, cell)]) <= 1e-9
+                assert op_norm(moved - projections[space.action[g, cell]]) <= 1e-9
 
     def test_reordered_blocks_fail_to_intertwine(self, monkeypatch):
         # Reversing W's blocks keeps W an isometry but breaks W U(g) = (1 (x) lambda(g)) W.
@@ -351,7 +447,7 @@ class TestCovariantDilation:
             for member in coset:
                 p[member, member] = 1.0
             effects.append(p)
-        frame = QuantumReferenceFrame(rep, Povm(CosetCells(space), effects))
+        frame = QuantumReferenceFrame(rep, Povm(space, effects))
         assert frame.covariance_defect() < 1e-12
         with pytest.raises(ValueError, match="principal frames only"):
             covariant_dilate(frame)

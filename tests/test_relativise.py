@@ -3,7 +3,6 @@ import pytest
 
 from qrflab.frames import (
     CirclePartition,
-    CosetCells,
     Povm,
     QuantumReferenceFrame,
     ideal_frame,
@@ -13,6 +12,7 @@ from qrflab.opcore import dagger, op_norm
 from qrflab.relativise import (
     FrameAssignment,
     GroupAction,
+    _stabiliser_defect,
     expected_relative_outcome,
     localization_defect,
     relativize,
@@ -30,6 +30,7 @@ from qrflab.symmetry import (
 )
 from qrflab.vnalg import OperatorAlgebra, algebra_from_matrices, generate_algebra
 
+import _frame_oracles as frame_oracle
 import _relativise_oracles as oracle
 from _factories import (
     SIGMA_X,
@@ -54,7 +55,7 @@ def sharp_frame() -> QuantumReferenceFrame:
 
 def unsharp_frame(p: float = 0.75) -> QuantumReferenceFrame:
     g = cyclic_group(2)
-    cells = CosetCells(HomogeneousSpace(g, (g.identity,)))
+    cells = HomogeneousSpace(g, (g.identity,))
     effects = [np.diag([p, 1 - p]).astype(complex), np.diag([1 - p, p]).astype(complex)]
     return QuantumReferenceFrame(regular_representation(g), Povm(cells, effects))
 
@@ -74,7 +75,7 @@ def coset_fixture():
         for member in coset:
             p[member, member] = 1.0
         effects.append(p)
-    frame = QuantumReferenceFrame(lam, Povm(CosetCells(space), effects))
+    frame = QuantumReferenceFrame(lam, Povm(space, effects))
     cycles = [a for a in range(1, 6) if g.table[a, a] != g.identity]
     return g, lam, action, frame, cycles
 
@@ -196,11 +197,11 @@ class TestRelativize:
     def test_stabiliser_guard_on_coset_frames(self):
         _, lam, action, frame, cycles = coset_fixture()
         with pytest.raises(ValueError, match="stabiliser-invariant"):
-            relativize(lam.unitary(cycles[0]), action, frame)
+            relativize(lam.unitaries[cycles[0]], action, frame)
 
     def test_stabiliser_invariant_input_passes(self):
         g, lam, action, frame, cycles = coset_fixture()
-        x = lam.unitary(cycles[0]) + lam.unitary(cycles[1])
+        x = lam.unitaries[cycles[0]] + lam.unitaries[cycles[1]]
         y = relativize(x, action, frame)
         joint = tensor_rep(action.rep, frame.rep)
         for u in joint.unitaries:
@@ -275,7 +276,7 @@ class TestLocalization:
 class TestFrameAssignment:
     def test_table_is_equivariant(self):
         g, lam, action, frame, cycles = coset_fixture()
-        anchor = lam.unitary(cycles[0]) + lam.unitary(cycles[1])
+        anchor = lam.unitaries[cycles[0]] + lam.unitaries[cycles[1]]
         assignment = FrameAssignment(action, frame, {"spin": anchor})
         assert assignment.labels == ["spin"]
         assert assignment.equivariance_defect() <= 1e-9
@@ -283,7 +284,7 @@ class TestFrameAssignment:
 
     def test_relativized_matches_direct_call(self):
         g, lam, action, frame, cycles = coset_fixture()
-        anchor = lam.unitary(cycles[0]) + lam.unitary(cycles[1])
+        anchor = lam.unitaries[cycles[0]] + lam.unitaries[cycles[1]]
         assignment = FrameAssignment(action, frame, {"spin": anchor})
         direct = relativize(anchor, action, frame)
         assert np.allclose(assignment.relativized("spin"), direct, atol=1e-12)
@@ -291,7 +292,66 @@ class TestFrameAssignment:
     def test_rejects_non_invariant_anchor(self):
         g, lam, action, frame, cycles = coset_fixture()
         with pytest.raises(ValueError, match="not stabiliser-invariant"):
-            FrameAssignment(action, frame, {"bad": lam.unitary(cycles[0])})
+            FrameAssignment(action, frame, {"bad": lam.unitaries[cycles[0]]})
+
+    def test_stabiliser_tolerance_scales_with_the_anchor(self, rng):
+        # an exactly invariant anchor of norm ~1e7 in a rotated basis: its
+        # rounding error is above the bare tolerance and below the scaled one,
+        # and the assignment must accept it as relativize does
+        g, _, action, frame, cycles = rotated_coset_fixture(rng)
+        anchor = 1e7 * (action.rep.unitaries[cycles[0]] + action.rep.unitaries[cycles[1]])
+        assert _stabiliser_defect(anchor, action, frame) > 1e-8
+        direct = relativize(anchor, action, frame)
+        assignment = FrameAssignment(action, frame, {"big": anchor})
+        assert np.allclose(assignment.relativized("big"), direct, atol=1e-12 * op_norm(direct))
+
+
+def rotated_coset_fixture(rng):
+    """``coset_fixture`` with the system rep conjugated by a random unitary,
+    so that invariance holds only up to rounding."""
+    g, lam, _, frame, cycles = coset_fixture()
+    w = random_unitary(rng, 6)
+    rep = FiniteRep(g, [w @ u @ dagger(w) for u in lam.unitaries])
+    return g, lam, GroupAction(generate_algebra(rep.unitaries, 6), rep), frame, cycles
+
+
+def stabiliser_average(a, action, subgroup):
+    us = [action.rep.unitaries[h] for h in subgroup]
+    return sum(u @ a @ dagger(u) for u in us) / len(us)
+
+
+class TestAgainstPerPointLoops:
+    """The stacked stabiliser and assignment checks against one group point
+    and one cell at a time."""
+
+    @pytest.mark.parametrize("fixture", ["cosets", "rotated-cosets", "ideal"])
+    def test_stabiliser_and_equivariance_defects(self, rng, fixture):
+        if fixture == "ideal":
+            lam = regular_representation(symmetric_group(3))
+            action = GroupAction(generate_algebra(lam.unitaries, 6), lam)
+            frame = ideal_frame(lam)
+        elif fixture == "cosets":
+            _, _, action, frame, _ = coset_fixture()
+        else:
+            _, _, action, frame, _ = rotated_coset_fixture(rng)
+        rep, space = action.rep, frame.povm.space
+        _, cell_action = frame_oracle.coset_action(rep.group.table, space.subgroup)
+        mats = [sum(z * u for z, u in zip(random_complex(rng, 1, 6)[0], rep.unitaries))
+                for _ in range(3)]
+        for x in mats:
+            want = frame_oracle.stabiliser_defect(rep.unitaries, space.subgroup, x)
+            assert abs(_stabiliser_defect(x, action, frame) - want) <= 1e-12
+        anchors = [stabiliser_average(x, action, space.subgroup) for x in mats]
+        assignment = FrameAssignment(action, frame, {f"a{i}": a for i, a in enumerate(anchors)})
+        want = frame_oracle.assignment_equivariance_defect(
+            rep.unitaries, anchors, space.representatives, cell_action
+        )
+        assert abs(assignment.equivariance_defect() - want) <= 1e-12
+        assert want <= 1e-12
+
+    def test_circle_frames_have_a_trivial_stabiliser(self, rng):
+        action, frame, *_ = circle_fixture(rng)
+        assert _stabiliser_defect(random_complex(rng, 3), action, frame) == 0.0
 
 
 class TestCircleFrames:
@@ -354,10 +414,9 @@ def oracle_case(name, rng):
         g, lam, action, frame, _ = coset_fixture()
         # a random element of the translation algebra, averaged over the
         # stabiliser so that relativisation accepts it
-        a = sum(z * lam.unitary(k) for k, z in enumerate(random_complex(rng, 1, g.order)[0]))
-        sub = frame.povm.space.space.subgroup
-        x = sum(lam.conjugate(h, a) for h in sub) / len(sub)
-        us = [lam.unitary(r) for r in frame.povm.space.space.representatives]
+        a = sum(z * lam.unitaries[k] for k, z in enumerate(random_complex(rng, 1, g.order)[0]))
+        x = stabiliser_average(a, action, frame.povm.space.subgroup)
+        us = [lam.unitaries[r] for r in frame.povm.space.representatives]
         effects = frame.povm.effects
         return (
             action, frame, x, oracle.finite_relativize(x, us, effects),

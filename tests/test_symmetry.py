@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from qrflab.vnalg import (
 )
 from qrflab.opcore import DEFAULT_TOL, rel_err
 
+import _frame_oracles as frame_oracle
 from _factories import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian, random_unitary
 from _span_oracles import gram_schmidt_rows, null_space_intersection
 
@@ -45,7 +47,7 @@ def superoperator_projector(u) -> np.ndarray:
     operators, vec(U x U^dag) = (U (x) conj(U)) vec(x), summed over the
     quadrature nodes."""
     nodes = u.group.quadrature_nodes()
-    return sum(np.kron(u.unitary(g), u.unitary(g).conj()) for g in nodes) / nodes.size
+    return sum(np.kron(v, v.conj()) for v in u.unitary_stack(nodes)) / nodes.size
 
 
 def superoperator_fixed_rows(u) -> np.ndarray:
@@ -122,7 +124,7 @@ def cayley_reach(group, gens) -> set[int]:
 def character_rank(u) -> int:
     """dim Fix(Ad U) = (1 / |nodes|) sum_g |tr U(g)|^2."""
     nodes = u.group.quadrature_nodes()
-    return int(round(sum(abs(np.trace(u.unitary(g))) ** 2 for g in nodes) / nodes.size))
+    return int(round(sum(abs(np.trace(v)) ** 2 for v in u.unitary_stack(nodes)) / nodes.size))
 
 
 def conjugated(rep, w):
@@ -285,8 +287,8 @@ class TestFiniteReps:
         lam = regular_representation(g)
         for a in range(g.order):
             for b in range(g.order):
-                prod = lam.unitary(a) @ lam.unitary(b)
-                assert np.allclose(prod, lam.unitary(int(g.table[a, b])), atol=1e-12)
+                prod = lam.unitaries[a] @ lam.unitaries[b]
+                assert np.allclose(prod, lam.unitaries[g.table[a, b]], atol=1e-12)
 
     def test_left_and_right_translations_commute(self):
         g = symmetric_group(3)
@@ -294,7 +296,7 @@ class TestFiniteReps:
         rho = right_regular_representation(g)
         for a in range(g.order):
             for b in range(g.order):
-                left, right = lam.unitary(a), rho.unitary(b)
+                left, right = lam.unitaries[a], rho.unitaries[b]
                 assert np.allclose(left @ right, right @ left, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -594,22 +596,40 @@ class TestCircle:
 
     def test_unitary_at_angle(self):
         rep = CircleRep(CircleGroup(1), np.diag([0.0, 1.0]))
-        u = rep.unitary(np.pi)
+        u = rep.unitary_stack(np.array([np.pi]))[0]
         assert np.allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["finite", "circle"])
 def test_unitary_stack_matches_the_unitary_at_each_node(rng, kind):
+    # the finite rep against its own matrices, the circle rep against
+    # V e^{i theta n} V^dag for the spectrum n and eigenbasis V it was built from
+    w = random_unitary(rng, 3)
+    freqs = np.array([-2.0, 0.0, 1.0])
     if kind == "finite":
         rep = regular_representation(symmetric_group(3))
     else:
-        w = random_unitary(rng, 3)
-        rep = CircleRep(CircleGroup(2), w @ np.diag([-2.0, 0.0, 1.0]) @ w.conj().T)
+        rep = CircleRep(CircleGroup(2), w @ np.diag(freqs) @ w.conj().T)
+
+    def expected(g):
+        if kind == "finite":
+            return rep.unitaries[g]
+        return w @ np.diag(np.exp(1j * g * freqs)) @ w.conj().T
+
     nodes = rep.group.quadrature_nodes()
     stack = rep.unitary_stack(nodes)
     assert stack.shape == (nodes.size, rep.dim, rep.dim)
     for u, g in zip(stack, nodes):
-        assert rel_err(u, rep.unitary(g)) <= 1e-14
+        assert rel_err(u, expected(g)) <= 1e-14
+
+
+@pytest.mark.parametrize("cls", [FiniteRep, CircleRep])
+def test_unitary_stack_is_the_only_public_method(cls):
+    methods = {
+        name for name, member in vars(cls).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    }
+    assert methods == {"unitary_stack"}
 
 
 class TestTensorRep:
@@ -617,20 +637,22 @@ class TestTensorRep:
         g = cyclic_group(2)
         lam = regular_representation(g)
         both = tensor_rep(lam, lam)
-        assert np.allclose(both.unitary(1), np.kron(lam.unitary(1), lam.unitary(1)))
+        assert np.allclose(both.unitaries[1], np.kron(lam.unitaries[1], lam.unitaries[1]))
 
     def test_circle_tensor_needs_room_for_the_sum(self):
         rep = CircleRep(CircleGroup(1), np.diag([0.0, 1.0]))
         with pytest.raises(ValueError):
             tensor_rep(rep, rep)
         wide = tensor_rep(rep, rep, group=CircleGroup(2))
-        assert np.allclose(wide.unitary(np.pi / 2), np.kron(rep.unitary(np.pi / 2), rep.unitary(np.pi / 2)))
+        point = np.array([np.pi / 2])
+        u = rep.unitary_stack(point)[0]
+        assert np.allclose(wide.unitary_stack(point)[0], np.kron(u, u))
 
     def test_trivial_rep_acts_as_identity(self):
         g = cyclic_group(3)
         triv = trivial_rep(g, 2)
         for k in range(3):
-            assert np.array_equal(triv.unitary(k), np.eye(2, dtype=complex))
+            assert np.array_equal(triv.unitaries[k], np.eye(2, dtype=complex))
 
 
 class TestHomogeneousSpace:
@@ -641,6 +663,25 @@ class TestHomogeneousSpace:
         assert space.size == 3
         assert not space.principal
 
+    @pytest.mark.parametrize(
+        "n, members",
+        [
+            (3, ["012", "021"]),
+            (3, ["012", "120", "201"]),
+            (4, ["0123", "1032", "2301", "3210"]),
+            (4, ["0123", "0213", "1023", "1203", "2013", "2103"]),
+        ],
+        ids=["S3-pair", "S3-A3", "S4-klein", "S4-point-stabiliser"],
+    )
+    def test_action_table_is_the_action_on_coset_sets(self, n, members):
+        g = symmetric_group(n)
+        subgroup = [g.labels.index(p) for p in members]
+        space = HomogeneousSpace(g, tuple(subgroup))
+        cosets, action = frame_oracle.coset_action(g.table, subgroup)
+        assert [frozenset(c) for c in space.cosets] == cosets
+        assert space.action.shape == (g.order, len(cosets))
+        assert space.action.tolist() == action
+
     def test_action_is_a_group_action(self):
         g = symmetric_group(3)
         space = HomogeneousSpace(g, (g.identity,))
@@ -648,7 +689,8 @@ class TestHomogeneousSpace:
         for a in range(g.order):
             for b in range(g.order):
                 for cell in range(space.size):
-                    assert space.act(int(g.table[a, b]), cell) == space.act(a, space.act(b, cell))
+                    act = space.action
+                    assert act[g.table[a, b], cell] == act[a, act[b, cell]]
 
     def test_subgroup_must_contain_identity(self):
         g = cyclic_group(4)

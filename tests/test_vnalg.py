@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import qrflab.vnalg
 from qrflab.opcore import dagger
-from qrflab.symmetry import cyclic_group, regular_representation, symmetric_group
+from qrflab.symmetry import cyclic_group, dihedral_group, regular_representation, symmetric_group
 from qrflab.vnalg import (
     OperatorAlgebra,
     ProductTrace,
@@ -419,6 +419,35 @@ class TestDecompose:
         assert np.abs(first_plain - first_mixed).max() <= 1e-12
         assert plain.blocks == mixed.blocks
         assert plain.defect <= 1e-12 and mixed.defect <= 1e-12
+
+    @pytest.mark.parametrize(
+        "group", [symmetric_group(3), dihedral_group(4), symmetric_group(4)], ids=["S3", "D4", "S4"]
+    )
+    def test_block_draws_do_not_depend_on_the_algebra_basis(self, group, monkeypatch):
+        # the algebra's rows mixed by a seeded unitary: every spectrum
+        # decompose splits, the block splits' among them, must not change
+        rep = regular_representation(group)
+        alg = generate_algebra(rep.unitaries, group.order)
+        mix = random_unitary(np.random.default_rng(11), alg.dim)
+        real_eig = qrflab.vnalg.hermitian_eig
+
+        def spectra(a):
+            seen = []
+
+            def spy(x, *args, **kwargs):
+                vals, vecs = real_eig(x, *args, **kwargs)
+                seen.append(vals)
+                return vals, vecs
+
+            monkeypatch.setattr(qrflab.vnalg, "hermitian_eig", spy)
+            structure = decompose(a)
+            return seen, structure
+
+        plain, plain_structure = spectra(alg)
+        mixed, mixed_structure = spectra(OperatorAlgebra(alg.ambient_dim, mix @ alg.rows))
+        assert len(plain) == len(mixed) > 1
+        assert max(np.abs(a - b).max() for a, b in zip(plain, mixed)) <= 1e-12
+        assert plain_structure.blocks == mixed_structure.blocks
 
 
 class TestProductTrace:
