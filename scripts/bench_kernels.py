@@ -1,0 +1,204 @@
+"""Time the north-star kernels on fixed shapes and print one JSON document.
+
+Each case is named ``kernel:shape``:
+
+- ``commutant:tensor:d`` times ``vnalg.commutant`` of M_d (x) 1 on
+  C^d (x) C^d with real basis rows, as ``modular.gns_doubling`` builds it;
+  its operator space has n^2 = d^4 dimensions. ``commutant:full:d`` does the
+  same for the full M_d with complex basis rows, with n^2 = d^2.
+- ``fixed-points:<shape>`` times ``symmetry.tensor_fixed_point_rows``, the
+  Ad(U (x) V) fixed points of M (x) B(H_V) for an Ad U-invariant span M of
+  m operators, and reports m, d_u, d_v, the number of quadrature nodes and
+  the fixed-point rank r.
+- ``closure:<shape>`` builds the crossed product M x| G of a group shape and
+  times ``verify_commutation_theorem`` on it. It reports dim M, d, |G|, the
+  ambient dimension D = d |G|, the crossed product's dim = dim M |G|, the
+  size of the group's generating set, the two product counts of the closure
+  check (dim^2 over all basis pairs, (dim M + |gens|) dim against the
+  generators) and the median build time.
+- ``centre:<shape>`` times ``vnalg.centre`` of that crossed product.
+
+The group shapes are the qrfbench call shapes, each rep conjugated by a
+seeded unitary:
+
+- crossed-growth: ``scalars-Z<n>-regular`` (the scalars of C^n under a
+  Z_n regular rep), ``M2-Z<n>-phase`` (M_2 under a Z_n phase rep) and
+  ``S3-group-algebra`` (the group algebra of an S3 regular rep under that
+  rep), each against the regular rep of its group;
+- algebra-structure (``fixed-points`` only): ``Z<n>-regular-x-<n>`` and
+  ``S3-regular-x-3``, the scalars against a tensor product of two reps.
+
+Each case is timed ``--repeats`` times with ``time.perf_counter`` after one
+warm-up call, and the median is reported in ms. BLAS runs on one thread
+unless the caller's environment already sets ``OPENBLAS_NUM_THREADS``.
+
+    python scripts/bench_kernels.py --repeats 5
+    python scripts/bench_kernels.py --src path/to/other/src --cases commutant:full:8 closure:M2-Z10-phase
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+_CROSSED_SHAPES = (
+    [f"scalars-Z{n}-regular" for n in (4, 6, 7, 8)]
+    + [f"M2-Z{n}-phase" for n in (4, 6, 8, 9, 10)]
+    + ["S3-group-algebra"]
+)
+DEFAULT_CASES = (
+    [f"commutant:tensor:{d}" for d in range(2, 8)]
+    + [f"commutant:full:{d}" for d in (8, 10, 12, 16)]
+    + [f"fixed-points:{s}" for s in _CROSSED_SHAPES]
+    + [f"fixed-points:{s}" for s in ("Z3-regular-x-3", "Z5-regular-x-5", "S3-regular-x-3")]
+    + [f"closure:{s}" for s in _CROSSED_SHAPES]
+    + ["centre:S3-group-algebra"]
+)
+
+
+def commutant_case(shape: str):
+    """(n^2, expected commutant dim, algebra) for ``tensor:d`` or ``full:d``."""
+    import numpy as np
+
+    from qrflab.vnalg import OperatorAlgebra
+
+    family, d = shape.split(":")
+    d = int(d)
+    if family == "full":
+        return d * d, 1, OperatorAlgebra(d, np.eye(d * d, dtype=complex))
+    if family == "tensor":
+        units = np.eye(d * d).reshape(d * d, d, d)
+        rows = np.array([np.kron(e, np.eye(d)).ravel() for e in units]) / np.sqrt(d)
+        return d ** 4, d * d, OperatorAlgebra(d * d, rows)
+    raise ValueError(f"unknown commutant shape {shape!r}")
+
+
+def group_case(shape: str):
+    """(rows, u, v) for a group shape; every rep is conjugated by a seeded unitary."""
+    import numpy as np
+
+    from qrflab.symmetry import (
+        FiniteRep,
+        cyclic_group,
+        regular_representation,
+        symmetric_group,
+        tensor_rep,
+        trivial_rep,
+    )
+
+    rng = np.random.default_rng(0)
+
+    def conjugated(rep):
+        q, r = np.linalg.qr(rng.standard_normal((rep.dim, rep.dim))
+                            + 1j * rng.standard_normal((rep.dim, rep.dim)))
+        w = q * (np.diag(r) / np.abs(np.diag(r)))
+        return FiniteRep(rep.group, [w @ u @ w.conj().T for u in rep.unitaries])
+
+    def scalars(d):
+        return np.eye(d, dtype=complex).reshape(1, d * d) / np.sqrt(d)
+
+    if m := re.fullmatch(r"scalars-Z(\d+)-regular", shape):
+        lam = regular_representation(cyclic_group(int(m[1])))
+        return scalars(lam.dim), conjugated(lam), lam
+    if m := re.fullmatch(r"M2-Z(\d+)-phase", shape):
+        n = int(m[1])
+        phases = [np.diag([1.0, np.exp(2j * np.pi * k / n)]) for k in range(n)]
+        rep = conjugated(FiniteRep(cyclic_group(n), phases))
+        return np.eye(4, dtype=complex), rep, regular_representation(rep.group)
+    if shape == "S3-group-algebra":
+        rep = conjugated(regular_representation(symmetric_group(3)))
+        rows = np.array([u.ravel() for u in rep.unitaries]) / np.sqrt(rep.dim)
+        return rows, rep, regular_representation(rep.group)
+    if m := re.fullmatch(r"(Z(\d+)|S3)-regular-x-(\d+)", shape):
+        group = symmetric_group(3) if m[1] == "S3" else cyclic_group(int(m[2]))
+        left = conjugated(regular_representation(group))
+        if m[1] == "S3":
+            perms = [np.eye(3)[:, [int(c) for c in label]] for label in group.labels]
+            right = conjugated(FiniteRep(group, perms))
+        else:
+            right = conjugated(regular_representation(group))
+        if right.dim != int(m[3]):
+            raise ValueError(f"shape {shape!r}: partner has dimension {right.dim}")
+        return scalars(1), trivial_rep(group, 1), tensor_rep(left, right)
+    raise ValueError(f"unknown group shape {shape!r}")
+
+
+def timed(call, repeats: int):
+    """The warm-up call's result and the median of ``repeats`` more calls, in ms."""
+    result = call()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return result, 1e3 * statistics.median(times)
+
+
+def run_case(case: str, repeats: int) -> dict:
+    """The shape fields and median time of one ``kernel:shape`` case."""
+    from qrflab.crossed import build_crossed_product, verify_commutation_theorem
+    from qrflab.relativise import GroupAction
+    from qrflab.symmetry import tensor_fixed_point_rows
+    from qrflab.vnalg import OperatorAlgebra, centre, commutant
+
+    kernel, _, shape = case.partition(":")
+    if kernel == "commutant":
+        n_squared, expected_dim, alg = commutant_case(shape)
+        comm, ms = timed(lambda: commutant(alg), repeats)
+        if comm.dim != expected_dim:
+            raise RuntimeError(f"case {case!r}: commutant has dim {comm.dim}, not {expected_dim}")
+        return {"n_squared": n_squared, "median_ms": ms}
+    if kernel not in ("fixed-points", "closure", "centre"):
+        raise ValueError(f"unknown kernel in case {case!r}")
+    rows, u, v = group_case(shape)
+    if kernel == "fixed-points":
+        fixed, ms = timed(lambda: tensor_fixed_point_rows(rows, u, v), repeats)
+        return {"m": rows.shape[0], "d_u": u.dim, "d_v": v.dim,
+                "nodes": int(u.group.quadrature_nodes().size), "r": fixed.shape[0], "median_ms": ms}
+    action = GroupAction(OperatorAlgebra(u.dim, rows), u)
+    if kernel == "centre":
+        cp = build_crossed_product(action)
+        z, ms = timed(lambda: centre(cp.algebra), repeats)
+        return {"D": cp.ambient_dim, "dim": cp.dim, "centre_dim": z.dim, "median_ms": ms}
+    cp, build_ms = timed(lambda: build_crossed_product(action), repeats)
+    report, ms = timed(lambda: verify_commutation_theorem(cp), repeats)
+    if not report.passed:
+        raise RuntimeError(f"case {case!r}: commutation check failed")
+    dim_m, gens = rows.shape[0], len(u.group.generators())
+    return {"dim_m": dim_m, "d": u.dim, "order": u.group.order, "D": cp.ambient_dim,
+            "dim": cp.dim, "gens": gens, "all_pairs_products": cp.dim ** 2,
+            "generator_products": (dim_m + gens) * cp.dim, "build_ms": build_ms, "median_ms": ms}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
+                        help="qrflab source tree to import (default: src/ of this checkout)")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--cases", nargs="+", default=DEFAULT_CASES)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+
+    results = []
+    for case in args.cases:
+        results.append({"case": case, **run_case(case, args.repeats)})
+        print(f"{case:>32}  median {results[-1]['median_ms']:.3f} ms", file=sys.stderr)
+    print(json.dumps({
+        "nproc": os.cpu_count(),
+        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "repeats": args.repeats,
+        "cases": results,
+    }, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

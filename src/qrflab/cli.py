@@ -22,6 +22,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .frames import (
     check_norm1,
     covariant_dilate,
     ideal_frame,
+    is_sharp,
     naimark_dilate,
     phase_povm,
     smear,
@@ -402,19 +404,19 @@ def _verdict_result(v: tc.TypeVerdict) -> dict:
     }
 
 
-def _op_evaluate_condition(ctx, args, path, tol, sign):
+def _op_evaluate_condition(ctx, args, path, tol):
     m = _multiplicity(_require(args, "terms", path), f"{path}.terms")
     beta = _number(_require(args, "beta", path), f"{path}.beta")
     return _verdict_result(tc.evaluate_condition(m, beta))
 
 
-def _op_desitter(ctx, args, path, tol, sign):
+def _op_desitter(ctx, args, path, tol):
     iv = _intervals(_require(args, "intervals", path), f"{path}.intervals")
     beta = _number(_require(args, "beta", path), f"{path}.beta")
     return _verdict_result(tc.desitter_condition(iv, beta))
 
 
-def _op_trace_of_band(ctx, args, path, tol, sign):
+def _op_trace_of_band(ctx, args, path, tol):
     if "intervals" in args:
         iv = _intervals(args["intervals"], f"{path}.intervals")
         return {"value": _real(tc.trace_of_band(iv))}
@@ -423,7 +425,7 @@ def _op_trace_of_band(ctx, args, path, tol, sign):
     return {"value": _real(tc.trace_of_band(beta=beta, multiplicity=m))}
 
 
-def _op_kms_weight(ctx, args, path, tol, sign):
+def _op_kms_weight(ctx, args, path, tol):
     steps = _list(
         _require(args, "steps", path),
         f"{path}.steps",
@@ -434,7 +436,7 @@ def _op_kms_weight(ctx, args, path, tol, sign):
     return {"value": _real(tc.kms_weight_on_step(steps, m, beta))}
 
 
-def _op_so3_partition(ctx, args, path, tol, sign):
+def _op_so3_partition(ctx, args, path, tol):
     spec = _require(args, "energies", path)
     kind = _require(spec, "kind", f"{path}.energies")
     if kind == "rotor":
@@ -456,7 +458,7 @@ def _op_so3_partition(ctx, args, path, tol, sign):
     return out
 
 
-def _op_commutation(ctx, args, path, tol, sign):
+def _op_commutation(ctx, args, path, tol):
     cp = build_crossed_product(_action(ctx, args, path))
     rep = verify_commutation_theorem(cp)
     return {
@@ -469,7 +471,7 @@ def _op_commutation(ctx, args, path, tol, sign):
     }
 
 
-def _op_compression(ctx, args, path, tol, sign):
+def _op_compression(ctx, args, path, tol):
     rep = verify_frame_compression(_action(ctx, args, path), _frame(ctx, args, path))
     return {
         "invariant_dim": rep.invariant_dim,
@@ -479,7 +481,7 @@ def _op_compression(ctx, args, path, tol, sign):
     }
 
 
-def _op_modular_data(ctx, args, path, tol, sign):
+def _op_modular_data(ctx, args, path, tol):
     rho = _build_state(ctx, _require(args, "state", path), f"{path}.state")
     alg, omega = gns_doubling(rho)
     md = modular_data(alg, omega)
@@ -531,7 +533,7 @@ def _product_invariance(action: GroupAction, frame: QuantumReferenceFrame, y: np
     return worst
 
 
-def _op_relativize(ctx, args, path, tol, sign):
+def _op_relativize(ctx, args, path, tol):
     action = _action(ctx, args, path)
     frame = _frame(ctx, args, path)
     x = _matrix(_require(args, "observable", path), f"{path}.observable")
@@ -547,7 +549,7 @@ def _op_relativize(ctx, args, path, tol, sign):
     return out
 
 
-def _op_localization(ctx, args, path, tol, sign):
+def _op_localization(ctx, args, path, tol):
     action = _action(ctx, args, path)
     frame = _frame(ctx, args, path)
     x = _matrix(_require(args, "observable", path), f"{path}.observable")
@@ -555,7 +557,7 @@ def _op_localization(ctx, args, path, tol, sign):
     return {"defect": _real(localization_defect(x, action, frame, sigma))}
 
 
-def _op_relative_expectation(ctx, args, path, tol, sign):
+def _op_relative_expectation(ctx, args, path, tol):
     action = _action(ctx, args, path)
     frame = _frame(ctx, args, path)
     x = _matrix(_require(args, "observable", path), f"{path}.observable")
@@ -565,7 +567,7 @@ def _op_relative_expectation(ctx, args, path, tol, sign):
     return {"value": _encode_complex(value)}
 
 
-def _op_scheme_equivariance(ctx, args, path, tol, sign):
+def _op_scheme_equivariance(ctx, args, path, tol):
     s = _lookup(ctx.schemes, _require(args, "scheme", path), f"{path}.scheme", "scheme")
     sys_rep = _lookup(
         ctx.reps, _require(args, "system_rep", path), f"{path}.system_rep", "representation"
@@ -581,12 +583,12 @@ def _op_scheme_equivariance(ctx, args, path, tol, sign):
     return out
 
 
-def _op_induced_observable(ctx, args, path, tol, sign):
+def _op_induced_observable(ctx, args, path, tol):
     s = _lookup(ctx.schemes, _require(args, "scheme", path), f"{path}.scheme", "scheme")
     return {"matrix": _encode_matrix(induced_observable(s))}
 
 
-def _op_smear(ctx, args, path, tol, sign):
+def _op_smear(ctx, args, path, tol):
     povm = _povm(ctx, args, path)
     kernel = MarkovKernel(np.real(_matrix(_require(args, "kernel", path), f"{path}.kernel")))
     blurred = smear(povm, kernel)
@@ -597,7 +599,7 @@ def _op_smear(ctx, args, path, tol, sign):
     }
 
 
-def _op_naimark(ctx, args, path, tol, sign):
+def _op_naimark(ctx, args, path, tol):
     povm = _povm(ctx, args, path)
     dil = naimark_dilate(povm)
     defect = dil.reconstruction_defect(povm)
@@ -608,7 +610,7 @@ def _op_naimark(ctx, args, path, tol, sign):
     }
 
 
-def _op_covariant_dilation(ctx, args, path, tol, sign):
+def _op_covariant_dilation(ctx, args, path, tol):
     frame = _frame(ctx, args, path)
     dil = covariant_dilate(frame)
     defect = dil.reconstruction_defect(frame.povm)
@@ -620,21 +622,21 @@ def _op_covariant_dilation(ctx, args, path, tol, sign):
     }
 
 
-def _op_frame_covariance(ctx, args, path, tol, sign):
+def _op_frame_covariance(ctx, args, path, tol):
     frame = _frame(ctx, args, path)
     defect = frame.covariance_defect()
     complete = frame.is_complete()
     return {
         "defect": _real(defect),
         "principal": frame.is_principal,
-        "sharp": frame.is_sharp(),
+        "sharp": is_sharp(frame.povm),
         "complete": "not evaluated" if complete is None else complete,
-        "norm1": [_real(v) for v in frame.norm1_scores()],
+        "norm1": [_real(v) for v in check_norm1(frame.povm)],
         "passed": defect <= tol,
     }
 
 
-def _op_double_commutant(ctx, args, path, tol, sign):
+def _op_double_commutant(ctx, args, path, tol):
     alg = _lookup(ctx.algebras, _require(args, "algebra", path), f"{path}.algebra", "algebra")
     bicomm = commutant(commutant(alg))
     dist = span_distance(bicomm, alg)
@@ -646,7 +648,7 @@ def _op_double_commutant(ctx, args, path, tol, sign):
     }
 
 
-def _op_decompose(ctx, args, path, tol, sign):
+def _op_decompose(ctx, args, path, tol):
     alg = _lookup(ctx.algebras, _require(args, "algebra", path), f"{path}.algebra", "algebra")
     bs = decompose(alg)
     return {
@@ -770,6 +772,8 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
             if not task.get("expect"):
                 raise ScenarioError(path, "the forward convention is a regression witness; pin its defect with an expect block")
 
+    # Only kms_check reads the run's sign; bind it there alone.
+    ops = dict(OPS, kms_check=partial(_op_kms_check, sign=kms_sign))
     records = []
     n_passed = 0
     for i, (task, name, tol) in enumerate(zip(tasks, names, tols)):
@@ -779,7 +783,7 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
         failures: list[str] = []
         result: dict = {}
         try:
-            result = OPS[op](ctx, task, path, tol, kms_sign)
+            result = ops[op](ctx, task, path, tol)
             if task.get("expect"):
                 failures.extend(check_expectations(result, task["expect"], path))
             # A task may assert that the internal check fails; the report

@@ -265,12 +265,6 @@ class QuantumReferenceFrame:
             worst = max(worst, np.linalg.norm(moved - effects[t], 2, axis=(1, 2)).max())
         return float(worst)
 
-    def norm1_scores(self) -> list[float]:
-        return check_norm1(self.povm)
-
-    def is_sharp(self) -> bool:
-        return is_sharp(self.povm)
-
     def is_complete(self) -> bool | None:
         """Whether only the identity leaves every effect fixed.
 

@@ -170,10 +170,6 @@ def unitary_defect(u: np.ndarray) -> float:
     return rel_err(u @ dagger(u), np.eye(u.shape[0]))
 
 
-def is_unitary(u: np.ndarray) -> bool:
-    return unitary_defect(u) <= DEFAULT_TOL
-
-
 def check_density(rho, tol: float = 1.0e-10) -> np.ndarray:
     """Validate a density matrix: Hermitian, positive, unit trace."""
     rho = as_operator(rho, "state")

@@ -54,7 +54,10 @@ class MeasurementScheme:
         obs = as_operator(self.probe_obs, "probe_obs")
         if obs.shape[0] != self.probe_dim:
             raise ValueError("probe observable must act on the probe")
-        if op_norm(obs - dagger(obs)) > DEFAULT_TOL:
+        # Relative to max(1, ||obs||); the norm costs an SVD, so it is taken
+        # only when the asymmetry exceeds the bare tolerance.
+        asym = op_norm(obs - dagger(obs))
+        if asym > DEFAULT_TOL and asym > DEFAULT_TOL * op_norm(obs):
             raise ValueError("probe observable is not Hermitian within tolerance")
         object.__setattr__(self, "scattering", theta)
         object.__setattr__(self, "probe_prep", prep)
@@ -79,7 +82,8 @@ def induced_observable(scheme: MeasurementScheme) -> np.ndarray:
     weighted = moved @ np.kron(np.eye(d_s), scheme.probe_prep)
     out = partial_trace(weighted, (d_s, d_p), "second")
     defect = op_norm(out - dagger(out))
-    if defect > DEFAULT_TOL:
+    # Relative to max(1, ||out||), as for the pointer in MeasurementScheme.
+    if defect > DEFAULT_TOL and defect > DEFAULT_TOL * op_norm(out):
         raise RuntimeError(f"induced observable failed hermiticity by {defect:.3e}")
     return out
 

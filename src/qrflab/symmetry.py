@@ -40,10 +40,6 @@ import numpy as np
 from .opcore import DEFAULT_TOL, as_operator, dagger, hermitian_eig, rel_err
 from .vnalg import OperatorAlgebra
 
-# Exhaustive associativity checking is cubic; cap it at a size where that
-# stays instant.
-_ASSOC_CHECK_MAX = 64
-
 # The seeded range sketch of ``tensor_fixed_point_rows``: samples beyond the
 # rank, and the seed, so that runs are reproducible.
 _SKETCH_OVERSAMPLE = 10
@@ -90,12 +86,11 @@ class FiniteGroup:
                 raise ValueError(f"element {self.labels[i]!r} has no inverse")
             inv[i] = hits[0]
         self.inverse = inv
-        if n <= _ASSOC_CHECK_MAX:
-            t = self.table
-            # (ab)c == a(bc) for all triples, done in two vectorised gathers:
-            # t[t, :][a, b, c] = t[t[a, b], c] and t[:, t][a, b, c] = t[a, t[b, c]].
-            if not (t[t, :] == t[:, t]).all():
-                raise ValueError("Cayley table is not associative")
+        # (ab)c == a(bc) for every triple, one a at a time in n^2 memory:
+        # t[t[a]][b, c] = t[t[a, b], c] and t[a][t][b, c] = t[a, t[b, c]].
+        t = self.table
+        if any((t[t[a]] != t[a][t]).any() for a in range(n)):
+            raise ValueError("Cayley table is not associative")
 
     @property
     def order(self) -> int:

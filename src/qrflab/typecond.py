@@ -263,31 +263,25 @@ def so3_partition_multiplicity(
     if not math.isfinite(target) or target <= 0.0:
         raise ValueError("remainder target must be positive")
 
-    def energy(l: int) -> float:
-        e = energies(l) if callable(energies) else energies[l]
-        e = float(e)
+    def level(l: int, floor: float) -> tuple[float, float]:
+        """(E_l, (2l+1)^2 e^{-beta E_l}), reading level l once; E_l >= floor."""
+        e = float(energies(l) if callable(energies) else energies[l])
         if not math.isfinite(e):
             raise ValueError(f"energy at level {l} is not finite")
-        return e
-
-    def term(l: int) -> float:
-        return (2 * l + 1) ** 2 * math.exp(-beta * energy(l))
+        if e < floor:
+            raise ValueError("energies must be nondecreasing")
+        return e, (2 * l + 1) ** 2 * math.exp(-beta * e)
 
     limit = max_terms if callable(energies) else min(max_terms, len(energies))
     if limit < 1:
         raise ValueError("need at least one energy level")
 
-    total = term(0)
+    e_cur, s_cur = level(0, -math.inf)
+    total = s_cur
     bad_ratios = 0
-    prev_e = energy(0)
-    terms = [(1, energy(0))]
+    terms = [(1, e_cur)]
     for l in range(0, limit - 1):
-        e_next = energy(l + 1)
-        if e_next < prev_e:
-            raise ValueError("energies must be nondecreasing")
-        prev_e = e_next
-        s_cur = term(l)
-        s_next = term(l + 1)
+        e_next, s_next = level(l + 1, e_cur)
         ratio = s_next / s_cur if s_cur > 0.0 else math.inf
         # Ratios within rounding of 1 count as non-decaying: a tail bound
         # of s/(1-r) with r that close to 1 could never certify anything.
@@ -309,6 +303,7 @@ def so3_partition_multiplicity(
             if tail < target:
                 verdict = TypeVerdict(FINITE, total, remainder_bound=tail)
                 return PartitionResult(verdict, l + 2, _so3_multiplicity(terms))
+        e_cur, s_cur = e_next, s_next
     if not callable(energies) and limit == len(energies):
         # A finite level list is a complete spectrum; the sum is exact.
         verdict = TypeVerdict(FINITE, total, remainder_bound=0.0)

@@ -445,29 +445,28 @@ def normalized_trace(x: np.ndarray) -> complex:
 @dataclass
 class ProductTrace:
     """Linear extension of tau1 (x) tau2 to the algebra generated by
-    elementary tensors a (x) b."""
+    elementary tensors a (x) b.
+
+    On a (x) b it is tr(a) tr(b) / (d1 d2) = tr(a (x) b) / (d1 d2), so on
+    the product algebra it is the normalised trace; the rows only check
+    membership.
+    """
 
     left: OperatorAlgebra
     right: OperatorAlgebra
     _rows: np.ndarray = field(init=False, repr=False)
-    _values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        d1, d2 = self.left.ambient_dim, self.right.ambient_dim
-        mats = []
-        vals = []
-        for a in self.left.basis_matrices():
-            for b in self.right.basis_matrices():
-                mats.append(_vec(np.kron(a, b)))
-                vals.append(normalized_trace(a) * normalized_trace(b))
         # Elementary tensors of two orthonormal bases are orthonormal.
-        self._rows = np.array(mats)
-        self._values = np.array(vals)
+        self._rows = np.array([
+            _vec(np.kron(a, b))
+            for a in self.left.basis_matrices()
+            for b in self.right.basis_matrices()
+        ])
 
     def __call__(self, x: np.ndarray) -> complex:
         v = _vec(x)
-        coef = self._rows.conj() @ v
-        resid = v - coef @ self._rows
+        resid = v - (self._rows.conj() @ v) @ self._rows
         if np.linalg.norm(resid) > _MEMBER_TOL * max(1.0, float(np.linalg.norm(v))):
             raise ValueError("operator lies outside the tensor product algebra")
-        return complex(coef @ self._values)
+        return normalized_trace(x)

@@ -67,6 +67,6 @@ def test_only_allow_listed_parameters_are_settable():
 
 def test_the_walk_reaches_functions_methods_and_dataclass_fields():
     names = dict(public_callables())
-    assert {"opcore.is_unitary", "vnalg.OperatorAlgebra.contains",
+    assert {"opcore.unitary_defect", "vnalg.OperatorAlgebra.contains",
             "modular.ModularData.flow_defect", "crossed.CommutationReport"} <= set(names)
     assert qrflab.decompose is names["vnalg.decompose"]

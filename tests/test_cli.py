@@ -275,33 +275,29 @@ class TestScripts:
         assert re.search(r"^max residual \S+ \(ok\)$", proc.stdout, re.MULTILINE), proc.stdout
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bench_commutant.py", "--cases", "tensor:2"],
-            ["bench_fixed_points.py", "--cases", "M2-Z4-phase"],
-            # bench_closure imports its cases from bench_fixed_points.
-            ["bench_closure.py", "--cases", "M2-Z4-phase", "--centre-cases", "M2-Z4-phase"],
-        ],
-        ids=["commutant", "fixed-points", "closure"],
+        "case",
+        ["commutant:tensor:2", "fixed-points:M2-Z4-phase", "closure:M2-Z4-phase",
+         "centre:M2-Z4-phase"],
+        ids=["commutant", "fixed-points", "closure", "centre"],
     )
-    def test_bench_script_prints_one_json_document(self, argv):
-        script, *rest = argv
-        proc = run_python(str(REPO / "scripts" / script), "--repeats", "1", *rest)
+    def test_bench_kernels_prints_one_json_document(self, case):
+        proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",
+                          "--cases", case)
         assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
-        assert [c["case"] for c in doc["cases"]] == [rest[1]]
+        [entry] = json.loads(proc.stdout)["cases"]
+        assert entry["case"] == case
+        assert entry["median_ms"] > 0.0
 
-    @pytest.mark.parametrize("script", ["bench_commutant.py", "bench_fixed_points.py"])
-    def test_bench_script_finds_the_checkout_without_pythonpath(self, script):
-        # the usage line of each script's docstring, with no PYTHONPATH set
+    def test_bench_kernels_finds_the_checkout_without_pythonpath(self):
+        # the usage line of the script's docstring, with no PYTHONPATH set
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        case = "tensor:2" if script == "bench_commutant.py" else "M2-Z4-phase"
         proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / script), "--repeats", "1", "--cases", case],
+            [sys.executable, str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",
+             "--cases", "commutant:tensor:2"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert [c["case"] for c in json.loads(proc.stdout)["cases"]] == [case]
+        assert [c["case"] for c in json.loads(proc.stdout)["cases"]] == ["commutant:tensor:2"]
 
 
 class TestConfigErrors:

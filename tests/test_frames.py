@@ -206,7 +206,7 @@ class TestSharpness:
 class TestFrames:
     def test_ideal_frame_is_sharp_principal_covariant(self):
         frame = ideal_frame(regular_representation(symmetric_group(3)))
-        assert frame.is_sharp()
+        assert is_sharp(frame.povm)
         assert frame.is_principal
         assert frame.is_complete()
         assert frame.covariance_defect() < 1e-12
@@ -221,7 +221,7 @@ class TestFrames:
     def test_unsharp_frame_stays_covariant(self):
         frame = unsharp_qubit_frame()
         assert frame.covariance_defect() < 1e-12
-        assert not frame.is_sharp()
+        assert not is_sharp(frame.povm)
 
     def test_covariance_breaks_under_the_wrong_rep(self):
         g = cyclic_group(2)

@@ -5,7 +5,7 @@ from qrflab.opcore import dagger, op_norm
 from qrflab.scheme import MeasurementScheme, equivariance_defect, induced_observable, transform_scheme
 from qrflab.symmetry import CircleGroup, CircleRep, FiniteRep, cyclic_group
 
-from _factories import SIGMA_X, SIGMA_Z, random_density, random_unitary
+from _factories import SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
 
 CNOT = np.array([
     [1, 0, 0, 0],
@@ -55,6 +55,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be positive"):
             MeasurementScheme(0, 2, CNOT, np.eye(2) / 2, SIGMA_Z)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hermiticity_tolerance_scales_with_the_observable(self, seed):
+        # Rounding leaves an asymmetry of ~1e-8 on a Hermitian observable of
+        # norm 1e8: ~1e-16 relative to its size, so it must be accepted.
+        u = random_unitary(np.random.default_rng(seed), 3)
+        obs = u @ np.diag([1e8, -5e7, 3.3e7]) @ dagger(u)
+        assert op_norm(obs - dagger(obs)) > 1e-9
+        MeasurementScheme(1, 3, np.eye(3), np.eye(3) / 3, obs)
+        skew = np.zeros((3, 3), dtype=complex)
+        skew[0, 1] = 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            MeasurementScheme(1, 3, np.eye(3), np.eye(3) / 3, obs + skew)
+
 
 class TestInducedObservable:
     def test_pointer_readout_induces_the_parity(self):
@@ -82,6 +95,20 @@ class TestInducedObservable:
             direct = np.trace(np.kron(w, PLUS) @ moved)
             through = np.trace(w @ induced)
             assert abs(direct - through) < 1e-11
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hermiticity_tolerance_scales_with_the_observable(self, seed):
+        # An exactly Hermitian pointer of norm 6e7 induces an observable whose
+        # rounding asymmetry is ~1e-9, ~1e-16 relative to its size.
+        rng = np.random.default_rng(seed)
+        theta, prep = random_unitary(rng, 6), random_density(rng, 3)
+        h = random_hermitian(rng, 3)
+        obs = 6e7 * h / op_norm(h)
+        obs = (obs + dagger(obs)) / 2
+        assert np.array_equal(obs, dagger(obs))
+        induced = induced_observable(MeasurementScheme(2, 3, theta, prep, obs))
+        assert op_norm(induced - dagger(induced)) <= 1e-14 * op_norm(induced)
 
 
 class TestTransform:

@@ -280,6 +280,21 @@ class TestFiniteGroups:
         with pytest.raises(ValueError, match="not associative"):
             FiniteGroup(list("eabcd"), table)
 
+    def test_rejects_nonassociative_table_of_order_66(self):
+        # Z_66 with 33 added at (1,1), (1,34), (34,1), (34,34): still a Latin
+        # square with identity 0 and two-sided inverses, but
+        # (1.1).33 = 35 + 33 = 2 while 1.(1.33) = 1.34 = 2 + 33 = 35.
+        n = 66
+        table = np.add.outer(np.arange(n), np.arange(n)) % n
+        for a, b in ((1, 1), (1, 34), (34, 1), (34, 34)):
+            table[a, b] = (table[a, b] + 33) % n
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteGroup([str(k) for k in range(n)], table)
+
+    def test_accepts_large_groups(self):
+        assert symmetric_group(5).order == 120
+        assert cyclic_group(66).order == 66
+
 
 class TestFiniteReps:
     def test_regular_rep_is_a_homomorphism(self):

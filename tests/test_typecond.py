@@ -247,6 +247,73 @@ class TestPartitionSums:
         with pytest.raises(ValueError, match="nondecreasing"):
             so3_partition_multiplicity([1.0, 0.5], 1.0)
 
+    def test_decreasing_energies_are_rejected_before_the_weight_overflows(self):
+        # e^{-beta E} overflows at E = -1e6; the order check comes first.
+        with pytest.raises(ValueError, match="nondecreasing"):
+            so3_partition_multiplicity([0.0, -1.0e6], 1.0)
+
+    @pytest.mark.parametrize("energy, kwargs, levels", [
+        (lambda l: float(l * (l + 1)), {}, 5),
+        (lambda l: 2.0 * math.log(2 * l + 1), {}, 17),
+        (lambda l: 0.05 * l, {"max_terms": 10}, 10),
+    ], ids=["rotor", "log", "budget"])
+    def test_each_level_is_read_once(self, energy, kwargs, levels):
+        reads = []
+
+        def spy(l):
+            reads.append(l)
+            return energy(l)
+
+        so3_partition_multiplicity(spy, 1.0, **kwargs)
+        assert reads == list(range(levels))
+
+
+def staircase(levels):
+    """The canonical multiplicity of levels E_0 <= E_1 <= ...: the weight
+    sum_{k<=l} (2k+1)^2 on [E_l, E_{l+1}), with the last step unbounded."""
+    out, weight = [], 0
+    for l, e in enumerate(levels):
+        weight += (2 * l + 1) ** 2
+        if l + 1 < len(levels) and levels[l + 1] == e:
+            continue
+        out.append((weight, e, levels[l + 1] if l + 1 < len(levels) else math.inf))
+    return tuple(out)
+
+
+def rotor(l):
+    return float(l * (l + 1))
+
+
+def log_levels(l):
+    return 2.0 * math.log(2 * l + 1)
+
+
+# energies, beta, keywords, then the pinned status, value, remainder_bound,
+# detail, terms_used and the number of levels the multiplicity keeps (a
+# non-decaying last level is counted in terms_used but not kept).
+PARTITION_SWEEP = {
+    "rotor-beta1": (rotor, 1.0, {}, FINITE, 2.28028758690493, 9.263377548803764e-11, "", 5, 5),
+    "rotor-beta2": (rotor, 2.0, {}, FINITE, 1.1649943571572565, 2.2276965535496637e-14, "", 4, 4),
+    "log": (log_levels, 1.0, {}, CONDITION_FAILS, math.inf, 0.0,
+            f"{FAILS_MEANING}: terms stopped decaying at level 16", 17, 16),
+    "explicit": ([0.0, 1.0, 2.5, 2.5, 7.0], 0.7, {}, FINITE, 18.9317127782005, 0.0, "", 5, 5),
+    "budget": (lambda l: 0.05 * l, 1.0, {"max_terms": 10}, NOT_EVALUATED, math.nan, 0.0,
+               "no verdict within 10 terms", 10, 10),
+}
+
+
+@pytest.mark.parametrize("case", PARTITION_SWEEP)
+def test_partition_sweep_matches_pinned_values(case):
+    energies, beta, kwargs, status, value, bound, detail, terms_used, kept = PARTITION_SWEEP[case]
+    res = so3_partition_multiplicity(energies, beta, **kwargs)
+    assert res.verdict.status == status
+    assert res.value == value or (math.isnan(value) and math.isnan(res.value))
+    assert res.verdict.remainder_bound == bound
+    assert res.verdict.detail == detail
+    assert res.terms_used == terms_used
+    levels = [energies(l) if callable(energies) else energies[l] for l in range(kept)]
+    assert res.multiplicity.canonical() == staircase(levels)
+
 
 def test_desitter_condition_is_indicator_evaluation():
     intervals = [(-1.0, 0.5), (2.0, math.inf)]

@@ -486,6 +486,28 @@ class TestProductTrace:
         with pytest.raises(ValueError, match="outside the tensor product algebra"):
             tau(stray)
 
+    @pytest.mark.parametrize("pair", ["M2-D2", "X-M3", "D3-X"])
+    def test_is_the_normalised_trace_on_random_members(self, pair, rng):
+        x_alg = algebra_from_matrices([np.eye(2), SIGMA_X], 2)
+        left, right = {
+            "M2-D2": (full_matrix_algebra(2), diagonal_algebra(2)),
+            "X-M3": (x_alg, full_matrix_algebra(3)),
+            "D3-X": (diagonal_algebra(3), x_alg),
+        }[pair]
+        tau = ProductTrace(left, right)
+        d1, d2 = left.ambient_dim, right.ambient_dim
+        pairs = [(a, b) for a in left.basis_matrices() for b in right.basis_matrices()]
+        for _ in range(10):
+            coef = random_complex(rng, len(pairs), 1)[:, 0]
+            x = sum(c * np.kron(a, b) for c, (a, b) in zip(coef, pairs))
+            # tau1 (x) tau2, extended linearly over elementary tensors
+            expected = sum(c * np.trace(a) * np.trace(b) for c, (a, b) in zip(coef, pairs)) / (d1 * d2)
+            assert abs(tau(x) - expected) <= 1e-12 * max(1.0, abs(expected))
+            assert tau(x) == normalized_trace(x)
+        outside = x + random_complex(rng, d1 * d2)
+        with pytest.raises(ValueError, match="outside the tensor product algebra"):
+            tau(outside)
+
 
 def test_span_distance_ignores_basis_choice(rng):
     alg = generate_algebra([SIGMA_X, SIGMA_Z], 2)
