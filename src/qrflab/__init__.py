@@ -10,8 +10,6 @@ from .crossed import (
     CrossedProductAlgebra,
     build_crossed_product,
     compress_by_frame,
-    embed_twisted,
-    intertwining_unitary,
     invariant_joint_algebra,
     verify_commutation_theorem,
     verify_frame_compression,

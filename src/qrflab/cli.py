@@ -97,13 +97,14 @@ def _integer(x, path) -> int:
     return x
 
 
-def _tolerance(x, path, *, zero_ok=False) -> float:
-    """A finite number > 0, or >= 0 where ``zero_ok`` allows an exact match."""
-    tol = _number(x, path)
-    if not (0.0 <= tol if zero_ok else 0.0 < tol) or tol == math.inf:
+def _positive(x, path, *, zero_ok=False) -> float:
+    """A finite number > 0, or >= 0 where ``zero_ok`` allows an exact match:
+    a tolerance, an inverse temperature or a target."""
+    v = _number(x, path)
+    if not (0.0 <= v if zero_ok else 0.0 < v) or v == math.inf:
         bound = ">= 0" if zero_ok else "> 0"
-        raise ScenarioError(path, f"expected a finite number {bound}, got {tol!r}")
-    return tol
+        raise ScenarioError(path, f"expected a finite number {bound}, got {v!r}")
+    return v
 
 
 def _extended(x, path) -> float:
@@ -151,13 +152,15 @@ def _entry(x, path) -> complex:
     return complex(_number(x, path))
 
 
-def _matrix(x, path) -> np.ndarray:
+def _matrix(x, path, entry=_entry) -> np.ndarray:
+    """A matrix as a list of rows, each entry read with ``entry``: complex
+    by default, ``_number`` for a real matrix."""
     if not isinstance(x, list) or not x or not all(isinstance(r, list) for r in x):
         raise ScenarioError(path, "expected a matrix as a list of rows")
     width = len(x[0])
     if width == 0 or any(len(r) != width for r in x):
         raise ScenarioError(path, "matrix rows differ in length")
-    return np.array(_list(x, path, lambda row, here: _list(row, here, _entry)), dtype=complex)
+    return np.array(_list(x, path, lambda row, here: _list(row, here, entry)))
 
 
 def _weight(x, path):
@@ -264,7 +267,7 @@ def _build_algebra(ctx: Context, spec, path):
         rep = _lookup(ctx.reps, _require(spec, "rep", path), f"{path}.rep", "representation")
         if not isinstance(rep, FiniteRep):
             raise ScenarioError(path, "group algebras need a finite representation")
-        return generate_algebra(list(rep.unitaries), rep.dim)
+        return generate_algebra(rep.unitary_stack(rep.group.quadrature_nodes()), rep.dim)
     raise ScenarioError(path, f"unknown algebra kind {kind!r}")
 
 
@@ -406,13 +409,13 @@ def _verdict_result(v: tc.TypeVerdict) -> dict:
 
 def _op_evaluate_condition(ctx, args, path, tol):
     m = _multiplicity(_require(args, "terms", path), f"{path}.terms")
-    beta = _number(_require(args, "beta", path), f"{path}.beta")
+    beta = _positive(_require(args, "beta", path), f"{path}.beta")
     return _verdict_result(tc.evaluate_condition(m, beta))
 
 
 def _op_desitter(ctx, args, path, tol):
     iv = _intervals(_require(args, "intervals", path), f"{path}.intervals")
-    beta = _number(_require(args, "beta", path), f"{path}.beta")
+    beta = _positive(_require(args, "beta", path), f"{path}.beta")
     return _verdict_result(tc.desitter_condition(iv, beta))
 
 
@@ -421,7 +424,7 @@ def _op_trace_of_band(ctx, args, path, tol):
         iv = _intervals(args["intervals"], f"{path}.intervals")
         return {"value": _real(tc.trace_of_band(iv))}
     m = _multiplicity(_require(args, "terms", path), f"{path}.terms")
-    beta = _number(_require(args, "beta", path), f"{path}.beta")
+    beta = _positive(_require(args, "beta", path), f"{path}.beta")
     return {"value": _real(tc.trace_of_band(beta=beta, multiplicity=m))}
 
 
@@ -432,7 +435,7 @@ def _op_kms_weight(ctx, args, path, tol):
         lambda s, here: _fixed(s, here, _number, _number, _number),
     )
     m = _multiplicity(_require(args, "terms", path), f"{path}.terms")
-    beta = _number(_require(args, "beta", path), f"{path}.beta")
+    beta = _positive(_require(args, "beta", path), f"{path}.beta")
     return {"value": _real(tc.kms_weight_on_step(steps, m, beta))}
 
 
@@ -449,8 +452,8 @@ def _op_so3_partition(ctx, args, path, tol):
         energies = _list(vals, f"{path}.energies.values", _number)
     else:
         raise ScenarioError(f"{path}.energies", f"unknown energy model {kind!r}")
-    beta = _number(_require(args, "beta", path), f"{path}.beta")
-    target = _number(args.get("target", 1.0e-9), f"{path}.target")
+    beta = _positive(_require(args, "beta", path), f"{path}.beta")
+    target = _positive(args.get("target", 1.0e-9), f"{path}.target")
     res = tc.so3_partition_multiplicity(energies, beta, target=target)
     out = _verdict_result(res.verdict)
     out["terms_used"] = res.terms_used
@@ -501,7 +504,7 @@ def _op_modular_data(ctx, args, path, tol):
 def _op_kms_check(ctx, args, path, tol, sign):
     rho = _build_state(ctx, _require(args, "state", path), f"{path}.state")
     h = _matrix(_require(args, "hamiltonian", path), f"{path}.hamiltonian")
-    beta = _number(_require(args, "beta", path), f"{path}.beta")
+    beta = _positive(_require(args, "beta", path), f"{path}.beta")
     pairs = _list(
         _require(args, "pairs", path),
         f"{path}.pairs",
@@ -590,7 +593,7 @@ def _op_induced_observable(ctx, args, path, tol):
 
 def _op_smear(ctx, args, path, tol):
     povm = _povm(ctx, args, path)
-    kernel = MarkovKernel(np.real(_matrix(_require(args, "kernel", path), f"{path}.kernel")))
+    kernel = MarkovKernel(_matrix(_require(args, "kernel", path), f"{path}.kernel", _number))
     blurred = smear(povm, kernel)
     return {
         "n_outcomes": blurred.n_outcomes,
@@ -719,27 +722,37 @@ def _close(value, target, tol, key):
     return worst <= tol, f"{key}: expected {target} within {tol}, got {value}"
 
 
-def check_expectations(result: dict, expect: dict, path: str) -> list[str]:
+def _rule(rule, here) -> dict:
+    """An expect rule, read before any task runs: its ``equals`` target with
+    its ``tol``, and its ``min`` and ``max`` bounds."""
+    if not isinstance(rule, dict):
+        raise ScenarioError(here, "expected an object with equals/min/max")
+    parsed = {}
+    if "equals" in rule:
+        parsed["tol"] = _positive(rule.get("tol", 0.0), f"{here}.tol", zero_ok=True)
+        parsed["equals"] = _target(rule["equals"], f"{here}.equals")
+    for bound in ("min", "max"):
+        if bound in rule:
+            parsed[bound] = _number(rule[bound], f"{here}.{bound}")
+    if not parsed:
+        raise ScenarioError(here, "rule needs one of equals/min/max")
+    return parsed
+
+
+def check_expectations(result: dict, rules: dict, path: str) -> list[str]:
+    """Compare a task's result with its rules, as read by ``_rule``."""
     failures = []
-    for key, rule in expect.items():
-        here = f"{path}.expect.{key}"
+    for key, rule in rules.items():
         if key not in result:
-            raise ScenarioError(here, f"result has no field {key!r}")
-        if not isinstance(rule, dict):
-            raise ScenarioError(here, "expected an object with equals/min/max")
+            raise ScenarioError(f"{path}.expect.{key}", f"result has no field {key!r}")
         value = result[key]
         if "equals" in rule:
-            tol = _tolerance(rule.get("tol", 0.0), f"{here}.tol", zero_ok=True)
-            ok, msg = _close(value, _target(rule["equals"], f"{here}.equals"), tol, key)
+            ok, msg = _close(value, rule["equals"], rule["tol"], key)
             if not ok:
                 failures.append(msg)
         for bound, cmp in (("min", lambda v, b: v >= b), ("max", lambda v, b: v <= b)):
-            if bound in rule:
-                b = _number(rule[bound], f"{here}.{bound}")
-                if not _is_number(value) or not cmp(value, b):
-                    failures.append(f"{key}: expected {bound} {b}, got {value}")
-        if not (set(rule) & {"equals", "min", "max"}):
-            raise ScenarioError(here, "rule needs one of equals/min/max")
+            if bound in rule and (not _is_number(value) or not cmp(value, rule[bound])):
+                failures.append(f"{key}: expected {bound} {rule[bound]}, got {value}")
     return failures
 
 
@@ -751,7 +764,7 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
     if not isinstance(tasks, list) or not tasks:
         raise ScenarioError("tasks", "scenario needs a non-empty task list")
 
-    names, tols = [], []
+    names, tols, rules = [], [], []
     for i, task in enumerate(tasks):
         path = f"tasks[{i}]"
         op = _require(task, "op", path)
@@ -764,10 +777,12 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
         names.append(name)
         tol = tolerance
         if "tolerance" in task:
-            tol = _tolerance(task["tolerance"], f"{path}.tolerance")
+            tol = _positive(task["tolerance"], f"{path}.tolerance")
         tols.append(tol)
-        if "expect" in task and not isinstance(task["expect"], dict):
+        expect = task.get("expect", {})
+        if not isinstance(expect, dict):
             raise ScenarioError(f"{path}.expect", "expected an object of result fields to rules")
+        rules.append({key: _rule(r, f"{path}.expect.{key}") for key, r in expect.items()})
         if op == "scheme_equivariance" and task.get("convention") == "forward":
             if not task.get("expect"):
                 raise ScenarioError(path, "the forward convention is a regression witness; pin its defect with an expect block")
@@ -776,7 +791,7 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
     ops = dict(OPS, kms_check=partial(_op_kms_check, sign=kms_sign))
     records = []
     n_passed = 0
-    for i, (task, name, tol) in enumerate(zip(tasks, names, tols)):
+    for i, (task, name, tol, task_rules) in enumerate(zip(tasks, names, tols, rules)):
         path = f"tasks[{i}]"
         op = task["op"]
         started = time.perf_counter()
@@ -784,8 +799,7 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
         result: dict = {}
         try:
             result = ops[op](ctx, task, path, tol)
-            if task.get("expect"):
-                failures.extend(check_expectations(result, task["expect"], path))
+            failures.extend(check_expectations(result, task_rules, path))
             # A task may assert that the internal check fails; the report
             # then documents a known negative instead of flagging it.
             if task.get("expect_fail"):
@@ -919,7 +933,7 @@ def main(argv=None) -> int:
         report = run_scenario(
             doc,
             seed=seed,
-            tolerance=_tolerance(args.tolerance, "--tolerance"),
+            tolerance=_positive(args.tolerance, "--tolerance"),
             kms_sign=args.kms_sign,
             verbose=args.verbose,
             out=sys.stdout,

@@ -22,7 +22,6 @@ from .symmetry import (
     FiniteRep,
     Rep,
     regular_representation,
-    right_regular_representation,
     tensor_fixed_point_rows,
 )
 from .vnalg import (
@@ -37,40 +36,13 @@ from .vnalg import (
 _PROJECTION_TOL = 1.0e-8
 
 
-def _diagonal_blocks(stack: np.ndarray) -> np.ndarray:
-    """sum_g A_g (x) |g><g| for each leading index of a (..., n, d, d) stack:
-    block A_g placed at rows and columns i * n + g."""
-    stack = np.asarray(stack, dtype=complex)
-    *lead, n, d, _ = stack.shape
-    out = np.zeros((*lead, d, n, d, n), dtype=complex)
-    idx = np.arange(n)
-    out[..., idx, :, idx] = np.moveaxis(stack, -3, 0)
-    return out.reshape(*lead, d * n, d * n)
-
-
 def _alphas(mats: np.ndarray, rep: FiniteRep) -> np.ndarray:
     """alpha(g, a) = U(g) a U(g)^dag for a (k, d, d) stack of matrices and
-    every g at once, as a (k, n, d, d) stack from one einsum."""
-    us = np.asarray(rep.unitaries)
+    every g at once, as a (k, n, d, d) stack from one einsum. These are the
+    diagonal blocks of pi(a) = sum_g alpha(g, a) (x) |g><g|, the only form
+    in which pi is held."""
+    us = rep.unitary_stack(rep.group.quadrature_nodes())
     return np.einsum("gij,kjl,gml->kgim", us, mats, us.conj(), optimize=True)
-
-
-def _twisted_stack(mats: np.ndarray, rep: FiniteRep) -> np.ndarray:
-    """pi(a) for a (k, d, d) stack of matrices at once, as a (k, d n, d n)
-    stack: the alpha(g, a) placed on the diagonal."""
-    return _diagonal_blocks(_alphas(mats, rep))
-
-
-def embed_twisted(a: np.ndarray, rep: FiniteRep) -> np.ndarray:
-    """The crossed product embedding, pi(a) = sum_g alpha(g, a) (x) |g><g|."""
-    return _twisted_stack(np.asarray(a, dtype=complex)[None], rep)[0]
-
-
-def right_translations(group: FiniteGroup, dim: int) -> list[np.ndarray]:
-    """1 (x) rho(g) on the system space tensored with l2(G)."""
-    rho = right_regular_representation(group)
-    eye = np.eye(dim)
-    return [np.kron(eye, u) for u in rho.unitaries]
 
 
 @dataclass
@@ -81,10 +53,6 @@ class CrossedProductAlgebra:
     algebra: OperatorAlgebra
 
     @property
-    def group(self) -> FiniteGroup:
-        return self.action.rep.group
-
-    @property
     def ambient_dim(self) -> int:
         return self.algebra.ambient_dim
 
@@ -92,47 +60,21 @@ class CrossedProductAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def covariance_defect(self) -> float:
-        """Worst violation of rho(g) pi(a) rho(g)^dag = pi(alpha(g, a))."""
-        rep = self.action.rep
-        rhos = right_translations(rep.group, rep.dim)
-        worst = 0.0
-        for b in self.action.algebra.basis_matrices():
-            pb = embed_twisted(b, rep)
-            for rho, u in zip(rhos, rep.unitaries):
-                lhs = rho @ pb @ dagger(rho)
-                rhs = embed_twisted(u @ b @ dagger(u), rep)
-                worst = max(worst, hs_norm(lhs - rhs))
-        return worst
-
-    def pi_homomorphism_defect(self) -> float:
-        rep = self.action.rep
-        mats = self.action.algebra.basis_matrices()
-        worst = 0.0
-        for a in mats:
-            worst = max(
-                worst,
-                hs_norm(embed_twisted(dagger(a), rep) - dagger(embed_twisted(a, rep))),
-            )
-            for b in mats:
-                lhs = embed_twisted(a @ b, rep)
-                rhs = embed_twisted(a, rep) @ embed_twisted(b, rep)
-                worst = max(worst, hs_norm(lhs - rhs))
-        return worst
-
 
 def build_crossed_product(action: GroupAction) -> CrossedProductAlgebra:
     """M x| G as the span of the dim M * |G| products pi(b) (1 (x) rho(g)).
 
     Covariance, rho(g) pi(a) rho(g)^dag = pi(alpha(g, a)), moves every
     translation in a word to the right, so no closure is run; closure is
-    measured by ``verify_commutation_theorem``. The products come from one
-    ``_twisted_stack`` of M's basis: right multiplication by 1 (x) rho(g)
-    takes column (t, h) of pi(b) from its column (t, h g^-1). They need no
-    orthonormalisation: <pi(a) rho(g), pi(b) rho(h)> = tr(pi(a^dag b) rho(h g^-1))
-    vanishes for g != h, because pi is block diagonal over l2(G) and rho(k)
-    has no diagonal block for k != e, and equals |G| <a, b> for g = h; so
-    the products of an orthonormal basis of M, divided by sqrt(|G|), are an
+    measured by ``verify_commutation_theorem``. The products are placed
+    block by block: rho(g), which sends |h'> to |h' g^-1>, carries column
+    block h g of H_S (x) l2(G) to row block h, where pi(b) acts as alpha(h, b);
+    so row (b, g) holds alpha(h, b) at block (h, h g) for every h, and zeros
+    elsewhere. They need no orthonormalisation:
+    <pi(a) rho(g), pi(b) rho(h)> = tr(pi(a^dag b) rho(h g^-1)) vanishes for
+    g != h, because pi is block diagonal over l2(G) and rho(k) has no
+    diagonal block for k != e, and equals |G| <a, b> for g = h; so the
+    products of an orthonormal basis of M, divided by sqrt(|G|), are an
     orthonormal basis of the span.
     """
     if not isinstance(action.rep, FiniteRep):
@@ -140,19 +82,14 @@ def build_crossed_product(action: GroupAction) -> CrossedProductAlgebra:
     rep = action.rep
     group = rep.group
     d, n = rep.dim, group.order
-    pis = _twisted_stack(action.algebra.rows.reshape(-1, d, d), rep).reshape(-1, d, n, d, n)
-    # cols[g, h] = h g^-1
-    cols = group.table[:, group.inverse].T
-    prods = np.empty((pis.shape[0], n, d, n, d, n), dtype=complex)
+    alphas = _alphas(action.algebra.rows.reshape(-1, d, d), rep) / np.sqrt(n)
+    # blocks[h] is the (k, d, d) stack alpha(h, b) / sqrt(|G|) over M's basis
+    blocks = np.moveaxis(alphas, 1, 0)
+    h = np.arange(n)
+    prods = np.zeros((alphas.shape[0], n, d, n, d, n), dtype=complex)
     for g in range(n):
-        prods[:, g] = pis[..., cols[g]]
-    prods /= np.sqrt(n)
+        prods[:, g, :, h, :, group.table[h, g]] = blocks
     return CrossedProductAlgebra(action, OperatorAlgebra(d * n, prods.reshape(-1, (d * n) ** 2)))
-
-
-def intertwining_unitary(rep: FiniteRep) -> np.ndarray:
-    """V with (V phi)(g) = U(g) phi(g); conjugation by V untwists pi."""
-    return _diagonal_blocks(rep.unitaries)
 
 
 def invariant_joint_algebra(action: GroupAction, frame_rep: Rep) -> OperatorAlgebra:
@@ -218,10 +155,8 @@ def _closure_defect(alg: OperatorAlgebra, alphas: np.ndarray, group: FiniteGroup
     """
     d = alg.ambient_dim
     rows = alg.rows
-    stack = rows.reshape(-1, d, d)
     unit = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
-    adjoints = np.conj(stack.transpose(0, 2, 1), out=np.empty_like(stack))
-    worst = max(_worst_residual(unit, rows), _worst_residual(adjoints.reshape(rows.shape), rows))
+    worst = max(_worst_residual(unit, rows), alg.star_closure_defect())
     _, n, d_s, _ = alphas.shape
     blocks = rows.reshape(-1, d_s, n, d)
     for alpha in alphas:
@@ -239,10 +174,14 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     The fixed points are computed inside M (x) B(l2 G) by
     ``tensor_fixed_point_rows``. Also checks that the crossed product's span
     is the *-algebra generated by pi(M) and the translations (see
-    ``CommutationReport``), and the conjugation identities for V: it
-    untwists pi back to a (x) 1 and carries U(g) (x) rho(g) to 1 (x) rho(g).
-    The right regular representation and pi of M's basis are built once,
-    for the untwist, translation and closure checks together.
+    ``CommutationReport``), and the conjugation identities for
+    V = sum_g U(g) (x) |g><g|: it untwists pi back to a (x) 1 and carries
+    U(g) (x) rho(g) to 1 (x) rho(g). V is block diagonal over l2(G), so both
+    are checked block by block and no operator on H_S (x) l2(G) is formed:
+    block g of V (a (x) 1) V^dag - pi(a) is U(g) a U(g)^dag - alpha(g, a),
+    and the blocks of V (U(g) (x) rho(g)) V^dag - 1 (x) rho(g) are
+    U(h g^-1) U(g) U(h)^dag - 1, in column block h. The alpha(g, b) of M's
+    basis are computed once, for the untwist and closure checks together.
     """
     action = cp.action
     rep = action.rep
@@ -254,18 +193,12 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
 
     basis = action.algebra.rows.reshape(-1, d, d)
     alphas = _alphas(basis, rep)
-    pis = _diagonal_blocks(alphas)
-    rho = right_regular_representation(group)
+    us = rep.unitary_stack(group.quadrature_nodes())
+    untwist = max(hs_norm(us @ a @ dagger(us) - alpha) for a, alpha in zip(basis, alphas))
     eye = np.eye(d)
-
-    v = intertwining_unitary(rep)
-    untwist = 0.0
-    for a, pi in zip(basis, pis):
-        untwist = max(untwist, hs_norm(v @ np.kron(a, np.eye(n)) @ dagger(v) - pi))
-    translation = 0.0
-    for u, r in zip(rep.unitaries, rho.unitaries):
-        lhs = v @ np.kron(u, r) @ dagger(v)
-        translation = max(translation, hs_norm(lhs - np.kron(eye, r)))
+    translation = max(
+        hs_norm(us[group.table[:, group.inverse[g]]] @ us[g] @ dagger(us) - eye) for g in range(n)
+    )
 
     return CommutationReport(
         crossed_dim=cp.dim,

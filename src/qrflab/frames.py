@@ -288,8 +288,9 @@ def ideal_frame(rep: FiniteRep) -> QuantumReferenceFrame:
     """The sharp principal frame carried by the regular representation."""
     group = rep.group
     lam = regular_representation(group)
+    nodes = group.quadrature_nodes()
     if rep.dim != group.order or any(
-        rel_err(u, v) > 1.0e-9 for u, v in zip(rep.unitaries, lam.unitaries)
+        rel_err(u, v) > 1.0e-9 for u, v in zip(rep.unitary_stack(nodes), lam.unitary_stack(nodes))
     ):
         raise ValueError("ideal frame needs the left regular representation")
     hom = HomogeneousSpace(group, (group.identity,))
@@ -332,7 +333,7 @@ class Dilation:
 
     def pulled_back_effects(self) -> list[np.ndarray]:
         blocks = self.isometry.reshape(self.kdim, self.outcomes, -1).transpose(1, 0, 2)
-        return list(blocks.conj().transpose(0, 2, 1) @ blocks)
+        return list(dagger(blocks) @ blocks)
 
     def reconstruction_defect(self, povm: Povm) -> float:
         worst = 0.0

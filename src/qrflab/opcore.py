@@ -30,7 +30,8 @@ def as_operator(x, name: str = "operator") -> np.ndarray:
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x).conj().T
+    """The adjoint of a matrix, or of each matrix in a (..., d, d) stack."""
+    return np.swapaxes(np.asarray(x).conj(), -1, -2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -55,18 +55,13 @@ def _require_same_group(action: GroupAction, frame: QuantumReferenceFrame) -> No
         raise ValueError("system action and frame must share one symmetry group")
 
 
-def _conjugates(us: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The stack U_k x U_k^dag for a (k, d, d) stack of unitaries."""
-    return us @ x @ us.conj().transpose(0, 2, 1)
-
-
 def _stabiliser_defect(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> float:
     if isinstance(frame.rep, CircleRep):
         # Circle frames are principal; the stabiliser is trivial.
         return 0.0
     cells: HomogeneousSpace = frame.povm.space
     us = action.rep.unitary_stack(np.array(cells.subgroup))
-    return float(np.linalg.norm(_conjugates(us, x) - x, 2, axis=(1, 2)).max())
+    return float(np.linalg.norm(us @ x @ dagger(us) - x, 2, axis=(1, 2)).max())
 
 
 def _is_stabiliser_invariant(
@@ -93,8 +88,10 @@ def _orbit_and_effects(
     else:
         c = _phase_density_matrix(frame)
         points = frame.rep.group.quadrature_nodes()
-        effects = _conjugates(frame.rep.unitary_stack(points), c) / points.size
-    return _conjugates(action.rep.unitary_stack(points), x), effects
+        us_r = frame.rep.unitary_stack(points)
+        effects = us_r @ c @ dagger(us_r) / points.size
+    us = action.rep.unitary_stack(points)
+    return us @ x @ dagger(us), effects
 
 
 def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:

@@ -218,7 +218,7 @@ class FiniteRep:
         eye = np.eye(d)
         # rel_err per element, batched: Frobenius distance over max(1, ||target||_F).
         unit_scale = max(1.0, float(np.sqrt(d)))
-        unit_err = np.linalg.norm(us @ us.conj().transpose(0, 2, 1) - eye, axis=(1, 2))
+        unit_err = np.linalg.norm(us @ dagger(us) - eye, axis=(1, 2))
         bad = np.flatnonzero(unit_err / unit_scale > DEFAULT_TOL)
         if bad.size:
             raise ValueError(f"matrix for {g.labels[bad[0]]!r} is not unitary")
@@ -300,7 +300,8 @@ def tensor_rep(a: Rep, b: Rep, group: SymmetryGroup | None = None) -> Rep:
     if isinstance(a, FiniteRep) and isinstance(b, FiniteRep):
         if a.group != b.group:
             raise ValueError("tensor product needs representations of one group")
-        us = [np.kron(u, v) for u, v in zip(a.unitaries, b.unitaries)]
+        nodes = a.group.quadrature_nodes()
+        us = [np.kron(u, v) for u, v in zip(a.unitary_stack(nodes), b.unitary_stack(nodes))]
         return FiniteRep(group if isinstance(group, FiniteGroup) else a.group, us)
     if isinstance(a, CircleRep) and isinstance(b, CircleRep):
         gen = np.kron(a.generator, np.eye(b.dim)) + np.kron(np.eye(a.dim), b.generator)
@@ -455,6 +456,8 @@ class HomogeneousSpace:
     def __post_init__(self) -> None:
         g = self.group
         sub = tuple(sorted(set(int(s) for s in self.subgroup)))
+        if any(not 0 <= s < g.order for s in sub):
+            raise ValueError(f"subgroup indices must lie in [0, {g.order})")
         if g.identity not in sub:
             raise ValueError("subgroup must contain the identity")
         for a in sub:

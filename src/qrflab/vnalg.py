@@ -130,9 +130,8 @@ class OperatorAlgebra:
 
     def star_closure_defect(self) -> float:
         d = self.ambient_dim
-        stack = self.rows.reshape(-1, d, d)
-        adjoints = np.conj(stack.transpose(0, 2, 1), out=np.empty_like(stack))
-        return _worst_residual(adjoints.reshape(self.rows.shape), self.rows)
+        adjoints = dagger(self.rows.reshape(-1, d, d)).reshape(self.rows.shape)
+        return _worst_residual(adjoints, self.rows)
 
     def validate(self) -> None:
         if self.star_closure_defect() > _MEMBER_TOL:
@@ -168,7 +167,7 @@ def generate_algebra(generators, ambient_dim: int) -> OperatorAlgebra:
         if g.shape[0] != d:
             raise ValueError("generator dimension does not match ambient_dim")
     letters = np.array([g / hs_norm(g) for g in gens if hs_norm(g) > 0.0]).reshape(-1, d, d)
-    letters = np.concatenate([letters, letters.transpose(0, 2, 1).conj()])
+    letters = np.concatenate([letters, dagger(letters)])
     rows = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
     new = rows
     while new.shape[0]:

@@ -404,6 +404,20 @@ class TestConfigErrors:
             (SWAP_SCHEME, {"op": "scheme_equivariance", "scheme": "s", "system_rep": "r",
                            "probe_rep": "r", "convention": "bogus"},
              "tasks[0].convention"),
+            ({"frames": {"f": {
+                "kind": "explicit", "effects": [[[0.5, 0], [0, 0.5]]] * 2,
+                "cells": {"kind": "coset", "group": "z2", "subgroup": [0, 99]},
+            }}, "groups": {"z2": {"kind": "cyclic", "n": 2}}}, {}, "frames.f.cells"),
+            ({}, {"op": "desitter_condition", "intervals": [[0.0, 1.0]], "beta": -1},
+             "tasks[0].beta"),
+            ({}, {"op": "evaluate_condition", "terms": [[1, 0, 1]], "beta": 0},
+             "tasks[0].beta"),
+            ({}, {"op": "so3_partition", "energies": {"kind": "rotor"}, "beta": 1.0,
+                  "target": -1},
+             "tasks[0].target"),
+            ({"frames": {"f": {"kind": "explicit", "effects": [[[0.5, 0], [0, 0.5]]] * 2}}},
+             {"op": "smear", "frame": "f", "kernel": [[1, [0.5, 0.4]], [0, 1]]},
+             "tasks[0].kernel[0][1]"),
         ],
         ids=[
             "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-negative",
@@ -413,12 +427,23 @@ class TestConfigErrors:
             "generators-number", "effects-number", "boundaries-number", "coset-without-identity",
             "circle-negative-bandwidth", "cyclic-zero", "symmetric-negative",
             "interval-overflow", "full-negative-dim", "diagonal-zero-dim", "kms-sign-unknown",
-            "convention-unknown",
+            "convention-unknown", "coset-index-out-of-range", "beta-negative", "beta-zero",
+            "target-negative", "kernel-complex-entry",
         ],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, top, task, where):
         path = write_scenario(tmp_path, {"version": 1, **top, "tasks": [band_task(**task)]})
         self.assert_config_error(capsys, path, f"config error: {where}: ")
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0], ids=["op-passes", "op-raises"])
+    def test_malformed_rule_is_reported_before_any_task_runs(self, tmp_path, capsys, beta):
+        bad = {"op": "desitter_condition", "name": "window", "intervals": [[0.0, 1.0]],
+               "beta": beta, "expect": {"integral": {"min": "x"}}}
+        path = write_scenario(tmp_path, {"version": 1, "tasks": [band_task(name="ok"), bad]})
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert err.startswith("config error: tasks[1].expect.integral.min: expected a number")
+        assert "PASS" not in out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_malformed_tolerance_flag_is_a_config_error(self, tmp_path, capsys, value):

@@ -6,15 +6,12 @@ from qrflab.crossed import (
     CrossedProductAlgebra,
     build_crossed_product,
     compress_by_frame,
-    embed_twisted,
-    intertwining_unitary,
     invariant_joint_algebra,
-    right_translations,
     verify_commutation_theorem,
     verify_frame_compression,
 )
 from qrflab.frames import Povm, QuantumReferenceFrame, covariant_dilate, ideal_frame
-from qrflab.opcore import dagger, op_norm, unitary_defect
+from qrflab.opcore import dagger, hs_norm
 from qrflab.relativise import GroupAction
 from qrflab.symmetry import (
     CircleGroup,
@@ -35,7 +32,7 @@ from qrflab.vnalg import (
     span_distance,
 )
 
-from _factories import SIGMA_X, SIGMA_Z, random_complex, random_unitary
+from _factories import SIGMA_X, SIGMA_Z, random_unitary
 from _span_oracles import null_space_intersection
 from test_symmetry import dihedral_irrep, superoperator_fixed_rows
 
@@ -131,6 +128,14 @@ def closure_dim(generators: list[np.ndarray], ambient: int) -> int:
         basis = grown
 
 
+def right_translation(group, g: int) -> np.ndarray:
+    """rho(g) on l2(G), sending |h> to |h g^-1>, written out from the table."""
+    rho = np.zeros((group.order, group.order), dtype=complex)
+    for h in range(group.order):
+        rho[group.table[h, int(group.inverse[g])], h] = 1.0
+    return rho
+
+
 def hand_built_generators(action: GroupAction) -> tuple[list[np.ndarray], int]:
     """The twisted system copy and the translation unitaries, written out
     directly from the definitions rather than through the library."""
@@ -147,11 +152,28 @@ def hand_built_generators(action: GroupAction) -> tuple[list[np.ndarray], int]:
             pi += np.kron(block, tag)
         gens.append(pi)
     for g in range(n):
-        rho = np.zeros((n, n), dtype=complex)
-        for h in range(n):
-            rho[group.table[h, int(group.inverse[g])], h] = 1.0
-        gens.append(np.kron(np.eye(d), rho))
+        gens.append(np.kron(np.eye(d), right_translation(group, g)))
     return gens, d * n
+
+
+def dense_conjugation_defects(action: GroupAction) -> tuple[float, float]:
+    """The untwist and translation defects with V = sum_g U(g) (x) |g><g|,
+    a (x) 1 and U(g) (x) rho(g) written out as D x D matrices."""
+    group, us = action.rep.group, action.rep.unitaries
+    n, d = group.order, action.rep.dim
+    gens, _ = hand_built_generators(action)
+    k = action.algebra.dim
+    tags = np.eye(n)
+    v = sum(np.kron(us[g], np.outer(tags[g], tags[g])) for g in range(n))
+    untwist = max(
+        hs_norm(v @ np.kron(a, np.eye(n)) @ dagger(v) - pi)
+        for a, pi in zip(action.algebra.basis_matrices(), gens[:k])
+    )
+    translation = max(
+        hs_norm(v @ np.kron(us[g], right_translation(group, g)) @ dagger(v) - gens[k + g])
+        for g in range(n)
+    )
+    return untwist, translation
 
 
 def all_pairs_closure_defect(alg: OperatorAlgebra) -> float:
@@ -197,33 +219,17 @@ def hand_built_span(action: GroupAction, mats) -> CrossedProductAlgebra:
 
 
 class TestEmbedding:
-    def test_twisted_copy_is_a_conjugated_tensor_factor(self, rng):
-        rep = flip_rep()
-        v = intertwining_unitary(rep)
-        assert unitary_defect(v) < 1e-12
-        a = random_complex(rng, 2)
-        direct = embed_twisted(a, rep)
-        assert np.allclose(direct, v @ np.kron(a, np.eye(2)) @ dagger(v), atol=1e-12)
-
-    def test_translations_conjugate_the_twisted_copy_covariantly(self, rng):
-        # rho(g) pi(a) rho(g)^dag = pi(alpha_g(a)), with rho written out by
-        # hand from the group table rather than taken from the library
-        rep = regular_representation(symmetric_group(3))
-        group = rep.group
-        a = random_complex(rng, 6)
-        pi = embed_twisted(a, rep)
-        for g in range(group.order):
-            rho = np.zeros((group.order, group.order), dtype=complex)
-            for h in range(group.order):
-                rho[group.table[h, int(group.inverse[g])], h] = 1.0
-            w = np.kron(np.eye(6), rho)
-            target = embed_twisted(rep.unitaries[g] @ a @ dagger(rep.unitaries[g]), rep)
-            assert op_norm(w @ pi @ dagger(w) - target) <= 1e-12
-
-    def test_reported_defects_vanish_on_a_clean_fixture(self):
-        cp = build_crossed_product(GroupAction(full_algebra(2), flip_rep()))
-        assert cp.covariance_defect() <= 1e-10
-        assert cp.pi_homomorphism_defect() <= 1e-10
+    @pytest.mark.parametrize("name,action,expected", fixtures(), ids=[f[0] for f in fixtures()])
+    def test_rows_are_the_products_of_the_generators(self, name, action, expected):
+        # row (b, g) is pi(a_b) (1 (x) rho(g)) / sqrt(|G|), with pi and rho
+        # written out from their definitions
+        gens, ambient = hand_built_generators(action)
+        k, n = action.algebra.dim, action.rep.group.order
+        rows = build_crossed_product(action).algebra.rows.reshape(k, n, ambient, ambient)
+        for b in range(k):
+            for g in range(n):
+                want = gens[b] @ gens[k + g] / np.sqrt(n)
+                assert hs_norm(rows[b, g] - want) <= 1e-12, (b, g)
 
 
 class TestCommutationTheorem:
@@ -410,24 +416,30 @@ class TestClosureAgainstAllPairs:
         assert (dim, dim_m, n_gens) == (40, 4, 1)
         projected = []
         residual = qrflab.crossed._worst_residual
-        built = []
-        right_regular = qrflab.crossed.right_regular_representation
 
         def count_rows(x, rows):
             projected.append(x.shape[0])
             return residual(x, rows)
 
-        def count_builds(group):
-            built.append(group)
-            return right_regular(group)
-
         monkeypatch.setattr(qrflab.crossed, "_worst_residual", count_rows)
-        monkeypatch.setattr(qrflab.crossed, "right_regular_representation", count_builds)
         report = verify_commutation_theorem(cp)
         assert report.passed
         assert sum(projected) <= (dim_m + n_gens + 1) * dim + dim
         assert max(projected) <= dim
-        assert len(built) == 1
+
+
+class TestConjugationDefects:
+    """The block untwist and translation defects against V, a (x) 1 and
+    U(g) (x) rho(g) written out as D x D matrices."""
+
+    CASES = TestClosureAgainstAllPairs.CASES
+
+    @pytest.mark.parametrize("name,action", CASES, ids=[c[0] for c in CASES])
+    def test_conjugation_defects_match_the_dense_oracle(self, name, action):
+        report = verify_commutation_theorem(build_crossed_product(action))
+        untwist, translation = dense_conjugation_defects(action)
+        assert abs(report.untwist_defect - untwist) <= 1e-14
+        assert abs(report.translation_defect - translation) <= 1e-14
 
 
 class TestDihedral:

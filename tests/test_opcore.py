@@ -43,6 +43,19 @@ def test_dagger_is_an_involution(seed, n):
     assert np.array_equal(dagger(dagger(x)), x)
 
 
+def test_dagger_of_a_matrix_is_its_conjugate_transpose(rng):
+    x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    assert np.array_equal(dagger(x), x.conj().T)
+
+
+def test_dagger_of_a_stack_takes_each_matrix_adjoint(rng):
+    stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    got = dagger(stack)
+    assert got.shape == stack.shape
+    for x, xd in zip(stack, got):
+        assert np.array_equal(xd, x.conj().T)
+
+
 @given(seeds, dims)
 def test_hs_inner_is_positive_definite(seed, n):
     x = random_complex(np.random.default_rng(seed), n)

@@ -716,3 +716,9 @@ class TestHomogeneousSpace:
         g = cyclic_group(4)
         with pytest.raises(ValueError, match="not closed"):
             HomogeneousSpace(g, (0, 1))
+
+    @pytest.mark.parametrize("subgroup", [(0, -1, 5), (0, 99)], ids=["negative", "too-large"])
+    def test_subgroup_indices_must_name_group_elements(self, subgroup):
+        # (0, -1, 5) would otherwise read -1 as element 5 and pass as {0, 5}
+        with pytest.raises(ValueError, match=r"must lie in \[0, 6\)"):
+            HomogeneousSpace(symmetric_group(3), subgroup)
