@@ -17,6 +17,12 @@ Each case is named ``kernel:shape``:
   check (dim^2 over all basis pairs, (dim M + |gens|) dim against the
   generators) and the median build time.
 - ``centre:<shape>`` times ``vnalg.centre`` of that crossed product.
+- ``invariance:<shape>`` times the ``relativise.GroupAction`` invariance
+  check of a span under a rep, and reports m, d, the number of quadrature
+  nodes and the number of generators: one for a circle rep, the size of
+  ``generators()`` for a finite group. Its shapes are the thermal-frames
+  ``circle-<d>x<d_r>`` (the full M_d under a circle rep of band d_r - 1,
+  with 4 d_r - 3 nodes) and the group shapes below.
 
 The group shapes are the qrfbench call shapes, each rep conjugated by a
 seeded unitary:
@@ -34,6 +40,7 @@ unless the caller's environment already sets ``OPENBLAS_NUM_THREADS``.
 
     python scripts/bench_kernels.py --repeats 5
     python scripts/bench_kernels.py --src path/to/other/src --cases commutant:full:8 closure:M2-Z10-phase
+    python scripts/bench_kernels.py --cases invariance:circle-10x24 invariance:S3-group-algebra
 """
 
 from __future__ import annotations
@@ -61,7 +68,17 @@ DEFAULT_CASES = (
     + [f"fixed-points:{s}" for s in ("Z3-regular-x-3", "Z5-regular-x-5", "S3-regular-x-3")]
     + [f"closure:{s}" for s in _CROSSED_SHAPES]
     + ["centre:S3-group-algebra"]
+    + [f"invariance:circle-{d}x{d_r}" for d, d_r in ((5, 12), (9, 24), (10, 24))]
+    + ["invariance:M2-Z10-phase", "invariance:S3-group-algebra"]
 )
+
+
+def random_unitary(rng, d: int):
+    """A Haar-random d x d unitary: QR of a complex Gaussian, phases fixed."""
+    import numpy as np
+
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def commutant_case(shape: str):
@@ -97,9 +114,7 @@ def group_case(shape: str):
     rng = np.random.default_rng(0)
 
     def conjugated(rep):
-        q, r = np.linalg.qr(rng.standard_normal((rep.dim, rep.dim))
-                            + 1j * rng.standard_normal((rep.dim, rep.dim)))
-        w = q * (np.diag(r) / np.abs(np.diag(r)))
+        w = random_unitary(rng, rep.dim)
         return FiniteRep(rep.group, [w @ u @ w.conj().T for u in rep.unitaries])
 
     def scalars(d):
@@ -131,6 +146,25 @@ def group_case(shape: str):
     raise ValueError(f"unknown group shape {shape!r}")
 
 
+def circle_case(shape: str):
+    """(rows, rep) for ``circle-<d>x<d_r>``: the full M_d under a circle rep
+    of band d_r - 1 whose generator has seeded integer frequencies in
+    [-d_r / 2, d_r / 2] in a seeded eigenbasis, as thermal-frames draws it."""
+    import numpy as np
+
+    from qrflab.symmetry import CircleGroup, CircleRep
+
+    m = re.fullmatch(r"circle-(\d+)x(\d+)", shape)
+    if not m:
+        raise ValueError(f"unknown circle shape {shape!r}")
+    d, d_r = int(m[1]), int(m[2])
+    rng = np.random.default_rng(0)
+    w = random_unitary(rng, d)
+    freqs = rng.integers(-(d_r // 2), d_r // 2 + 1, d)
+    rep = CircleRep(CircleGroup(d_r - 1), (w * freqs) @ w.conj().T)
+    return np.eye(d * d, dtype=complex), rep
+
+
 def timed(call, repeats: int):
     """The warm-up call's result and the median of ``repeats`` more calls, in ms."""
     result = call()
@@ -156,6 +190,16 @@ def run_case(case: str, repeats: int) -> dict:
         if comm.dim != expected_dim:
             raise RuntimeError(f"case {case!r}: commutant has dim {comm.dim}, not {expected_dim}")
         return {"n_squared": n_squared, "median_ms": ms}
+    if kernel == "invariance":
+        if shape.startswith("circle-"):
+            rows, rep = circle_case(shape)
+            gens = 1
+        else:
+            rows, rep, _ = group_case(shape)
+            gens = len(rep.group.generators())
+        _, ms = timed(lambda: GroupAction(OperatorAlgebra(rep.dim, rows), rep), repeats)
+        return {"m": rows.shape[0], "d": rep.dim, "nodes": int(rep.group.quadrature_nodes().size),
+                "gens": gens, "median_ms": ms}
     if kernel not in ("fixed-points", "closure", "centre"):
         raise ValueError(f"unknown kernel in case {case!r}")
     rows, u, v = group_case(shape)

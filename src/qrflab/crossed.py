@@ -151,20 +151,22 @@ def _closure_defect(alg: OperatorAlgebra, alphas: np.ndarray, group: FiniteGroup
     replace the dim^2 products of all basis pairs. No generator is formed:
     on the row index (t, h) of H_S (x) l2(G), pi(b) acts on row block h as
     alpha(h, b), and rho(s), which sends |h> to |h s^-1>, permutes the
-    blocks, h -> h s.
+    blocks, h -> h s. Every projection onto S shares one adjoint of its rows.
     """
     d = alg.ambient_dim
     rows = alg.rows
+    rows_h = dagger(rows)
     unit = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
-    worst = max(_worst_residual(unit, rows), alg.star_closure_defect())
+    adjoints = dagger(rows.reshape(-1, d, d)).reshape(rows.shape)
+    worst = max(_worst_residual(unit, rows, rows_h), _worst_residual(adjoints, rows, rows_h))
     _, n, d_s, _ = alphas.shape
     blocks = rows.reshape(-1, d_s, n, d)
     for alpha in alphas:
         moved = np.einsum("hts,jshc->jthc", alpha, blocks, optimize=True)
-        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows))
+        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows, rows_h))
     for s in group.generators():
         moved = blocks[:, :, group.table[:, s]]
-        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows))
+        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows, rows_h))
     return worst
 
 

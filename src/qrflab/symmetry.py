@@ -49,6 +49,10 @@ _SKETCH_SEED = 7
 _SKETCH_GAP = 1.0e-6
 # How far the character trace may sit from the integer rank.
 _TRACE_TOL = 1.0e-6
+# The largest order a group constructor tabulates, that of S6. The Cayley
+# table holds order^2 integers (4 MB here) and ``FiniteGroup``'s
+# associativity check takes order^3 steps; S11's table would hold 1.6e15.
+_MAX_ORDER = 720
 
 
 @dataclass
@@ -153,9 +157,16 @@ class CircleGroup:
 SymmetryGroup = FiniteGroup | CircleGroup
 
 
+def _check_order(order: int, what: str) -> None:
+    """Raise before a table of more than ``_MAX_ORDER`` elements is built."""
+    if order > _MAX_ORDER:
+        raise ValueError(f"{what} has order {order}, above the {_MAX_ORDER} that is tabulated")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
+    _check_order(n, f"Z_{n}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup([f"g{k}" for k in range(n)], table)
@@ -165,6 +176,12 @@ def symmetric_group(n: int) -> FiniteGroup:
     """S_n with permutations composed as functions, p*q : i -> p[q[i]]."""
     if n < 1:
         raise ValueError("symmetric group needs n >= 1")
+    # n! by steps, stopping at the first partial product past the cap.
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > _MAX_ORDER:
+            raise ValueError(f"S_{n} has order {n}!, above the {_MAX_ORDER} that is tabulated")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)
@@ -184,6 +201,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError("dihedral group needs n >= 1")
+    _check_order(2 * n, f"D_{n}")
     k = np.tile(np.arange(n), 2)
     e = np.repeat([0, 1], n)
     rot = (k[:, None] + np.where(e[:, None], -1, 1) * k[None, :]) % n
@@ -194,6 +212,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with componentwise products; element i * |H| + j is (g_i, h_j)."""
+    _check_order(g.order * h.order, "the direct product")
     table = g.table[:, None, :, None] * h.order + h.table[None, :, None, :]
     labels = [f"({a},{b})" for a in g.labels for b in h.labels]
     return FiniteGroup(labels, table.reshape(g.order * h.order, g.order * h.order))

@@ -56,11 +56,20 @@ def _rank(values: np.ndarray, what: str) -> np.ndarray:
     return kept
 
 
-def _worst_residual(x: np.ndarray, rows: np.ndarray) -> float:
+def _span_residual(x: np.ndarray, rows: np.ndarray, rows_h: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``x`` minus their projections onto the span of orthonormal
+    ``rows``, formed explicitly. ``rows_h`` is ``dagger(rows)`` when the
+    caller projects several stacks onto one span and has taken it once."""
+    if rows_h is None:
+        rows_h = dagger(rows)
+    return x - (x @ rows_h) @ rows
+
+
+def _worst_residual(x: np.ndarray, rows: np.ndarray, rows_h: np.ndarray | None = None) -> float:
     """Largest HS distance from a row of ``x`` to the span of orthonormal ``rows``."""
     if not x.shape[0]:
         return 0.0
-    return float(np.linalg.norm(x - (x @ dagger(rows)) @ rows, axis=1).max())
+    return float(np.linalg.norm(_span_residual(x, rows, rows_h), axis=1).max())
 
 
 def _orthonormal_rows(candidates: np.ndarray, basis: np.ndarray | None) -> np.ndarray:

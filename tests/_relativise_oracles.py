@@ -1,7 +1,8 @@
 """Reference relativisation for the tests: the exact Fourier-mode
-contraction of a band-limited circle frame, and the Kronecker sum over the
-cells of a finite frame. Each works on plain matrices, traces through
-Kronecker products, and shares no code with ``qrflab.relativise``."""
+contraction of a band-limited circle frame, the Kronecker sum over the
+cells of a finite frame, and the node-by-node invariance distance of a
+span. Each works on plain matrices, traces through Kronecker products, and
+shares no code with ``qrflab.relativise``."""
 
 import numpy as np
 
@@ -58,3 +59,27 @@ def restrict(joint, sigma, d_s, d_r):
     """tr_R(X (1 (x) sigma)), through the Kronecker product."""
     blk = (joint @ np.kron(np.eye(d_s), sigma)).reshape(d_s, d_r, d_s, d_r)
     return np.einsum("injn->ij", blk)
+
+
+def circle_node_unitaries(generator, bandwidth):
+    """U(theta) = v e^{i theta k} v^dag at the 4B + 1 quadrature angles, with k
+    the generator's eigenvalues rounded to the integers, as a circle rep
+    realises them."""
+    vals, v = np.linalg.eigh(generator)
+    k = np.rint(vals)
+    nodes = 2.0 * np.pi * np.arange(4 * bandwidth + 1) / (4 * bandwidth + 1)
+    return [(v * np.exp(1j * t * k)) @ v.conj().T for t in nodes]
+
+
+def node_invariance_distance(rows, unitaries):
+    """The per-node invariance test: the largest HS distance from U b U^dag
+    to the span of the orthonormal ``rows``, over each basis element b and
+    each given unitary U, projecting one moved element at a time."""
+    d = int(round(np.sqrt(rows.shape[1])))
+    worst = 0.0
+    for u in unitaries:
+        for b in rows:
+            moved = (u @ b.reshape(d, d) @ u.conj().T).ravel()
+            resid = moved - rows.T @ (rows.conj() @ moved)
+            worst = max(worst, float(np.linalg.norm(resid)))
+    return worst

@@ -277,8 +277,8 @@ class TestScripts:
     @pytest.mark.parametrize(
         "case",
         ["commutant:tensor:2", "fixed-points:M2-Z4-phase", "closure:M2-Z4-phase",
-         "centre:M2-Z4-phase"],
-        ids=["commutant", "fixed-points", "closure", "centre"],
+         "centre:M2-Z4-phase", "invariance:circle-5x12"],
+        ids=["commutant", "fixed-points", "closure", "centre", "invariance"],
     )
     def test_bench_kernels_prints_one_json_document(self, case):
         proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",
@@ -434,6 +434,18 @@ class TestConfigErrors:
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, top, task, where):
         path = write_scenario(tmp_path, {"version": 1, **top, "tasks": [band_task(**task)]})
         self.assert_config_error(capsys, path, f"config error: {where}: ")
+
+    @pytest.mark.parametrize(
+        "group", [{"kind": "symmetric", "n": 3}, {"kind": "cyclic", "n": 6}],
+        ids=["symmetric", "cyclic"],
+    )
+    def test_group_past_the_order_cap_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                        group):
+        # the cap lowered to 5, so that nothing large is built if it is missed
+        monkeypatch.setattr("qrflab.symmetry._MAX_ORDER", 5)
+        path = write_scenario(tmp_path, {"version": 1, "groups": {"g": group},
+                                         "tasks": [band_task()]})
+        self.assert_config_error(capsys, path, "config error: groups.g: ", "above the 5")
 
     @pytest.mark.parametrize("beta", [1.0, -1.0], ids=["op-passes", "op-raises"])
     def test_malformed_rule_is_reported_before_any_task_runs(self, tmp_path, capsys, beta):

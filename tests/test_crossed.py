@@ -417,15 +417,33 @@ class TestClosureAgainstAllPairs:
         projected = []
         residual = qrflab.crossed._worst_residual
 
-        def count_rows(x, rows):
+        def count_rows(x, rows, rows_h=None):
             projected.append(x.shape[0])
-            return residual(x, rows)
+            return residual(x, rows, rows_h)
 
         monkeypatch.setattr(qrflab.crossed, "_worst_residual", count_rows)
         report = verify_commutation_theorem(cp)
         assert report.passed
         assert sum(projected) <= (dim_m + n_gens + 1) * dim + dim
         assert max(projected) <= dim
+
+    def test_closure_takes_one_adjoint_of_the_rows(self, monkeypatch):
+        # S3 group algebra: the identity, the adjoints, dim M = 6 alpha
+        # stacks and 2 generators are projected onto one span
+        (action,) = [a for name, a in growth_cases() if name == "S3-group-algebra"]
+        cp = build_crossed_product(action)
+        d = action.rep.dim
+        alphas = qrflab.crossed._alphas(action.algebra.rows.reshape(-1, d, d), action.rep)
+        shapes = []
+        for module in (qrflab.crossed, qrflab.vnalg):
+            def spy(x, adjoint=module.dagger):
+                shapes.append(np.shape(x))
+                return adjoint(x)
+
+            monkeypatch.setattr(module, "dagger", spy)
+        defect = qrflab.crossed._closure_defect(cp.algebra, alphas, action.rep.group)
+        assert defect <= 1e-12
+        assert shapes.count(cp.algebra.rows.shape) == 1
 
 
 class TestConjugationDefects:

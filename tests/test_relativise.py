@@ -10,8 +10,10 @@ from qrflab.frames import (
 )
 from qrflab.opcore import dagger, op_norm
 from qrflab.relativise import (
+    _INVARIANCE_TOL,
     FrameAssignment,
     GroupAction,
+    _invariance_bound,
     _stabiliser_defect,
     expected_relative_outcome,
     localization_defect,
@@ -138,6 +140,155 @@ class TestGroupAction:
         diag = algebra_from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)
         with pytest.raises(ValueError, match="does not preserve the algebra"):
             GroupAction(diag, rotation)
+
+
+def tilted_rows(mats, eps, seed=3):
+    """Orthonormal rows of the span of ``mats``, each conjugated by
+    exp(i eps H) for a seeded Hermitian H."""
+    d = mats[0].shape[0]
+    vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), d))
+    v = (vecs * np.exp(1j * eps * vals)) @ dagger(vecs)
+    return algebra_from_matrices([v @ m @ dagger(v) for m in mats], d).rows
+
+
+def circle_diagonal_fixture():
+    """A circle rep on C^4 of band 3 in a seeded eigenbasis w, and the
+    diagonal algebra in that basis, which U(theta) preserves."""
+    w = random_unitary(np.random.default_rng(11), 4)
+    gen = (w * np.array([-3.0, -1.0, 1.0, 3.0])) @ dagger(w)
+    mats = [w @ np.diag(np.eye(4)[k]) @ dagger(w) for k in range(4)]
+    return CircleRep(CircleGroup(3), gen), mats, oracle.circle_node_unitaries(gen, 3)
+
+
+def finite_diagonal_fixture():
+    """The S3 regular rep, with two generators, and the diagonal algebra of
+    C^6, which its permutation matrices preserve."""
+    lam = regular_representation(symmetric_group(3))
+    mats = [np.diag(np.eye(6)[k]) for k in range(6)]
+    return lam, mats, lam.unitaries
+
+
+def circle_phase_fixture():
+    """span{1, Z} on C^2 under U(theta) = diag(1, e^{i theta}). A tilt
+    gives Z an off-diagonal part that U turns by e^{i theta} and
+    e^{-i theta}, so the node distance reaches 2 sin(2 pi / 5) ||R|| at the
+    node 4 pi / 5: more than ||R||, within pi ||R||."""
+    gen = np.diag([0.0, 1.0])
+    return (CircleRep(CircleGroup(1), gen), [np.eye(2), SIGMA_Z],
+            oracle.circle_node_unitaries(gen, 1))
+
+
+def finite_phase_fixture():
+    """span{1, Z} on C^2 under Z10 as diag(1, w^k): the node distance at
+    k = 5 is 1 / sin(pi / 10) ||R_s||, more than ||R_s||, within 9 ||R_s||."""
+    phases = [np.diag([1.0, np.exp(2j * np.pi * k / 10)]) for k in range(10)]
+    return FiniteRep(cyclic_group(10), phases), [np.eye(2), SIGMA_Z], phases
+
+
+class TestInvarianceFromGenerators:
+    """``GroupAction`` against the per-node oracle: spans tilted by
+    exp(i eps H) across the tolerance, exactly invariant spans at a wide
+    band, and a generator whose eigenvalues sit off the integers."""
+
+    EPS = np.geomspace(1e-11, 1e-6, 41)
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [circle_diagonal_fixture, finite_diagonal_fixture, circle_phase_fixture,
+         finite_phase_fixture],
+        ids=["circle-diagonal", "S3-diagonal", "circle-qubit", "Z10-qubit"],
+    )
+    def test_verdict_is_the_node_oracle_verdict_on_tilted_spans(self, fixture):
+        rep, mats, unitaries = fixture()
+        verdicts, straddled = [], False
+        for eps in self.EPS:
+            rows = tilted_rows(mats, eps)
+            distance = oracle.node_invariance_distance(rows, unitaries)
+            # the generator bound is never below the distance at a node
+            bound = _invariance_bound(rows, dagger(rows), rep)
+            assert bound >= distance
+            straddled |= distance <= _INVARIANCE_TOL < bound
+            try:
+                GroupAction(OperatorAlgebra(rep.dim, rows), rep)
+                rejected = False
+            except ValueError as e:
+                assert "does not preserve the algebra" in str(e)
+                rejected = True
+            assert rejected == (distance > _INVARIANCE_TOL), eps
+            verdicts.append(rejected)
+        # both sides of the tolerance are reached, and some span between
+        # the node distance and the bound is decided node by node
+        assert verdicts[0] is False and verdicts[-1] is True
+        assert straddled
+
+    @pytest.mark.parametrize("name", ["scalars", "full", "block-diagonal"])
+    def test_exactly_invariant_spans_pass_on_the_bound_at_a_wide_band(self, name, monkeypatch):
+        # frequencies +-64 under a circle group of band 64; N is constant on
+        # each 2 x 2 block of the seeded basis w
+        w = random_unitary(np.random.default_rng(5), 6)
+        freqs = np.array([-64.0, -64.0, 7.0, 7.0, 64.0, 64.0])
+        rep = CircleRep(CircleGroup(64), (w * freqs) @ dagger(w))
+        if name == "scalars":
+            mats = [np.eye(6)]
+        elif name == "full":
+            mats = list(np.eye(36).reshape(36, 6, 6))
+        else:
+            # M_2 + M_2 + M_2 on the three blocks
+            mats = [w @ np.kron(np.diag(np.eye(3)[k]), e) @ dagger(w)
+                    for k in range(3) for e in np.eye(4).reshape(4, 2, 2)]
+        alg = algebra_from_matrices(mats, 6)
+        assert _invariance_bound(alg.rows, dagger(alg.rows), rep) <= 1e-10
+        assert oracle.node_invariance_distance(alg.rows, oracle.circle_node_unitaries(
+            rep.generator, 64)) <= 1e-12
+        calls = []
+        monkeypatch.setattr(CircleRep, "unitary_stack", lambda self, points: calls.append(points))
+        GroupAction(alg, rep)
+        assert calls == []
+
+    def test_off_integer_generator_is_judged_by_its_realised_unitaries(self):
+        # eigenvalues 1 + 5e-10, 1 - 5e-10 and -5e-10 are realised as 1, 1
+        # and 0, so U(theta) is a phase on the first two basis vectors of w
+        # and preserves the algebra generated by the flip X between them;
+        # the stored generator splits them and moves X by 1e-9
+        w = random_unitary(np.random.default_rng(9), 3)
+        raw = (w * np.array([1.0 + 5e-10, 1.0 - 5e-10, -5e-10])) @ dagger(w)
+        rep = CircleRep(CircleGroup(1), raw)
+        flip = np.zeros((3, 3))
+        flip[0, 1] = flip[1, 0] = 1.0
+        mats = [np.diag([1.0, 1.0, 0.0]), flip, np.diag([0.0, 0.0, 1.0])]
+        alg = algebra_from_matrices([w @ m @ dagger(w) for m in mats], 3)
+        rows = alg.rows
+        basis = rows.reshape(-1, 3, 3)
+        moved = (raw @ basis - basis @ raw).reshape(rows.shape)
+        raw_bound = np.pi * np.linalg.norm(moved - (moved @ dagger(rows)) @ rows)
+        assert raw_bound >= 1e-9
+        assert _invariance_bound(rows, dagger(rows), rep) <= 1e-14
+        assert oracle.node_invariance_distance(rows, oracle.circle_node_unitaries(raw, 1)) <= 1e-14
+        GroupAction(alg, rep)
+
+    def test_full_m17_under_a_129_node_circle_rep_makes_no_node_unitaries(self, monkeypatch):
+        w = random_unitary(np.random.default_rng(17), 17)
+        rep = CircleRep(CircleGroup(32), (w * np.arange(-32.0, 33.0, 4.0)) @ dagger(w))
+        assert rep.group.quadrature_nodes().size == 129
+        calls = []
+        monkeypatch.setattr(CircleRep, "unitary_stack", lambda self, points: calls.append(points))
+        GroupAction(OperatorAlgebra(17, np.eye(17 * 17, dtype=complex)), rep)
+        assert calls == []
+
+    def test_an_invariant_span_under_a_finite_group_reads_the_generators_only(self, monkeypatch):
+        lam, mats, _ = finite_diagonal_fixture()
+        gens = lam.group.generators()
+        assert len(gens) == 2
+        calls = []
+        stack = FiniteRep.unitary_stack
+
+        def spy(self, points):
+            calls.append(list(points))
+            return stack(self, points)
+
+        monkeypatch.setattr(FiniteRep, "unitary_stack", spy)
+        GroupAction(algebra_from_matrices(mats, 6), lam)
+        assert calls == [gens]
 
 
 class TestRelativize:

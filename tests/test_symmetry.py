@@ -1,10 +1,12 @@
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrflab import symmetry
 from qrflab.symmetry import (
     CircleGroup,
     CircleRep,
@@ -294,6 +296,30 @@ class TestFiniteGroups:
     def test_accepts_large_groups(self):
         assert symmetric_group(5).order == 120
         assert cyclic_group(66).order == 66
+
+    @pytest.mark.parametrize("build,order", [
+        (lambda: symmetric_group(3), "3!"),
+        (lambda: symmetric_group(11), "11!"),
+        (lambda: cyclic_group(6), "6"),
+        (lambda: dihedral_group(3), "6"),
+        (lambda: direct_product(cyclic_group(2), cyclic_group(3)), "6"),
+    ], ids=["S3", "S11", "Z6", "D3", "Z2xZ3"])
+    def test_order_cap_raises_before_any_table_is_built(self, monkeypatch, build, order):
+        # the cap is lowered, and enumerating permutations would raise, so
+        # nothing past the cap is allocated
+        def no_enumeration(*args):
+            raise AssertionError("permutations enumerated past the order cap")
+
+        monkeypatch.setattr(symmetry, "_MAX_ORDER", 5)
+        monkeypatch.setattr(symmetry.itertools, "permutations", no_enumeration)
+        with pytest.raises(ValueError, match=f"has order {re.escape(order)}, above the 5"):
+            build()
+
+    def test_order_cap_admits_its_own_order(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "_MAX_ORDER", 6)
+        for group in (symmetric_group(3), cyclic_group(6), dihedral_group(3),
+                      direct_product(cyclic_group(2), cyclic_group(3))):
+            assert group.order == 6
 
 
 class TestFiniteReps:
