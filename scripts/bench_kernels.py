@@ -115,7 +115,7 @@ def group_case(shape: str):
 
     def conjugated(rep):
         w = random_unitary(rng, rep.dim)
-        return FiniteRep(rep.group, [w @ u @ w.conj().T for u in rep.unitaries])
+        return FiniteRep(rep.group, w @ rep.unitaries @ w.conj().T)
 
     def scalars(d):
         return np.eye(d, dtype=complex).reshape(1, d * d) / np.sqrt(d)
@@ -130,7 +130,7 @@ def group_case(shape: str):
         return np.eye(4, dtype=complex), rep, regular_representation(rep.group)
     if shape == "S3-group-algebra":
         rep = conjugated(regular_representation(symmetric_group(3)))
-        rows = np.array([u.ravel() for u in rep.unitaries]) / np.sqrt(rep.dim)
+        rows = rep.unitaries.reshape(rep.group.order, -1) / np.sqrt(rep.dim)
         return rows, rep, regular_representation(rep.group)
     if m := re.fullmatch(r"(Z(\d+)|S3)-regular-x-(\d+)", shape):
         group = symmetric_group(3) if m[1] == "S3" else cyclic_group(int(m[2]))

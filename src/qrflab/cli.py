@@ -791,6 +791,9 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
     ops = dict(OPS, kms_check=partial(_op_kms_check, sign=kms_sign))
     records = []
     n_passed = 0
+    # Printed only once every task has run, so that a config error raised by
+    # a later task leaves no PASS or FAIL line behind.
+    lines: list[str] = []
     for i, (task, name, tol, task_rules) in enumerate(zip(tasks, names, tols, rules)):
         path = f"tasks[{i}]"
         op = task["op"]
@@ -831,10 +834,9 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
         )
         status = "PASS" if passed else "FAIL"
         detail = "" if passed else ": " + "; ".join(failures)
-        print(f"{status} {name} ({op}){detail}", file=out)
-        if verbose and public:
-            for key in sorted(public):
-                print(f"    {key} = {public[key]}", file=out)
+        lines.append(f"{status} {name} ({op}){detail}")
+        if verbose:
+            lines.extend(f"    {key} = {public[key]}" for key in sorted(public))
 
     report = {
         "version": 1,
@@ -854,6 +856,8 @@ def run_scenario(doc: dict, *, seed: int, tolerance: float, kms_sign: str, verbo
         },
         "_records": records,
     }
+    for line in lines:
+        print(line, file=out)
     print(f"{n_passed}/{len(records)} tasks passed", file=out)
     return report
 

@@ -212,29 +212,29 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     )
 
 
-def _check_frame_projection(p: np.ndarray, translations: list[np.ndarray]) -> None:
+def _check_frame_projection(p: np.ndarray, translations: np.ndarray) -> None:
     """Reject p unless it is a projection whose corner keeps the translation symmetry."""
     scale = max(1.0, hs_norm(p))
     if hs_norm(p @ p - p) > _PROJECTION_TOL * scale or hs_norm(p - dagger(p)) > _PROJECTION_TOL:
         raise ValueError("compression needs a self-adjoint idempotent")
-    for u in translations:
-        if hs_norm(p @ u - u @ p) > _PROJECTION_TOL * scale:
-            raise ValueError("projection does not commute with the frame translations")
+    us = np.asarray(translations)
+    if (np.linalg.norm(p @ us - us @ p, axis=(1, 2)) > _PROJECTION_TOL * scale).any():
+        raise ValueError("projection does not commute with the frame translations")
 
 
 def compress_by_frame(
-    alg: OperatorAlgebra, p: np.ndarray, translations: list[np.ndarray]
+    alg: OperatorAlgebra, p: np.ndarray, translations: np.ndarray
 ) -> OperatorAlgebra:
     """Corner of an algebra cut by a translation-invariant projection.
 
     ``translations`` are the unitaries p must commute with (the frame-side
-    left translations).
+    left translations), stacked on axis 0.
     """
     d = alg.ambient_dim
     if p.shape != (d, d):
         raise ValueError("projection dimension mismatch")
     _check_frame_projection(p, translations)
-    cands = np.array([(p @ b @ p).ravel() for b in alg.basis_matrices()])
+    cands = (p @ alg.basis_matrices() @ p).reshape(alg.dim, -1)
     rows = _orthonormal_rows(cands, None)
     return OperatorAlgebra(d, rows)
 

@@ -4,6 +4,9 @@ A frame couples a group representation to a POVM whose outcomes carry a
 group action: finitely many cells (cosets of a subgroup) or a partition of
 the circle into arcs. Sharpness, the norm-1 property, smearings and the two
 dilation constructions all live here.
+
+POVM effects and a dilation's pulled-back effects are complex
+(outcomes, d, d) stacks, so every check acts on all effects at once.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 
 from .opcore import (
     DEFAULT_TOL,
+    _operator_stack,
     as_operator,
     dagger,
     hermitian_eig,
@@ -99,35 +103,32 @@ ValueSpace = PlainCells | HomogeneousSpace | CirclePartition
 class Povm:
     """A discrete positive operator valued measure.
 
-    Effects are Hermitian, sit between 0 and 1 and sum to the identity,
-    all within ``DEFAULT_TOL``.
+    Effects are held as one (outcomes, d, d) stack. They are Hermitian, sit
+    between 0 and 1 and sum to the identity, all within ``DEFAULT_TOL``.
     """
 
     space: ValueSpace
-    effects: list[np.ndarray]
+    effects: np.ndarray
     # For phase observables, the correlation matrix that generated the
     # effects; circle-frame relativisation builds each node's effect from it.
     phase_c: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.effects = [as_operator(e, "effect") for e in self.effects]
         if len(self.effects) != self.space.size:
             raise ValueError("effect count does not match the outcome set")
-        d = self.effects[0].shape[0]
-        for e in self.effects:
-            if e.shape[0] != d:
-                raise ValueError("effects differ in dimension")
-            if hs_norm(e - dagger(e)) > DEFAULT_TOL * max(1.0, hs_norm(e)):
-                raise ValueError("effect is not Hermitian")
-            vals = np.linalg.eigvalsh((e + dagger(e)) / 2.0)
-            if vals.min() < -DEFAULT_TOL or vals.max() > 1.0 + DEFAULT_TOL:
-                raise ValueError("effect eigenvalues must lie in [0, 1]")
-        if rel_err(sum(self.effects), np.eye(d)) > DEFAULT_TOL:
+        es = self.effects = _operator_stack(self.effects, "effects")
+        scale = np.maximum(1.0, np.linalg.norm(es, axis=(1, 2)))
+        if (np.linalg.norm(es - dagger(es), axis=(1, 2)) > DEFAULT_TOL * scale).any():
+            raise ValueError("effect is not Hermitian")
+        vals = np.linalg.eigvalsh((es + dagger(es)) / 2.0)
+        if vals.min() < -DEFAULT_TOL or vals.max() > 1.0 + DEFAULT_TOL:
+            raise ValueError("effect eigenvalues must lie in [0, 1]")
+        if rel_err(es.sum(axis=0), np.eye(self.dim)) > DEFAULT_TOL:
             raise ValueError("effects do not sum to the identity")
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -158,14 +159,9 @@ def smear(povm: Povm, kernel: MarkovKernel) -> Povm:
     """
     if kernel.rows.shape[0] != povm.n_outcomes:
         raise ValueError("kernel input count does not match the POVM")
-    n_out = kernel.rows.shape[1]
-    effects = []
-    for y in range(n_out):
-        e = np.zeros((povm.dim, povm.dim), dtype=complex)
-        for x in range(povm.n_outcomes):
-            e += kernel.rows[x, y] * povm.effects[x]
-        effects.append(e)
-    return Povm(PlainCells(n_out), effects)
+    # Summed over axis 0 in input order, term by term.
+    effects = (kernel.rows[:, :, None, None] * povm.effects[:, None]).sum(axis=0)
+    return Povm(PlainCells(kernel.rows.shape[1]), effects)
 
 
 def check_norm1(povm: Povm) -> list[float]:
@@ -185,12 +181,13 @@ def check_norm1(povm: Povm) -> list[float]:
 
 
 def is_sharp(povm: Povm) -> bool:
-    """Projection-valued with orthogonal effects: E_x E_y = delta_xy E_x."""
-    for i, a in enumerate(povm.effects):
-        for j, b in enumerate(povm.effects):
-            target = a if i == j else np.zeros_like(a)
-            if hs_norm(a @ b - target) > _FRAME_TOL * max(1.0, hs_norm(a)):
-                return False
+    """Projection-valued with orthogonal effects: E_x E_y = delta_xy E_x,
+    checked for one x at a time against the stack, in one stack of memory."""
+    for x, a in enumerate(povm.effects):
+        prods = a @ povm.effects
+        prods[x] -= a
+        if np.linalg.norm(prods, axis=(1, 2)).max() > _FRAME_TOL * max(1.0, hs_norm(a)):
+            return False
     return True
 
 
@@ -209,21 +206,22 @@ def phase_povm(dim: int, c: np.ndarray, partition: CirclePartition) -> Povm:
     vals = np.linalg.eigvalsh((c + dagger(c)) / 2.0)
     if vals.min() < -1.0e-9 or hs_norm(c - dagger(c)) > 1.0e-9 * max(1.0, hs_norm(c)):
         raise ValueError("c matrix must be positive semidefinite")
-    effects = []
-    for lo, hi in partition.arcs():
-        e = np.zeros((dim, dim), dtype=complex)
-        for n in range(dim):
-            for m in range(dim):
-                e[n, m] = c[n, m] * _arc_integral(n - m, lo, hi)
-        effects.append(e)
+    # (1/2pi) * integral over [lo, hi) of e^{i nu theta}, nu = n - m, one
+    # arc at a time; the nu = 0 entries divide by 1 and are then replaced.
+    nu = np.subtract.outer(np.arange(dim), np.arange(dim))
+    steps = 2.0j * np.pi * np.where(nu == 0, 1, nu)
+    effects = np.empty((partition.size, dim, dim), dtype=complex)
+    for e, (lo, hi) in zip(effects, partition.arcs()):
+        w = np.where(
+            nu == 0,
+            (hi - lo) / (2.0 * np.pi),
+            (np.exp(1j * nu * hi) - np.exp(1j * nu * lo)) / steps,
+        )
+        # c * w as (ac - bd) + i(ad + bc): numpy's SIMD loop for complex
+        # products may fuse these into FMAs, which round differently.
+        e.real = c.real * w.real - c.imag * w.imag
+        e.imag = c.real * w.imag + c.imag * w.real
     return Povm(partition, effects, phase_c=c)
-
-
-def _arc_integral(nu: int, lo: float, hi: float) -> complex:
-    # (1/2pi) * integral over [lo, hi) of e^{i nu theta}
-    if nu == 0:
-        return complex((hi - lo) / (2.0 * np.pi))
-    return (np.exp(1j * nu * hi) - np.exp(1j * nu * lo)) / (2.0j * np.pi * nu)
 
 
 @dataclass
@@ -257,7 +255,7 @@ class QuantumReferenceFrame:
         the arc partition onto itself. Rotations incommensurate with the
         partition are not evaluated.
         """
-        effects = np.array(self.povm.effects)
+        effects = self.povm.effects
         points, targets = self.povm.space.cell_permutations()
         worst = 0.0
         for u, t in zip(self.rep.unitary_stack(points), targets):
@@ -287,19 +285,16 @@ class QuantumReferenceFrame:
 def ideal_frame(rep: FiniteRep) -> QuantumReferenceFrame:
     """The sharp principal frame carried by the regular representation."""
     group = rep.group
-    lam = regular_representation(group)
     nodes = group.quadrature_nodes()
-    if rep.dim != group.order or any(
-        rel_err(u, v) > 1.0e-9 for u, v in zip(rep.unitary_stack(nodes), lam.unitary_stack(nodes))
-    ):
+    lam = regular_representation(group).unitary_stack(nodes)
+    # rel_err per element; every lambda(g) has Frobenius norm sqrt(|G|) >= 1.
+    if rep.dim != group.order or (
+        np.linalg.norm(rep.unitary_stack(nodes) - lam, axis=(1, 2)) > 1.0e-9 * np.sqrt(group.order)
+    ).any():
         raise ValueError("ideal frame needs the left regular representation")
     hom = HomogeneousSpace(group, (group.identity,))
-    effects = []
-    for c in range(hom.size):
-        e = np.zeros((group.order, group.order), dtype=complex)
-        g = hom.representatives[c]
-        e[g, g] = 1.0
-        effects.append(e)
+    effects = np.zeros((hom.size, group.order, group.order), dtype=complex)
+    effects[np.arange(hom.size), hom.representatives, hom.representatives] = 1.0
     return QuantumReferenceFrame(rep, Povm(hom, effects))
 
 
@@ -331,19 +326,18 @@ class Dilation:
         """The dimension of K."""
         return self.ambient_dim // self.outcomes
 
-    def pulled_back_effects(self) -> list[np.ndarray]:
+    def pulled_back_effects(self) -> np.ndarray:
+        """M_x^dag M_x for every outcome x, as one (outcomes, d, d) stack."""
         blocks = self.isometry.reshape(self.kdim, self.outcomes, -1).transpose(1, 0, 2)
-        return list(dagger(blocks) @ blocks)
+        return dagger(blocks) @ blocks
 
     def reconstruction_defect(self, povm: Povm) -> float:
-        worst = 0.0
-        for e, p in zip(povm.effects, self.pulled_back_effects()):
-            worst = max(worst, hs_norm(e - p))
-        return worst
+        # One hs_norm per outcome: a batched norm would sum in another order.
+        return max(hs_norm(diff) for diff in povm.effects - self.pulled_back_effects())
 
 
-def _stack_isometry(blocks: list[np.ndarray]) -> np.ndarray:
-    """W with row i * k + x equal to row i of blocks[x], for k blocks.
+def _stack_isometry(blocks: np.ndarray) -> np.ndarray:
+    """W with row i * k + x equal to row i of blocks[x], for a (k, d, d) stack.
 
     This is W psi = sum_x (M_x psi) (x) |x> on the system tensored with a
     k-dimensional outcome space.

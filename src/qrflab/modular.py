@@ -64,7 +64,7 @@ class ModularData:
         return u @ x @ dagger(u)
 
     def conjugate_in(self, x: np.ndarray) -> np.ndarray:
-        """The linear operator J x J."""
+        """The linear operator J x J, of one matrix or of each in a stack."""
         return self.j_matrix @ x.conj() @ self.j_matrix.conj()
 
     def flow_defect(self) -> float:
@@ -82,10 +82,8 @@ class ModularData:
     def conjugation_defect(self) -> float:
         """Worst distance of J x J from the commutant, over the basis."""
         comm = commutant(self.algebra)
-        worst = 0.0
-        for b in self.algebra.basis_matrices():
-            worst = max(worst, comm.distance(self.conjugate_in(b)))
-        return worst
+        # One distance per element: a batched projection would round otherwise.
+        return max(map(comm.distance, self.conjugate_in(self.algebra.basis_matrices())))
 
     def vector_invariance_defect(self) -> float:
         """max of |J omega - omega| and |Delta omega - omega|."""
@@ -107,13 +105,13 @@ def modular_data(alg: OperatorAlgebra, omega: np.ndarray) -> ModularData:
     if omega.shape[0] != d:
         raise ValueError("vector dimension does not match the algebra")
     mats = alg.basis_matrices()
-    c = np.column_stack([m @ omega for m in mats])
+    c = (mats @ omega).T
     rank = int(_rank(np.linalg.svd(c, compute_uv=False), "cyclicity rank: singular values").sum())
     if rank < d:
         raise ValueError("omega is not cyclic for the algebra")
     if rank < alg.dim or alg.dim > d:
         raise ValueError("omega is not separating for the algebra")
-    dmat = np.column_stack([dagger(m) @ omega for m in mats])
+    dmat = (dagger(mats) @ omega).T
     s = dmat @ np.linalg.inv(c).conj()
 
     u, _, vh = np.linalg.svd(s)
@@ -134,10 +132,10 @@ def _validate_modular(md: ModularData) -> None:
         raise RuntimeError("modular conjugation is not unitary")
     if rel_err(j @ j.conj(), np.eye(j.shape[0])) > DEFAULT_TOL:
         raise RuntimeError("modular conjugation is not an involution")
-    worst = 0.0
-    for m in md.algebra.basis_matrices():
-        lhs = s @ (m @ md.omega).conj()
-        worst = max(worst, float(np.linalg.norm(lhs - dagger(m) @ md.omega)))
+    # Row k of each side is S (a_k omega)^* and a_k^dag omega.
+    mats = md.algebra.basis_matrices()
+    lhs = (mats @ md.omega).conj() @ s.T
+    worst = np.linalg.norm(lhs - dagger(mats) @ md.omega, axis=1).max()
     if worst > DEFAULT_TOL * max(1.0, float(np.linalg.norm(md.omega))):
         raise RuntimeError("S does not send x omega to x^dag omega")
 
@@ -188,14 +186,9 @@ def gns_doubling(rho: np.ndarray) -> tuple[OperatorAlgebra, np.ndarray]:
     omega = np.zeros(d * d, dtype=complex)
     for i in range(d):
         omega += np.sqrt(vals[i]) * np.kron(vecs[:, i], vecs[:, i].conj())
-    rows = []
-    eye = np.eye(d)
-    units = np.eye(d * d)
-    for kl in range(d * d):
-        e = units[kl].reshape(d, d)
-        rows.append(np.kron(e, eye).ravel() / np.sqrt(d))
-    alg = OperatorAlgebra(d * d, np.array(rows))
-    return alg, omega
+    # Row kl is vec(e_kl (x) 1) / sqrt(d), over the matrix units e_kl.
+    rows = np.kron(np.eye(d * d).reshape(-1, d, d), np.eye(d)).reshape(d * d, -1) / np.sqrt(d)
+    return OperatorAlgebra(d * d, rows), omega
 
 
 @dataclass

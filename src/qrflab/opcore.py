@@ -29,6 +29,19 @@ def as_operator(x, name: str = "operator") -> np.ndarray:
     return arr
 
 
+def _operator_stack(xs, name: str) -> np.ndarray:
+    """Copy square matrices of one dimension, with finite entries, into one
+    complex (k, d, d) stack; ``name`` names them in errors."""
+    if len({np.shape(x) for x in xs}) > 1:
+        raise ValueError(f"{name} differ in dimension")
+    stack = np.array(xs, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"{name} must be square matrices, got a stack of shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{name} have non-finite entries")
+    return stack
+
+
 def dagger(x: np.ndarray) -> np.ndarray:
     """The adjoint of a matrix, or of each matrix in a (..., d, d) stack."""
     return np.swapaxes(np.asarray(x).conj(), -1, -2)

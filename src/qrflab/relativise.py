@@ -128,7 +128,7 @@ def _orbit_and_effects(
     if isinstance(frame.rep, FiniteRep):
         cells: HomogeneousSpace = frame.povm.space
         points = np.array(cells.representatives)
-        effects = np.array(frame.povm.effects)
+        effects = frame.povm.effects
     else:
         c = _phase_density_matrix(frame)
         points = frame.rep.group.quadrature_nodes()

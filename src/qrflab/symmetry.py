@@ -15,6 +15,9 @@ A representation is ``group``, ``dim`` and ``unitary_stack(points)``, the
 unitaries at an array of group points stacked on axis 0; it is the only
 way the package reads a representation, at quadrature nodes, coset
 representatives, stabiliser elements or the rotations of a partition. A
+finite representation stores its unitaries as one complex (|G|, d, d)
+stack, which ``unitary_stack`` indexes; a circle representation assembles
+the stack from its generator's eigendecomposition. A
 homogeneous space G/H tabulates its left action as ``action[g, cell]``, so
 a covariance check pairs row g of that table with the unitary at g.
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import DEFAULT_TOL, as_operator, dagger, hermitian_eig, rel_err
+from .opcore import DEFAULT_TOL, _operator_stack, as_operator, dagger, hermitian_eig, rel_err
 from .vnalg import OperatorAlgebra
 
 # The seeded range sketch of ``tensor_fixed_point_rows``: samples beyond the
@@ -50,8 +53,8 @@ _SKETCH_GAP = 1.0e-6
 # How far the character trace may sit from the integer rank.
 _TRACE_TOL = 1.0e-6
 # The largest order a group constructor tabulates, that of S6. The Cayley
-# table holds order^2 integers (4 MB here) and ``FiniteGroup``'s
-# associativity check takes order^3 steps; S11's table would hold 1.6e15.
+# table holds order^2 integers (4 MB here), and the regular representation
+# order^3 complex entries (6 GB here); S11's table would hold 1.6e15.
 _MAX_ORDER = 720
 
 
@@ -74,15 +77,11 @@ class FiniteGroup:
             raise ValueError("Cayley table shape does not match element count")
         if not ((0 <= self.table) & (self.table < n)).all():
             raise ValueError("Cayley table entry out of range")
-        ids = [
-            i
-            for i in range(n)
-            if (self.table[i] == np.arange(n)).all()
-            and (self.table[:, i] == np.arange(n)).all()
-        ]
-        if len(ids) != 1:
+        idx = np.arange(n)
+        ids = np.flatnonzero((self.table == idx).all(axis=1) & (self.table.T == idx).all(axis=1))
+        if ids.size != 1:
             raise ValueError("Cayley table has no two-sided identity")
-        self.identity = ids[0]
+        self.identity = int(ids[0])
         inv = np.full(n, -1, dtype=int)
         for i in range(n):
             hits = np.flatnonzero(self.table[i] == self.identity)
@@ -90,10 +89,12 @@ class FiniteGroup:
                 raise ValueError(f"element {self.labels[i]!r} has no inverse")
             inv[i] = hits[0]
         self.inverse = inv
-        # (ab)c == a(bc) for every triple, one a at a time in n^2 memory:
-        # t[t[a]][b, c] = t[t[a, b], c] and t[a][t][b, c] = t[a, t[b, c]].
+        # Light's test, (ab)s == a(bs) for all a, b and each generator s, is
+        # exact: the c with (ab)c = a(bc) for all a, b include e and are closed
+        # under products, (ab)(cc') = ((ab)c)c' = (a(bc))c' = a((bc)c') = a(b(cc')),
+        # and ``generators()`` reaches each element as a product (..(e s1)..) sk.
         t = self.table
-        if any((t[t[a]] != t[a][t]).any() for a in range(n)):
+        if any((t[t, s] != t[:, t[:, s]]).any() for s in self.generators()):
             raise ValueError("Cayley table is not associative")
 
     @property
@@ -182,13 +183,12 @@ def symmetric_group(n: int) -> FiniteGroup:
         order *= k
         if order > _MAX_ORDER:
             raise ValueError(f"S_{n} has order {n}!, above the {_MAX_ORDER} that is tabulated")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.zeros((size, size), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    perms = np.array(list(itertools.permutations(range(n))))
+    # Base-n codes are ascending in the lexicographic order of ``permutations``,
+    # so one search finds the index of every product p*q = p[q].
+    weights = n ** np.arange(n - 1, -1, -1)
+    products = perms[np.arange(order)[:, None, None], perms[None, :, :]]
+    table = np.searchsorted(perms @ weights, products @ weights)
     labels = ["".join(map(str, p)) for p in perms]
     return FiniteGroup(labels, table)
 
@@ -220,20 +220,18 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 @dataclass
 class FiniteRep:
-    """A unitary representation of a finite group, one matrix per element."""
+    """A unitary representation of a finite group, held as one (|G|, d, d)
+    stack whose g-th matrix is U(g)."""
 
     group: FiniteGroup
-    unitaries: list[np.ndarray]
+    unitaries: np.ndarray
 
     def __post_init__(self) -> None:
         g = self.group
-        self.unitaries = [as_operator(u, "representation matrix") for u in self.unitaries]
         if len(self.unitaries) != g.order:
             raise ValueError("representation needs one unitary per group element")
-        d = self.unitaries[0].shape[0]
-        if any(u.shape[0] != d for u in self.unitaries):
-            raise ValueError("representation matrices differ in dimension")
-        us = np.array(self.unitaries)
+        us = self.unitaries = _operator_stack(self.unitaries, "representation matrices")
+        d = us.shape[1]
         eye = np.eye(d)
         # rel_err per element, batched: Frobenius distance over max(1, ||target||_F).
         unit_scale = max(1.0, float(np.sqrt(d)))
@@ -257,11 +255,11 @@ class FiniteRep:
 
     @property
     def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.unitaries.shape[1]
 
     def unitary_stack(self, points: np.ndarray) -> np.ndarray:
         """The unitaries at an array of element indices, stacked on axis 0."""
-        return np.array([self.unitaries[g] for g in points])
+        return self.unitaries[points]
 
 
 @dataclass
@@ -304,8 +302,7 @@ Rep = FiniteRep | CircleRep
 
 def trivial_rep(group: SymmetryGroup, dim: int) -> Rep:
     if isinstance(group, FiniteGroup):
-        eye = np.eye(dim, dtype=complex)
-        return FiniteRep(group, [eye.copy() for _ in range(group.order)])
+        return FiniteRep(group, np.broadcast_to(np.eye(dim), (group.order, dim, dim)))
     return CircleRep(group, np.zeros((dim, dim), dtype=complex))
 
 
@@ -320,7 +317,10 @@ def tensor_rep(a: Rep, b: Rep, group: SymmetryGroup | None = None) -> Rep:
         if a.group != b.group:
             raise ValueError("tensor product needs representations of one group")
         nodes = a.group.quadrature_nodes()
-        us = [np.kron(u, v) for u, v in zip(a.unitary_stack(nodes), b.unitary_stack(nodes))]
+        ua, ub = a.unitary_stack(nodes), b.unitary_stack(nodes)
+        # kron(ua[g], ub[g]) for every g at once
+        us = ua[:, :, None, :, None] * ub[:, None, :, None, :]
+        us = us.reshape(nodes.size, a.dim * b.dim, -1)
         return FiniteRep(group if isinstance(group, FiniteGroup) else a.group, us)
     if isinstance(a, CircleRep) and isinstance(b, CircleRep):
         gen = np.kron(a.generator, np.eye(b.dim)) + np.kron(np.eye(a.dim), b.generator)
@@ -349,10 +349,8 @@ def average_over_group(u: Rep, v: Rep, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("operator has non-finite entries")
     nodes = u.group.quadrature_nodes()
-    acc = np.zeros_like(x)
-    for ug, vg in zip(u.unitary_stack(nodes), v.unitary_stack(nodes)):
-        acc += ug @ x @ dagger(vg)
-    return acc / nodes.size
+    moved = u.unitary_stack(nodes) @ x @ dagger(v.unitary_stack(nodes))
+    return moved.sum(axis=0) / nodes.size
 
 
 def tensor_fixed_point_rows(rows: np.ndarray, u: Rep, v: Rep) -> np.ndarray:
@@ -439,7 +437,7 @@ def _permutation_rep(group: FiniteGroup, images: np.ndarray) -> FiniteRep:
     mats = np.zeros((n, n, n), dtype=complex)
     idx = np.arange(n)
     mats[idx[:, None], images, idx[None, :]] = 1.0
-    return FiniteRep(group, list(mats))
+    return FiniteRep(group, mats)
 
 
 def regular_representation(group: SymmetryGroup) -> FiniteRep:

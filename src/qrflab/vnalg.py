@@ -120,9 +120,9 @@ class OperatorAlgebra:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def basis_matrices(self) -> list[np.ndarray]:
-        d = self.ambient_dim
-        return [_unvec(r, d) for r in self.rows]
+    def basis_matrices(self) -> np.ndarray:
+        """The basis as a (dim, d, d) view of ``rows``."""
+        return self.rows.reshape(-1, self.ambient_dim, self.ambient_dim)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         v = _vec(x)
@@ -311,9 +311,9 @@ class BlockStructure:
         return sum(m * m for _, m in self.blocks)
 
 
-def _eigen_clusters(vals: np.ndarray, what: str) -> list[np.ndarray]:
-    """Index groups of an ascending spectrum, split at the gaps ``_rank``
-    keeps; an ambiguous gap raises ValueError."""
+def _eigen_clusters(vals: np.ndarray, what: str) -> list:
+    """Index arrays of the groups of an ascending spectrum, split at the
+    gaps ``_rank`` keeps; an ambiguous gap raises ValueError."""
     split = np.flatnonzero(_rank(np.diff(vals), f"{what}: eigenvalue gaps")) + 1
     return np.split(np.arange(vals.size), split)
 
@@ -335,8 +335,8 @@ def _split_block(
     """
     r = iso.shape[1]
     d = int(np.sqrt(alg_rows.shape[1]))
-    comp = [dagger(iso) @ _unvec(row, d) @ iso for row in alg_rows]
-    rows = _orthonormal_rows(np.array([_vec(c) for c in comp]), None)
+    comp = dagger(iso) @ alg_rows.reshape(-1, d, d) @ iso
+    rows = _orthonormal_rows(comp.reshape(comp.shape[0], -1), None)
     dim = rows.shape[0]
     n = int(round(np.sqrt(dim)))
     if n * n != dim or r % n != 0:
@@ -428,20 +428,17 @@ def _block_defect(
     alg: OperatorAlgebra, blocks: list[tuple[int, int]], u: np.ndarray
 ) -> float:
     """Worst deviation of conjugated basis elements from (+) X_i (x) 1_m form."""
-    d = alg.ambient_dim
-    worst = 0.0
-    for b in alg.basis_matrices():
-        c = dagger(u) @ b @ u
-        model = np.zeros_like(c)
-        off = 0
-        for n, m in blocks:
-            r = n * m
-            sub = c[off : off + r, off : off + r].reshape(n, m, n, m)
-            x = np.einsum("kalb->kl", sub) / m
-            model[off : off + r, off : off + r] = np.kron(x, np.eye(m))
-            off += r
-        worst = max(worst, float(np.linalg.norm(c - model)))
-    return worst
+    c = dagger(u) @ alg.basis_matrices() @ u
+    model = np.zeros_like(c)
+    off = 0
+    for n, m in blocks:
+        r = n * m
+        sub = c[:, off : off + r, off : off + r].reshape(-1, n, m, n, m)
+        x = np.einsum("ikalb->ikl", sub) / m
+        model[:, off : off + r, off : off + r] = np.kron(x, np.eye(m))
+        off += r
+    # One norm per basis element: a batched norm would sum in another order.
+    return max(float(np.linalg.norm(diff)) for diff in c - model)
 
 
 def normalized_trace(x: np.ndarray) -> complex:
@@ -465,12 +462,11 @@ class ProductTrace:
     _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Elementary tensors of two orthonormal bases are orthonormal.
-        self._rows = np.array([
-            _vec(np.kron(a, b))
-            for a in self.left.basis_matrices()
-            for b in self.right.basis_matrices()
-        ])
+        # Elementary tensors of two orthonormal bases are orthonormal; row
+        # (i, j) is vec(a_i (x) b_j).
+        a, b = self.left.basis_matrices(), self.right.basis_matrices()
+        kron = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+        self._rows = kron.reshape(a.shape[0] * b.shape[0], -1)
 
     def __call__(self, x: np.ndarray) -> complex:
         v = _vec(x)

@@ -82,3 +82,35 @@ def assignment_equivariance_defect(unitaries, anchors, representatives, action):
             for s, t in enumerate(row):
                 worst = max(worst, _op_norm(u @ entries[s] @ _dag(u) - entries[t]))
     return worst
+
+
+def arc_integral(nu, lo, hi):
+    """(1/2pi) * integral over [lo, hi) of e^{i nu theta}, for one integer nu."""
+    if nu == 0:
+        return complex((hi - lo) / (2.0 * np.pi))
+    return (np.exp(1j * nu * hi) - np.exp(1j * nu * lo)) / (2.0j * np.pi * nu)
+
+
+def phase_effects(c, arcs):
+    """The phase POVM entry by entry: effect [lo, hi) has entry (n, m) equal
+    to c[n, m] times the arc integral of e^{i (n - m) theta}."""
+    dim = c.shape[0]
+    effects = []
+    for lo, hi in arcs:
+        e = np.zeros((dim, dim), dtype=complex)
+        for n in range(dim):
+            for m in range(dim):
+                e[n, m] = c[n, m] * arc_integral(n - m, lo, hi)
+        effects.append(e)
+    return effects
+
+
+def smeared_effects(effects, kernel):
+    """sum_x kernel[x, y] E_x for each output cell y, one term at a time."""
+    out = []
+    for y in range(kernel.shape[1]):
+        e = np.zeros(effects[0].shape, dtype=complex)
+        for x in range(kernel.shape[0]):
+            e += kernel[x, y] * effects[x]
+        out.append(e)
+    return out

@@ -75,6 +75,11 @@ def band_task(**overrides) -> dict:
     return task
 
 
+def desitter_task(beta: float, expect: dict) -> dict:
+    return {"op": "desitter_condition", "name": "window", "intervals": [[0.0, 1.0]],
+            "beta": beta, "expect": expect}
+
+
 class TestCorpus:
     @pytest.mark.parametrize("scenario", CORPUS, ids=[p.stem for p in CORPUS])
     def test_every_shipped_scenario_passes(self, scenario, tmp_path, capsys):
@@ -447,15 +452,27 @@ class TestConfigErrors:
                                          "tasks": [band_task()]})
         self.assert_config_error(capsys, path, "config error: groups.g: ", "above the 5")
 
-    @pytest.mark.parametrize("beta", [1.0, -1.0], ids=["op-passes", "op-raises"])
-    def test_malformed_rule_is_reported_before_any_task_runs(self, tmp_path, capsys, beta):
-        bad = {"op": "desitter_condition", "name": "window", "intervals": [[0.0, 1.0]],
-               "beta": beta, "expect": {"integral": {"min": "x"}}}
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (desitter_task(1.0, {"integral": {"min": "x"}}),
+             "tasks[1].expect.integral.min: expected a number"),
+            (desitter_task(-1.0, {"integral": {"min": "x"}}),
+             "tasks[1].expect.integral.min: expected a number"),
+            # Neither is seen before the op runs, after the first task passed.
+            (desitter_task(-1.0, {}), "tasks[1].beta: "),
+            (band_task(name="window", expect={"integral": {"min": 0.0}}),
+             "tasks[1].expect.integral: result has no field 'integral'"),
+        ],
+        ids=["op-passes", "op-raises", "op-argument", "result-field"],
+    )
+    def test_malformed_rule_is_reported_before_any_task_runs(self, tmp_path, capsys, bad, error):
         path = write_scenario(tmp_path, {"version": 1, "tasks": [band_task(name="ok"), bad]})
-        code, out, err = run_cli(capsys, "run", str(path))
+        code, out, err = run_cli(capsys, "run", str(path), "--verbose")
         assert code == 2
-        assert err.startswith("config error: tasks[1].expect.integral.min: expected a number")
+        assert err.startswith(f"config error: {error}")
         assert "PASS" not in out
+        assert "value =" not in out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_malformed_tolerance_flag_is_a_config_error(self, tmp_path, capsys, value):

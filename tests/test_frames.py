@@ -21,6 +21,7 @@ from qrflab.frames import (
     smear,
 )
 from qrflab.opcore import dagger, op_norm, psd_sqrt
+from qrflab.vnalg import generate_algebra
 from qrflab.symmetry import (
     CircleGroup,
     CircleRep,
@@ -188,6 +189,51 @@ class TestPhasePovm:
     def test_c_matrix_shape_guard(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             phase_povm(3, np.ones((2, 2)), CirclePartition([0.0, math.pi]))
+
+
+class TestAgainstEntryLoops:
+    """``phase_povm`` and ``smear`` against their entry-by-entry definitions,
+    bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.0,), (0.0, math.pi), (0.3, 1.0, 4.0), tuple(2.0 * math.pi * np.arange(7) / 7)],
+        ids=["whole", "halves", "uneven", "sevenths"],
+    )
+    def test_phase_povm(self, rng, dim, bounds):
+        a = random_complex(rng, dim)
+        gram = a @ dagger(a)
+        scale = 1.0 / np.sqrt(np.diag(gram).real)
+        c = scale[:, None] * gram * scale[None, :]
+        partition = CirclePartition(bounds)
+        got = phase_povm(dim, c, partition).effects
+        assert np.array_equal(got, oracle.phase_effects(c, partition.arcs()))
+
+    @pytest.mark.parametrize("d, n, m", [(1, 2, 3), (2, 3, 2), (3, 4, 4), (4, 5, 3)])
+    def test_smear(self, rng, d, n, m):
+        povm = random_povm(rng, d, n)
+        kernel = rng.uniform(0.0, 1.0, (n, m))
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        got = smear(povm, MarkovKernel(kernel)).effects
+        assert np.array_equal(got, oracle.smeared_effects(povm.effects, kernel))
+
+
+@pytest.mark.parametrize("family", ["rep", "povm", "dilation", "algebra"])
+def test_operator_families_are_complex_stacks(family):
+    # Each family is held as one (k, d, d) complex array, however it was given.
+    g = symmetric_group(3)
+    frame = ideal_frame(regular_representation(g))
+    build = {
+        "rep": lambda: FiniteRep(g, [u.real for u in frame.rep.unitaries]).unitaries,
+        "povm": lambda: Povm(frame.povm.space, [e.real for e in frame.povm.effects]).effects,
+        "dilation": lambda: naimark_dilate(frame.povm).pulled_back_effects(),
+        "algebra": lambda: generate_algebra(frame.rep.unitaries, 6).basis_matrices(),
+    }
+    stack = build[family]()
+    assert isinstance(stack, np.ndarray)
+    assert stack.dtype == complex
+    assert stack.shape == (6, 6, 6)
 
 
 class TestSharpness:

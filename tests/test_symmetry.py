@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import re
 import tracemalloc
 
@@ -296,6 +297,19 @@ class TestFiniteGroups:
     def test_accepts_large_groups(self):
         assert symmetric_group(5).order == 120
         assert cyclic_group(66).order == 66
+        # the order cap, at which every group is checked in well under a second
+        assert symmetric_group(6).order == 720
+        assert cyclic_group(720).order == 720
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_symmetric_table_matches_the_composition_loop(self, n):
+        # p*q : i -> p[q[i]], over the permutations in itertools order
+        perms = list(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        want = [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
+        g = symmetric_group(n)
+        assert np.array_equal(g.table, want)
+        assert g.labels == ["".join(map(str, p)) for p in perms]
 
     @pytest.mark.parametrize("build,order", [
         (lambda: symmetric_group(3), "3!"),
