@@ -5,7 +5,13 @@ Each case is named ``kernel:shape``:
 - ``commutant:tensor:d`` times ``vnalg.commutant`` of M_d (x) 1 on
   C^d (x) C^d with real basis rows, as ``modular.gns_doubling`` builds it;
   its operator space has n^2 = d^4 dimensions. ``commutant:full:d`` does the
-  same for the full M_d with complex basis rows, with n^2 = d^2.
+  same for the full M_d with complex basis rows, with n^2 = d^2. Both
+  report the dimension ``gram_dim`` of the block-diagonal subspace whose
+  Gram matrix is diagonalised, p = sum of the squared eigenspace sizes of
+  the generic element (d^3 for ``tensor:d``, d for ``full:d``), and the
+  number of those eigenspaces, ``clusters``. Where ``commutant`` takes the
+  whole operator space (``vnalg._generic_eigenbasis`` returns None, or a
+  source tree does not have it), p = n^2 and there is one cluster.
 - ``fixed-points:<shape>`` times ``symmetry.tensor_fixed_point_rows``, the
   Ad(U (x) V) fixed points of M (x) B(H_V) for an Ad U-invariant span M of
   m operators, and reports m, d_u, d_v, the number of quadrature nodes and
@@ -181,6 +187,7 @@ def run_case(case: str, repeats: int) -> dict:
     from qrflab.crossed import build_crossed_product, verify_commutation_theorem
     from qrflab.relativise import GroupAction
     from qrflab.symmetry import tensor_fixed_point_rows
+    from qrflab import vnalg
     from qrflab.vnalg import OperatorAlgebra, centre, commutant
 
     kernel, _, shape = case.partition(":")
@@ -189,7 +196,10 @@ def run_case(case: str, repeats: int) -> dict:
         comm, ms = timed(lambda: commutant(alg), repeats)
         if comm.dim != expected_dim:
             raise RuntimeError(f"case {case!r}: commutant has dim {comm.dim}, not {expected_dim}")
-        return {"n_squared": n_squared, "median_ms": ms}
+        eigenbasis = getattr(vnalg, "_generic_eigenbasis", lambda alg: None)(alg)
+        sizes = [alg.ambient_dim] if eigenbasis is None else eigenbasis[1].tolist()
+        return {"n_squared": n_squared, "gram_dim": sum(n * n for n in sizes),
+                "clusters": len(sizes), "median_ms": ms}
     if kernel == "invariance":
         if shape.startswith("circle-"):
             rows, rep = circle_case(shape)

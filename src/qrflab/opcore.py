@@ -100,12 +100,11 @@ def partial_trace(x: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray
     return np.einsum("ijkj->ik", blk)
 
 
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    # Rotate so the first component of non-negligible magnitude is real > 0.
-    mags = np.abs(v)
-    nz = np.flatnonzero(mags > _PHASE_EPS * mags.max())
-    pivot = v[nz[0]]
-    return v * (np.conj(pivot) / abs(pivot))
+def _pivots(vecs: np.ndarray) -> np.ndarray:
+    """Per column, the index of its first component of non-negligible
+    magnitude: above _PHASE_EPS times the column's largest."""
+    mags = np.abs(vecs)
+    return np.argmax(mags > _PHASE_EPS * mags.max(axis=0), axis=0)
 
 
 def hermitian_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,30 +126,25 @@ def hermitian_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xh = (x + dagger(x)) / 2.0
     vals, vecs = np.linalg.eigh(xh)
 
-    cols = [_phase_fix(vecs[:, j]) for j in range(vecs.shape[1])]
-    gap = 1.0e-12 * max(1.0, float(np.abs(vals).max()))
-    order: list[int] = []
-    j = 0
-    while j < len(vals):
-        k = j
-        while k + 1 < len(vals) and vals[k + 1] - vals[k] <= gap:
-            k += 1
-        block = sorted(range(j, k + 1), key=lambda i: _first_component(cols[i]))
-        order.extend(block)
-        j = k + 1
-    vecs = np.column_stack([cols[i] for i in order])
-    vals = vals[order]
+    cols = np.arange(vecs.shape[1])
+    pivot = vecs[_pivots(vecs), cols]
+    # np.hypot is the scalar abs; the vectorised np.abs of a complex array
+    # may differ from it in the last bit.
+    vecs = vecs * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
+    # Clusters are runs of gaps within ``gap``; a stable sort keeps ties
+    # in eigh's order. The ascending ends hold the largest |eigenvalue|.
+    gap = 1.0e-12 * max(1.0, abs(float(vals[0])), abs(float(vals[-1])))
+    ties = np.diff(vals) <= gap
+    if ties.any():
+        cluster = np.concatenate([[0], np.cumsum(~ties)])
+        order = np.lexsort((vecs[_pivots(vecs), cols].real, cluster))
+        vecs, vals = vecs[:, order], vals[order]
+    vecs = np.ascontiguousarray(vecs)
 
-    recon = vecs @ np.diag(vals) @ dagger(vecs)
+    recon = (vecs * vals) @ dagger(vecs)
     if np.linalg.norm(recon - xh) > 1.0e-9 * scale:
         raise RuntimeError("eigendecomposition failed to reconstruct the input")
     return vals, vecs
-
-
-def _first_component(v: np.ndarray) -> float:
-    mags = np.abs(v)
-    nz = np.flatnonzero(mags > _PHASE_EPS * mags.max())
-    return float(v[nz[0]].real)
 
 
 def apply_spectral_function(x: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:

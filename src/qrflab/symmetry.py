@@ -57,6 +57,9 @@ _TRACE_TOL = 1.0e-6
 # order^3 complex entries (6 GB here); S11's table would hold 1.6e15.
 _MAX_ORDER = 720
 
+# The most entries a temporary of ``FiniteRep``'s validation holds.
+_CHECK_ENTRIES = 1 << 16
+
 
 @dataclass
 class FiniteGroup:
@@ -233,25 +236,32 @@ class FiniteRep:
         us = self.unitaries = _operator_stack(self.unitaries, "representation matrices")
         d = us.shape[1]
         eye = np.eye(d)
+        # Both checks run over chunks of the stack, so that each temporary
+        # holds at most _CHECK_ENTRIES entries however large the group.
+        step = max(1, _CHECK_ENTRIES // (d * d))
+        chunks = [slice(lo, lo + step) for lo in range(0, g.order, step)]
         # rel_err per element, batched: Frobenius distance over max(1, ||target||_F).
         unit_scale = max(1.0, float(np.sqrt(d)))
-        unit_err = np.linalg.norm(us @ dagger(us) - eye, axis=(1, 2))
-        bad = np.flatnonzero(unit_err / unit_scale > DEFAULT_TOL)
-        if bad.size:
-            raise ValueError(f"matrix for {g.labels[bad[0]]!r} is not unitary")
+        scale = np.empty(g.order)
+        for chunk in chunks:
+            unit_err = np.linalg.norm(us[chunk] @ dagger(us[chunk]) - eye, axis=(1, 2))
+            bad = np.flatnonzero(unit_err / unit_scale > DEFAULT_TOL)
+            if bad.size:
+                raise ValueError(f"matrix for {g.labels[chunk.start + bad[0]]!r} is not unitary")
+            scale[chunk] = np.maximum(1.0, np.linalg.norm(us[chunk], axis=(1, 2)))
         if rel_err(us[g.identity], eye) > DEFAULT_TOL:
             raise ValueError("identity element must act as the identity matrix")
-        # One Cayley-table row at a time: U(i) U(j) against U(table[i, j])
-        # for every j, with rel_err's scale taken from each target.
-        scale = np.maximum(1.0, np.linalg.norm(us, axis=(1, 2)))
+        # One chunk of a Cayley-table row at a time: U(i) U(j) against
+        # U(table[i, j]), with rel_err's scale taken from each target.
         for i in range(g.order):
-            row = g.table[i]
-            err = np.linalg.norm(us[i] @ us - us[row], axis=(1, 2)) / scale[row]
-            bad = np.flatnonzero(err > DEFAULT_TOL)
-            if bad.size:
-                raise ValueError(
-                    f"not a homomorphism at pair ({g.labels[i]}, {g.labels[bad[0]]})"
-                )
+            for chunk in chunks:
+                row = g.table[i, chunk]
+                err = np.linalg.norm(us[i] @ us[chunk] - us[row], axis=(1, 2)) / scale[row]
+                bad = np.flatnonzero(err > DEFAULT_TOL)
+                if bad.size:
+                    raise ValueError(
+                        f"not a homomorphism at pair ({g.labels[i]}, {g.labels[chunk.start + bad[0]]})"
+                    )
 
     @property
     def dim(self) -> int:

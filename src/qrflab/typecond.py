@@ -12,6 +12,7 @@ infinite series, and that truncation carries a certified remainder bound.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -138,6 +139,10 @@ def _segment_integral(beta: float, lo: float, hi: float) -> float:
     # segments accurate, where e^{-beta lo} - e^{-beta hi} would cancel
     if hi == math.inf:
         return math.exp(-beta * lo) / beta
+    if beta * (hi - lo) < sys.float_info.min:
+        # A subnormal beta (hi - lo) has lost bits, or is 0.0, so dividing
+        # it by beta again would not give back hi - lo; expm1(-x) = -x here.
+        return math.exp(-beta * lo) * (hi - lo)
     return -math.exp(-beta * lo) * math.expm1(-beta * (hi - lo)) / beta
 
 

@@ -8,6 +8,8 @@ operator space; no structure theory is assumed, it is computed.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,15 @@ _MEMBER_TOL = 1.0e-8
 # ``decompose``'s seeded draws, so runs are reproducible, and how many it makes.
 _DECOMPOSE_SEED = 7
 _DECOMPOSE_ATTEMPTS = 8
+
+# ``commutant``'s seeded draw of a generic element of the span, and the
+# fraction of max(1, spread) that a gap in its spectrum must exceed to
+# split two eigenspaces.
+_COMMUTANT_SEED = 5
+_COMMUTANT_SPLIT = 1.0e-3
+# Up to this ambient dimension ``commutant`` diagonalises the whole Gram
+# operator without drawing.
+_WHOLE_GRAM_DIM = 3
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -192,39 +203,130 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     For row-major vec, vec(bx - xb) = L_b vec(x) with L_b = b (x) I - I (x) b^T,
     so the commutant is the null space of the positive Gram operator
     G = sum_b L_b^dag L_b = S (x) I + I (x) conj(T) - K - K^dag, where
-    S = sum b^dag b, T = sum b b^dag and K = sum b (x) conj(b). G is formed in
-    closed form on the d^2-dimensional operator space, never the stacked
-    (dim d^2) x d^2 system.
+    S = sum b^dag b, T = sum b b^dag and K = sum b (x) conj(b). Its
+    eigenvalues, the squared singular values of the stacked (dim d^2) x d^2
+    system, are cut by ``_rank``; an ambiguous rank raises ValueError.
 
-    The eigenvalues of G, the squared singular values of the stacked system,
-    are cut by ``_rank``; an ambiguous rank raises ValueError.
+    G is diagonalised only on a subspace known to hold the commutant. A
+    seeded Hermitian Gaussian projected onto the span is an element h of
+    the span whenever the projection is Hermitian, so every x in the
+    commutant commutes with h: the commutant lies in {h}', which in h's
+    eigenbasis is the block-diagonal matrices (+)_c B(E_c) over h's
+    eigenspaces E_c, of dimension p = sum_c dim(E_c)^2: for M_n (x) 1 on
+    C^n (x) C^n, p = n^3 of the n^4 dimensions. G is compressed to that
+    subspace block by block (``_block_gram``), so no d^2 x d^2 array is
+    formed unless h has a single eigenspace.
+
+    - The spectrum of h is split only at gaps above ``_COMMUTANT_SPLIT``
+      times max(1, spread), and never raises. Merging two eigenspaces only
+      enlarges the subspace, which costs time; splitting one eigenspace
+      would drop the commutant elements that mix its halves, with no error.
+    - Compressing a positive operator to a subspace that holds its kernel
+      keeps the kernel and can only raise the smallest nonzero eigenvalue
+      (Cauchy interlacing), while the cut, set by the largest, can only
+      fall; so the rank margin of an exact algebra never gets worse.
+    - A span that is not closed under adjoints may project the draw to a
+      non-Hermitian matrix, which its Hermitian part would leave outside
+      the span. Then G itself is diagonalised, as it is for d up to
+      ``_WHOLE_GRAM_DIM``, where its at most 81 x 81 eigendecomposition
+      costs less than finding h's eigenspaces.
     """
-    gram = _commutation_gram(alg)
-    return OperatorAlgebra(alg.ambient_dim, _gram_null_vectors(gram, "commutant").T)
+    d = alg.ambient_dim
+    eigenbasis = _generic_eigenbasis(alg)
+    if eigenbasis is None:
+        return OperatorAlgebra(d, _gram_null_vectors(_commutation_gram(alg), "commutant").T)
+    w, sizes = eigenbasis
+    rotated = dagger(w) @ alg.basis_matrices() @ w
+    null = _gram_null_vectors(_block_gram(rotated, sizes), "commutant")
+    # The coordinates run block by block, row-major within a block: the
+    # row-major order of the block-diagonal entries of a d x d matrix.
+    label = np.repeat(np.arange(sizes.size), sizes)
+    blocks = np.zeros((null.shape[1], d, d), dtype=complex)
+    blocks[:, label[:, None] == label] = null.T
+    return OperatorAlgebra(d, (w @ blocks @ dagger(w)).reshape(-1, d * d))
+
+
+@functools.lru_cache(maxsize=8)
+def _commutant_draw(d: int) -> np.ndarray:
+    """``commutant``'s seeded Hermitian Gaussian on C^d, vectorised."""
+    g = np.random.default_rng(_COMMUTANT_SEED).standard_normal((2, d, d))
+    g = g[0] + 1j * g[1]
+    draw = _vec(g + dagger(g)) / 2.0
+    draw.flags.writeable = False
+    return draw
+
+
+def _generic_eigenbasis(alg: OperatorAlgebra) -> tuple[np.ndarray, np.ndarray] | None:
+    """A unitary whose columns run through the eigenspaces of ``commutant``'s
+    generic element h, and the sizes of those eigenspaces, ascending, in the
+    order the columns take them: eigenvalues ascending within one size.
+    None, for the whole operator space, when d <= ``_WHOLE_GRAM_DIM`` or
+    the draw is not Hermitian."""
+    d = alg.ambient_dim
+    if d <= _WHOLE_GRAM_DIM:
+        return None
+    h = _unvec((alg.rows.conj() @ _commutant_draw(d)) @ alg.rows, d)
+    if hs_norm(h - dagger(h)) > DEFAULT_TOL * max(1.0, hs_norm(h)):
+        return None
+    vals, w = np.linalg.eigh((h + dagger(h)) / 2.0)
+    split = np.diff(vals) > _COMMUTANT_SPLIT * max(1.0, float(vals[-1] - vals[0]))
+    sizes = np.diff(np.flatnonzero(np.concatenate([[True], split, [True]])))
+    # The eigenspaces of one size made consecutive, each keeping its order.
+    return w[:, np.argsort(np.repeat(sizes, sizes), kind="stable")], np.sort(sizes)
 
 
 def _commutation_gram(alg: OperatorAlgebra) -> np.ndarray:
     """The d^2 x d^2 Gram operator G of ``commutant``, with
     <vec x, G vec x> = sum_b ||[b, x]||^2 over the basis elements b."""
-    d = alg.ambient_dim
-    rows = alg.rows
-    stack = rows.reshape(-1, d, d)
+    return _block_gram(alg.basis_matrices(), np.array([alg.ambient_dim]))
+
+
+def _block_gram(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``commutant``'s Gram operator G of the basis ``stack``, compressed to
+    the block-diagonal matrices whose consecutive diagonal blocks have the
+    ascending ``sizes``; the coordinates run block by block, row-major
+    within a block. One block of size d gives G itself.
+
+    Block (x, y) of the compression is [x = y] (S_x (x) I + I (x) conj(T_x))
+    - K_xy - K_yx^dag, with S_x and T_x the (x, x) blocks of S and T and
+    K_xy[(i,k),(j,l)] = sum_b b_ij conj(b_kl) over the (x, y) blocks of the
+    basis. The K blocks of all pairs of two sizes come from one batched
+    product, so no stack of more than dim d^2 or p^2 entries is held.
+    """
+    m = stack.shape[0]
     s = np.einsum("bki,bkj->ij", stack.conj(), stack)
     t = np.einsum("bik,bjk->ij", stack, stack.conj())
     # Both are Hermitian; symmetrising them here makes G exactly Hermitian.
     s = (s + dagger(s)) / 2.0
     t = (t + dagger(t)) / 2.0
-    # K[(i,k),(j,l)] = sum_b b_ij conj(b_kl): a realignment of rows^T conj(rows).
-    k = (rows.T @ rows.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    # (size, count, first matrix index, first coordinate) of each size.
+    spans, a, o = [], 0, 0
+    for n, group in itertools.groupby(sizes.tolist()):
+        c = len(list(group))
+        spans.append((n, c, a, o))
+        a, o = a + n * c, o + n * n * c
+    k = np.empty((o, o), dtype=complex)
+    for n1, c1, a1, o1 in spans:
+        for n2, c2, a2, o2 in spans:
+            f = stack[:, a1 : a1 + n1 * c1, a2 : a2 + n2 * c2].reshape(m, c1, n1, c2, n2)
+            f = f.transpose(1, 3, 2, 4, 0).reshape(c1 * c2, n1 * n2, m)
+            # outer[x, y, i, j, k, l] = sum_b B_ij conj(B_kl), B = block (x, y).
+            outer = (f @ dagger(f)).reshape(c1, c2, n1, n2, n1, n2)
+            k[o1 : o1 + n1 * n1 * c1, o2 : o2 + n2 * n2 * c2].reshape(
+                c1, n1, n1, c2, n2, n2
+            )[...] = outer.transpose(0, 2, 4, 1, 3, 5)
     gram = k + dagger(k)
     del k
     np.negative(gram, out=gram)
-    # g4[i, k, j, l] is G[(i,k),(j,l)]; its two partial diagonals take
-    # S (x) I and I (x) conj(T) without forming either Kronecker product.
-    g4 = gram.reshape(d, d, d, d)
-    idx = np.arange(d)
-    g4[:, idx, :, idx] += s
-    g4[idx, :, idx, :] += t.conj()
+    for n, c, a, o in spans:
+        # g6[x, i, k, y, j, l] is the entry ((x, i, k), (y, j, l)); at
+        # x = y its two partial diagonals, writable einsum views, take
+        # S_x (x) I and I (x) conj(T_x) without forming either product.
+        g6 = gram[o : o + n * n * c, o : o + n * n * c].reshape(c, n, n, c, n, n)
+        s_x = np.einsum("xixj->xij", s[a : a + n * c, a : a + n * c].reshape(c, n, c, n))
+        t_x = np.einsum("xkxl->xkl", t[a : a + n * c, a : a + n * c].reshape(c, n, c, n))
+        np.einsum("xikxjk->xkij", g6)[...] += s_x[:, None]
+        np.einsum("xikxil->xikl", g6)[...] += t_x.conj()[:, None]
     return gram
 
 

@@ -280,18 +280,25 @@ class TestScripts:
         assert re.search(r"^max residual \S+ \(ok\)$", proc.stdout, re.MULTILINE), proc.stdout
 
     @pytest.mark.parametrize(
-        "case",
-        ["commutant:tensor:2", "fixed-points:M2-Z4-phase", "closure:M2-Z4-phase",
-         "centre:M2-Z4-phase", "invariance:circle-5x12"],
+        "case,shape",
+        [
+            # M_2 (x) 1 on C^4: two eigenspaces of size 2, p = 8 of n^2 = 16
+            ("commutant:tensor:2", {"n_squared": 16, "gram_dim": 8, "clusters": 2}),
+            ("fixed-points:M2-Z4-phase", {}),
+            ("closure:M2-Z4-phase", {}),
+            ("centre:M2-Z4-phase", {}),
+            ("invariance:circle-5x12", {}),
+        ],
         ids=["commutant", "fixed-points", "closure", "centre", "invariance"],
     )
-    def test_bench_kernels_prints_one_json_document(self, case):
+    def test_bench_kernels_prints_one_json_document(self, case, shape):
         proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",
                           "--cases", case)
         assert proc.returncode == 0, proc.stderr
         [entry] = json.loads(proc.stdout)["cases"]
         assert entry["case"] == case
         assert entry["median_ms"] > 0.0
+        assert {key: entry[key] for key in shape} == shape
 
     def test_bench_kernels_finds_the_checkout_without_pythonpath(self):
         # the usage line of the script's docstring, with no PYTHONPATH set

@@ -120,6 +120,67 @@ def test_hermitian_eig_reconstructs_with_sorted_spectrum(rng):
     assert np.allclose(vecs @ np.diag(vals) @ dagger(vecs), x, atol=1e-10)
 
 
+def loop_hermitian_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: hermitian_eig's ordering one column at a time. Each
+    eigenvector is turned so that its first component above 1e-12 times its
+    largest is real positive; within a run of eigenvalue gaps of at most
+    1e-12 max(1, max |eigenvalue|), columns are sorted by the real part of
+    that component, ties kept in eigh's order."""
+
+    def first(v):
+        mags = np.abs(v)
+        return np.flatnonzero(mags > 1.0e-12 * mags.max())[0]
+
+    def phase_fixed(v):
+        pivot = v[first(v)]
+        return v * (np.conj(pivot) / abs(pivot))
+
+    vals, vecs = np.linalg.eigh((x + dagger(x)) / 2.0)
+    cols = [phase_fixed(vecs[:, j]) for j in range(vecs.shape[1])]
+    gap = 1.0e-12 * max(1.0, float(np.abs(vals).max()))
+    order, j = [], 0
+    while j < len(vals):
+        k = j
+        while k + 1 < len(vals) and vals[k + 1] - vals[k] <= gap:
+            k += 1
+        order += sorted(range(j, k + 1), key=lambda i: float(cols[i][first(cols[i])].real))
+        j = k + 1
+    return vals[order], np.column_stack([cols[i] for i in order])
+
+
+def eig_inputs():
+    """(name, Hermitian matrix): generic spectra and degenerate ones, with
+    eigenvectors that have zero leading components."""
+    gen = np.random.default_rng(17)
+    cases = [(f"random-{d}-{k}", random_hermitian(gen, d)) for d in range(1, 9) for k in range(3)]
+    for d, k in ((2, 2), (3, 2), (2, 3), (4, 3)):
+        h = random_hermitian(gen, d)
+        cases += [(f"h-x-1{k}-{d}", np.kron(h, np.eye(k))), (f"1{k}-x-h-{d}", np.kron(np.eye(k), h))]
+    for d in (1, 3, 6):
+        cases += [(f"zero-{d}", np.zeros((d, d))), (f"identity-{d}", np.eye(d)),
+                  (f"ones-{d}", np.ones((d, d))),
+                  (f"integer-diagonal-{d}", np.diag(gen.integers(0, 3, d)).astype(float))]
+    proj = np.zeros((5, 5))
+    proj[2, 2] = 1.0
+    u = random_unitary(gen, 4)
+    cases += [
+        ("projector", proj),
+        ("block-diagonal", np.kron(np.eye(2), SIGMA_X) + np.kron(SIGMA_Z, np.eye(2))),
+        ("circulant", np.roll(np.eye(6), 1, axis=0) + np.roll(np.eye(6), -1, axis=0)),
+        # eigenvalues 1e-13 apart: one tie cluster
+        ("near-tie", u @ np.diag([0.0, 1e-13, 1.0, 1.0 + 1e-13]) @ dagger(u)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("x", [c[1] for c in eig_inputs()], ids=[c[0] for c in eig_inputs()])
+def test_hermitian_eig_is_bit_identical_to_the_column_loop(x):
+    vals, vecs = hermitian_eig(x)
+    want_vals, want_vecs = loop_hermitian_eig(np.asarray(x, dtype=complex))
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(vecs, want_vecs)
+
+
 def test_hermitian_eig_rejects_nonhermitian(rng):
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(random_complex(rng, 3))

@@ -409,6 +409,39 @@ class TestFiniteReps:
         with pytest.raises(ValueError, match=r"pair \(g1, g3\)$"):
             FiniteRep(g, lam.unitaries)
 
+    @pytest.mark.parametrize("entries", [16, 32, 48], ids=["1-matrix", "2-matrices", "3-matrices"])
+    def test_chunked_checks_name_the_same_first_failure(self, entries, monkeypatch):
+        # chunks of 1, 2 and 3 of Z4's 4 x 4 regular matrices: the first
+        # failing element and pair are the ones the one-chunk check names
+        monkeypatch.setattr(symmetry, "_CHECK_ENTRIES", entries)
+        lam = regular_representation(cyclic_group(4))
+        mats = lam.unitaries.copy()
+        mats[3] *= 1.0 + 1e-6
+        mats[2] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match=r"matrix for 'g2' is not unitary"):
+            FiniteRep(lam.group, mats)
+        g = cyclic_group(4)
+        g.table = g.table.copy()
+        g.table[1, 3] = g.table[1, 2]
+        g.table[2, 1] = g.table[2, 0]
+        with pytest.raises(ValueError, match=r"pair \(g1, g3\)$"):
+            FiniteRep(g, lam.unitaries)
+
+    def test_validation_holds_one_stack_and_its_chunks(self, monkeypatch):
+        # with one matrix per chunk, validating S4's regular rep holds the
+        # stored copy of the n^3 stack and chunk temporaries of n^2 entries;
+        # checking the whole stack at once peaks at 3 to 4 n^3
+        monkeypatch.setattr(symmetry, "_CHECK_ENTRIES", 24 * 24)
+        lam = regular_representation(symmetric_group(4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            FiniteRep(lam.group, lam.unitaries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * 24**3
+
     @pytest.mark.parametrize("size", [2e-9, 5e-10])
     def test_homomorphism_tolerance(self, size):
         # S3's permutation rep with one matrix turned by exp(i eps H):

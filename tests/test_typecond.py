@@ -150,6 +150,14 @@ class TestEvaluate:
         hot = evaluate_condition(m, lo).integral
         assert cold <= hot * (1 + 1e-12)
 
+    @pytest.mark.parametrize("width", [5e-324, 1e-310, 3e-308])
+    def test_a_subnormal_segment_is_its_width_at_every_beta(self, width):
+        # beta * width is subnormal or zero: the hypothesis example
+        # (1, 0.0, 5e-324) gave 5e-324 at beta = 1 and 0.0 at beta = 1/2
+        m = SpectralMultiplicity([(1, 0.0, width)])
+        for beta in (0.5, 1.0, 2.0):
+            assert evaluate_condition(m, beta).integral == width
+
     def test_agrees_with_simpson_quadrature(self):
         m = SpectralMultiplicity([(1, 0.0, 1.0), (3, 1.0, 2.5), (2, 4.0, 6.0)])
         for beta in (0.5, 1.3):

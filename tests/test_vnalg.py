@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,8 +110,9 @@ class TestCommutant:
     def test_commutant_of_a_full_algebra_diagonalises_one_operator_space_matrix(
         self, monkeypatch
     ):
-        # the stacked commutator system is dim d^2 x d^2; the commutant is
-        # taken from one d^2 x d^2 Gram operator and nothing larger
+        # the stacked commutator system is dim d^2 x d^2 and the Gram
+        # operator d^2 x d^2; the commutant is taken from the d x d generic
+        # element, whose d eigenspaces leave a d x d compressed Gram matrix
         shapes = []
         eigh = np.linalg.eigh
 
@@ -124,7 +127,7 @@ class TestCommutant:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         comm = commutant(full_matrix_algebra(4))
         assert comm.dim == 1
-        assert shapes == [(16, 16)]
+        assert shapes == [(4, 4), (4, 4)]
 
     def test_ambiguous_rank_raises_with_both_eigenvalues(self):
         # (I + delta X)/norm spans no *-algebra; its Gram eigenvalues are
@@ -193,6 +196,164 @@ class TestCommutantAgainstStackedSvd:
         assert alg.dim == 14
         assert commutant(alg).dim == 11
         self.assert_matches_oracle(alg)
+
+
+def hermitian_units(d: int) -> list[np.ndarray]:
+    """A Hermitian basis of M_d: the diagonal units, and (e_ij + e_ji) and
+    i(e_ij - e_ji) for i < j."""
+    units = []
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            if i == j:
+                e[i, i] = 1.0
+            elif i < j:
+                e[i, j] = e[j, i] = 1.0
+            else:
+                e[i, j], e[j, i] = 1j, -1j
+            units.append(e)
+    return units
+
+
+def amplified_factor(d: int, k: int) -> OperatorAlgebra:
+    """M_d (x) 1_k, as ``modular.gns_doubling`` builds it for k = d."""
+    units = np.eye(d * d).reshape(d * d, d, d)
+    rows = np.array([np.kron(e, np.eye(k)).ravel() for e in units]) / np.sqrt(k)
+    return OperatorAlgebra(d * k, rows.astype(complex))
+
+
+def full_gram_commutant_dim(alg: OperatorAlgebra) -> int | str:
+    """Oracle: the null space of the whole d^2 x d^2 Gram operator under the
+    same cut, or "ambiguous" where that cut raises."""
+    try:
+        gram = qrflab.vnalg._commutation_gram(alg)
+        return qrflab.vnalg._gram_null_vectors(gram, "commutant").shape[1]
+    except ValueError as err:
+        assert "ambiguous commutant rank" in str(err)
+        return "ambiguous"
+
+
+class TestCommutantOnTheBlockDiagonalSubspace:
+    """``commutant`` diagonalises the Gram operator only on the commutant of
+    one generic element of the span."""
+
+    @pytest.mark.parametrize("eps", [0.0] + [10.0**-k for k in range(12, 2, -1)] + [3e-5])
+    def test_a_perturbed_amplified_factor_matches_the_full_gram_and_the_oracle(self, eps):
+        # M_3 (x) 1_3 has a 9-dim commutant. Hermitian noise keeps the span
+        # *-closed, so the draw stays Hermitian and its triple eigenvalues
+        # split by about eps: a split inside one would drop commutant
+        # elements. Up to 1e-7 both routes keep all 9; from 1e-6 the Gram
+        # eigenvalues of size eps^2 sit in the ambiguous band and both
+        # raise; at 1e-3 they are cut and only the scalars remain.
+        u = random_unitary(np.random.default_rng(3), 9)
+        noise = np.random.default_rng(4)
+        mats = [u @ np.kron(e, np.eye(3)) @ dagger(u) + eps * random_hermitian(noise, 9)
+                for e in hermitian_units(3)]
+        alg = algebra_from_matrices(mats, 9)
+        _, sizes = qrflab.vnalg._generic_eigenbasis(alg)
+        assert int(sizes @ sizes) < 81
+        expected = full_gram_commutant_dim(alg)
+        if expected == "ambiguous":
+            with pytest.raises(ValueError, match="ambiguous commutant rank"):
+                commutant(alg)
+            return
+        assert commutant(alg).dim == expected
+        assert stacked_svd_commutant_rows(alg, np.sqrt(qrflab.vnalg.RANK_TOL)).shape[0] == expected
+        if eps <= 1e-7:
+            assert expected == 9 and sizes.tolist() == [3, 3, 3]
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_a_span_that_is_not_star_closed_takes_the_whole_gram(self, d):
+        # span{I, N}, N the nilpotent shift on C^d: the projected draw
+        # c I + c' N is not Hermitian, so its eigenbasis would drop the
+        # powers of N from the commutant span{I, N, ..., N^(d-1)}. On C^3 the
+        # whole Gram is taken for the dimension alone, on C^6 for the draw.
+        nilpotent = np.diag(np.ones(d - 1), k=1).astype(complex)
+        alg = algebra_from_matrices([np.eye(d), nilpotent], d)
+        assert qrflab.vnalg._generic_eigenbasis(alg) is None
+        comm = commutant(alg)
+        assert comm.dim == d
+        powers = algebra_from_matrices([np.linalg.matrix_power(nilpotent, k) for k in range(d)], d)
+        assert span_distance(comm, powers) <= 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_the_empty_span_has_all_of_b_h_as_its_commutant(self, d):
+        empty = OperatorAlgebra(d, np.zeros((0, d * d), dtype=complex))
+        comm = commutant(empty)
+        assert comm.dim == d * d
+        assert span_distance(comm, full_matrix_algebra(d)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["S3-group-algebra", "block-sum", "amplified-M2"])
+    def test_commutant_is_covariant_and_ignores_the_basis(self, name, rng):
+        alg = {
+            "S3-group-algebra": lambda: group_algebra(symmetric_group(3)),
+            "block-sum": lambda: conjugated(
+                [block_sum(1.0, np.zeros((2, 2)), np.zeros((3, 3)))]
+                + [block_sum(0.0, e, np.zeros((3, 3))) for e in np.eye(4).reshape(4, 2, 2)]
+                + [block_sum(0.0, np.zeros((2, 2)), e) for e in np.eye(9).reshape(9, 3, 3)],
+                np.random.default_rng(5)),
+            "amplified-M2": lambda: amplified_factor(2, 3),
+        }[name]()
+        d = alg.ambient_dim
+        comm = commutant(alg)
+        u = random_unitary(rng, d)
+        moved = OperatorAlgebra(d, (u @ alg.basis_matrices() @ dagger(u)).reshape(alg.dim, -1))
+        moved_comm = (u @ comm.basis_matrices() @ dagger(u)).reshape(comm.dim, -1)
+        got = commutant(moved)
+        assert got.dim == comm.dim
+        assert span_distance(got, moved_comm) <= 1e-10
+        mixed = OperatorAlgebra(d, random_unitary(rng, alg.dim) @ alg.rows)
+        got = commutant(mixed)
+        assert got.dim == comm.dim
+        assert span_distance(got, comm) <= 1e-10
+
+    def test_an_amplified_factor_diagonalises_only_the_block_diagonal_subspace(
+        self, monkeypatch
+    ):
+        # M_3 (x) 1_3: the generic element has 3 eigenspaces of size 3, so
+        # the Gram matrix is 27 x 27 where the operator space is 81-dim
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        assert commutant(amplified_factor(3, 3)).dim == 9
+        assert shapes == [(9, 9), (27, 27)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_up_to_c3_the_whole_gram_is_diagonalised_and_nothing_else(self, d, monkeypatch):
+        # a d^2 x d^2 Gram operator of at most 81 entries costs less than
+        # the generic element's eigenspaces; the result is the whole Gram's
+        alg = full_matrix_algebra(d)
+        want = qrflab.vnalg._gram_null_vectors(qrflab.vnalg._commutation_gram(alg), "c").T
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        assert np.array_equal(commutant(alg).rows, want)
+        assert shapes == [(d * d, d * d)]
+
+    def test_memory_peak_of_the_doubled_d5_algebra(self):
+        # the d^2 x d^2 Gram operator of M_5 (x) 1_5 alone is 625^2
+        # complex entries, 6.25 MB
+        alg = amplified_factor(5, 5)
+        commutant(alg)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            comm = commutant(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert comm.dim == 25
+        assert peak < 3e6
 
 
 class TestCentre:
