@@ -123,17 +123,19 @@ def _orbit_and_effects(
 
     A finite frame pairs cell s with its coset representative g_s and its
     effect E_s. A phase frame pairs each of the 4B + 1 quadrature nodes theta
-    of its group with U_R(theta) c U_R(theta)^dag / (4B + 1).
+    of its group with U_R(theta) c U_R(theta)^dag / (4B + 1), which for the
+    diagonal frame generator n is c * e^{i theta (n_k - n_l)} / (4B + 1).
     """
     if isinstance(frame.rep, FiniteRep):
         cells: HomogeneousSpace = frame.povm.space
         points = np.array(cells.representatives)
         effects = frame.povm.effects
     else:
-        c = _phase_density_matrix(frame)
+        c, n = _phase_density(frame)
         points = frame.rep.group.quadrature_nodes()
-        us_r = frame.rep.unitary_stack(points)
-        effects = us_r @ c @ dagger(us_r) / points.size
+        phases = np.exp(1j * np.multiply.outer(points, n))
+        effects = phases[:, :, None] * (c / points.size)
+        effects *= phases.conj()[:, None, :]
     us = action.rep.unitary_stack(points)
     return us @ x @ dagger(us), effects
 
@@ -143,12 +145,21 @@ def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame)
 
     The points g_k are the coset representatives of a finite frame, whose
     input x must be invariant under the stabiliser subgroup for the result
-    to be independent of how representatives were chosen. For a circle
-    frame they are the group's 4B + 1 quadrature nodes, and the node sum is
-    the exact circle integral: ``_require_same_group`` makes both reps share
-    the band limit B, so an orbit entry carries a frequency of at most 2B,
-    an effect entry one of at most 2B, and every entry of the sum one of at
-    most 4B < 4B + 1.
+    to be independent of how representatives were chosen; the sum is one
+    tensor contraction of the orbit and effect stacks.
+
+    A circle frame gives the circle integral of U_S x U_S^dag (x) U_R c U_R^dag.
+    ``_require_same_group`` makes both reps share the band limit B, so the
+    integrand has frequencies of at most 4B and its 4B + 1 node sum, which
+    ``expected_relative_outcome`` takes, is exact. ``relativize`` takes the
+    same integral as the charge pinching of ``_charge_pinching`` instead:
+    it keeps the entries whose frequencies cancel, read off the two
+    spectra, with no node stack. This second circle path is kept beside the
+    node sum because it is exact by construction rather than by a
+    quadrature rule, costs one d_S^3 rotation per frequency difference
+    rather than 4B + 1 orbit and effect products, and is the charge-sector
+    structure of the invariant algebra; it also makes the two routes of
+    ``expected_relative_outcome`` independent.
     """
     x = as_operator(x)
     _require_same_group(action, frame)
@@ -158,19 +169,59 @@ def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame)
         raise ValueError("observable lies outside the system algebra")
     if not _is_stabiliser_invariant(x, action, frame):
         raise ValueError("relativisation requires stabiliser-invariant input")
-    orbit, effects = _orbit_and_effects(x, action, frame)
-    d = action.rep.dim * frame.rep.dim
-    return np.tensordot(orbit, effects, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(d, d)
+    d_s, d_r = action.rep.dim, frame.rep.dim
+    if isinstance(frame.rep, CircleRep):
+        joint = _charge_pinching(x, action.rep, frame)
+    else:
+        orbit, effects = _orbit_and_effects(x, action, frame)
+        joint = np.tensordot(orbit, effects, axes=(0, 0)).transpose(0, 2, 1, 3)
+    return joint.reshape(d_s * d_r, d_s * d_r)
 
 
-def _phase_density_matrix(frame: QuantumReferenceFrame) -> np.ndarray:
+def _charge_pinching(x: np.ndarray, rep: CircleRep, frame: QuantumReferenceFrame) -> np.ndarray:
+    """The circle integral of U_S x U_S^dag (x) U_R c U_R^dag, as the
+    (d_S, d_R, d_S, d_R) array of entries [(a, k), (b, l)].
+
+    With q the realised system frequencies and V their eigenvectors
+    (``rep.freqs``, ``rep.vecs``, what ``unitary_stack`` uses), the entry
+    (a, b) of x~ = V^dag x V turns as e^{i theta (q_a - q_b)}, and the entry
+    (k, l) of c as e^{i theta (n_k - n_l)} for the diagonal frame generator
+    n. Integration keeps the pairs with q_a - q_b = n_l - n_k, so the result
+    is x^(n_l - n_k)_ab c_kl, with x^(delta) = V (x~ * [q_a - q_b = delta]) V^dag
+    the delta-th Fourier mode of x from ``_charge_modes``.
+    """
+    c, n = _phase_density(frame)
+    spread = int(n.max() - n.min())
+    modes = _charge_modes(x, rep, np.arange(-spread, spread + 1))
+    # Entry [a, k, b, l] is modes[n_l - n_k + spread, a, b] c_kl: one gather
+    # by flat index writes it in that layout, with no transposed copy.
+    which = n[None, :] - n[:, None] + spread
+    d_s = rep.dim
+    a = np.arange(d_s)
+    flat = (d_s * d_s * which)[None, :, None, :] + (d_s * a)[:, None, None, None]
+    joint = np.take(modes, flat + a[:, None])
+    joint *= c[:, None, :]
+    return joint
+
+
+def _charge_modes(x: np.ndarray, rep: CircleRep, deltas: np.ndarray) -> np.ndarray:
+    """The Fourier modes x^(delta) = V (x~ * [q_a - q_b = delta]) V^dag of x
+    under ``rep``, one per entry of ``deltas``, stacked on axis 0."""
+    v, q = rep.vecs, rep.freqs
+    mask = (q[:, None] - q[None, :]) == deltas[:, None, None]
+    return v @ ((dagger(v) @ x @ v) * mask) @ dagger(v)
+
+
+def _phase_density(frame: QuantumReferenceFrame) -> tuple[np.ndarray, np.ndarray]:
+    """A phase frame's density c and its generator's diagonal n, rounded to
+    the integers as ``unitary_stack`` realises it."""
     c = getattr(frame.povm, "phase_c", None)
     if c is None:
         raise ValueError("circle relativisation needs a phase POVM with its c matrix")
     gen = frame.rep.generator
     if np.abs(gen - np.diag(np.diag(gen))).max() > 1.0e-12:
         raise ValueError("circle frame generator must be diagonal in the POVM basis")
-    return c
+    return c, np.rint(np.diag(gen).real).astype(int)
 
 
 def restrict(joint: np.ndarray, sigma: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -199,10 +250,13 @@ def expected_relative_outcome(
     expectation weighted by the frame's outcome distribution,
     sum_k tr(omega_S X_k) tr(omega_R E_k), which never forms the joint
     operator. The two routes must agree, or a ``RuntimeError`` is raised.
-    Both take the orbit X_k and the node effects E_k from
-    ``_orbit_and_effects``, so their residual guards the contraction and
-    reshape in ``relativize`` but not the effects themselves; those are
-    checked against an independent Fourier-mode and coset-sum oracle by
+    For a circle frame they are independent: the joint operator is the
+    charge pinching of ``relativize``, the weighted sum runs over the 4B + 1
+    quadrature nodes of ``_orbit_and_effects``, and the residual guards
+    both. For a finite frame both take the orbit X_k and the effects E_k
+    from ``_orbit_and_effects``, so the residual guards the contraction and
+    reshape in ``relativize`` but not the orbit and effects themselves;
+    those are checked against an independent Kronecker-sum oracle by
     ``tests/test_relativise.py::TestOneQuadraturePath``.
     """
     omega_s = check_density(omega_s)

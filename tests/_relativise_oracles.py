@@ -1,8 +1,8 @@
 """Reference relativisation for the tests: the exact Fourier-mode
-contraction of a band-limited circle frame, the Kronecker sum over the
-cells of a finite frame, and the node-by-node invariance distance of a
-span. Each works on plain matrices, traces through Kronecker products, and
-shares no code with ``qrflab.relativise``."""
+contraction and the 4B + 1 node sum of a band-limited circle frame, the
+Kronecker sum over the cells of a finite frame, and the node-by-node
+invariance distance of a span. Each works on plain matrices, traces through
+Kronecker products, and shares no code with ``qrflab.relativise``."""
 
 import numpy as np
 
@@ -31,6 +31,18 @@ def circle_relativize(x, sys_gen, frame_gen, c):
     out = np.where(mask, xt[:, None, :, None] * c[None, :, None, :], 0.0)
     big_v = np.kron(v, np.eye(d_r))
     return big_v @ out.reshape(d_s * d_r, d_s * d_r) @ big_v.conj().T
+
+
+def circle_node_relativize(x, sys_gen, frame_gen, c, bandwidth):
+    """The 4B + 1 node sum of kron(U_S x U_S^dag, U_R c U_R^dag) / (4B + 1),
+    one node at a time, with both unitaries realised from their generators'
+    eigenvalues rounded to the integers."""
+    u_s = circle_node_unitaries(sys_gen, bandwidth)
+    u_r = circle_node_unitaries(frame_gen, bandwidth)
+    total = 0.0
+    for a, b in zip(u_s, u_r):
+        total = total + np.kron(a @ x @ a.conj().T, b @ c @ b.conj().T)
+    return total / len(u_s)
 
 
 def circle_expectation(x, sys_gen, frame_gen, c, omega_s, omega_r):

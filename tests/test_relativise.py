@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrflab import relativise
 from qrflab.frames import (
     CirclePartition,
     Povm,
@@ -91,7 +92,7 @@ def circle_fixture(rng):
 
     System frequencies -1, 0, 2 and frame frequencies 0..3 keep every
     frequency of the relativised integrand within 3 * CIRCLE_BAND, so the
-    4 * CIRCLE_BAND + 1 node quadrature of circle_oracle is exact.
+    4 * CIRCLE_BAND + 1 node sum of ``circle_node_relativize`` is exact.
     """
     group = CircleGroup(CIRCLE_BAND)
     v = random_unitary(rng, 3)
@@ -105,19 +106,6 @@ def circle_fixture(rng):
     povm = phase_povm(4, c, CirclePartition((0.4, 1.3, 4.1)))
     frame = QuantumReferenceFrame(CircleRep(group, frame_gen), povm)
     return action, frame, sys_gen, frame_gen, c
-
-
-def circle_oracle(x, sys_gen, frame_gen, c):
-    """Quadrature of kron(U_S x U_S^dag, c * e^{i theta (N_n - N_m)})."""
-    vals, vecs = np.linalg.eigh(sys_gen)
-    n_r = np.diag(frame_gen).real
-    nodes = 2.0 * np.pi * np.arange(4 * CIRCLE_BAND + 1) / (4 * CIRCLE_BAND + 1)
-    total = 0.0
-    for t in nodes:
-        u = (vecs * np.exp(1j * t * vals)) @ dagger(vecs)
-        density = c * np.exp(1j * t * (n_r[:, None] - n_r[None, :]))
-        total = total + np.kron(u @ x @ dagger(u), density)
-    return total / nodes.size
 
 
 class TestGroupAction:
@@ -471,6 +459,32 @@ def stabiliser_average(a, action, subgroup):
     return sum(u @ a @ dagger(u) for u in us) / len(us)
 
 
+class TestGroupAverage:
+    """On a coset frame with stabiliser H, relativisation of an H-invariant
+    x is the group average of x (x) E_eH scaled by |G| / |H|:
+    relativize(x) = (|G| / |H|) (1 / |G|) sum_g Ad(U_S(g) (x) U_R(g))(x (x) E_eH)."""
+
+    @pytest.mark.parametrize("fixture", ["cosets", "rotated-cosets"])
+    def test_coset_frame_constant_is_the_index(self, rng, fixture):
+        if fixture == "cosets":
+            g, _, action, frame, _ = coset_fixture()
+        else:
+            g, _, action, frame, _ = rotated_coset_fixture(rng)
+        space = frame.povm.space
+        assert (g.order, len(space.subgroup)) == (6, 2)
+        a = sum(z * u for z, u in zip(random_complex(rng, 1, g.order)[0], action.rep.unitaries))
+        x = stabiliser_average(a, action, space.subgroup)
+        e_id = frame.povm.effects[space.coset_index[g.identity]]
+        seed = np.kron(x, e_id)
+        total = 0.0
+        for u_s, u_r in zip(action.rep.unitaries, frame.rep.unitaries):
+            u = np.kron(u_s, u_r)
+            total = total + u @ seed @ dagger(u)
+        want = (g.order / len(space.subgroup)) * total / g.order
+        got = relativize(x, action, frame)
+        assert op_norm(got - want) <= 1e-12 * op_norm(want)
+
+
 class TestAgainstPerPointLoops:
     """The stacked stabiliser and assignment checks against one group point
     and one cell at a time."""
@@ -511,7 +525,7 @@ class TestCircleFrames:
         for _ in range(5):
             x = random_complex(rng, 3)
             got = relativize(x, action, frame)
-            want = circle_oracle(x, sys_gen, frame_gen, c)
+            want = oracle.circle_node_relativize(x, sys_gen, frame_gen, c, CIRCLE_BAND)
             assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(want))
 
     def test_relativize_sends_the_identity_to_the_identity(self, rng):
@@ -523,7 +537,8 @@ class TestCircleFrames:
         for _ in range(5):
             x = random_complex(rng, 3)
             omega_s, omega_r = random_density(rng, 3), random_density(rng, 4)
-            want = np.trace(np.kron(omega_s, omega_r) @ circle_oracle(x, sys_gen, frame_gen, c))
+            joint = oracle.circle_node_relativize(x, sys_gen, frame_gen, c, CIRCLE_BAND)
+            want = np.trace(np.kron(omega_s, omega_r) @ joint)
             # raises RuntimeError if the joint and outcome-weighted routes disagree
             got = expected_relative_outcome(x, action, frame, omega_s, omega_r)
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
@@ -532,11 +547,19 @@ class TestCircleFrames:
         action, frame, sys_gen, frame_gen, c = circle_fixture(rng)
         x = random_complex(rng, 3)
         sigma = random_density(rng, 4)
-        back = restrict(circle_oracle(x, sys_gen, frame_gen, c), sigma, (3, 4))
+        joint = oracle.circle_node_relativize(x, sys_gen, frame_gen, c, CIRCLE_BAND)
+        back = restrict(joint, sigma, (3, 4))
         want = op_norm(back - x)
         assert want >= 0.1
         got = localization_defect(x, action, frame, sigma)
         assert got == pytest.approx(want, abs=1e-12 * max(1.0, want))
+
+
+def random_phase_density(rng, d):
+    """A Gram matrix of unit vectors: positive with unit diagonal."""
+    vecs = random_complex(rng, d)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return dagger(vecs) @ vecs
 
 
 def thermal_frame_case(rng):
@@ -549,18 +572,63 @@ def thermal_frame_case(rng):
     w = random_unitary(rng, d_s)
     sys_gen = (w * rng.integers(-(d_r // 2), d_r // 2 + 1, d_s)) @ dagger(w)
     frame_gen = np.diag(np.arange(d_r)).astype(complex)
-    vecs = random_complex(rng, d_r)
-    vecs /= np.linalg.norm(vecs, axis=0)
-    c = dagger(vecs) @ vecs
+    c = random_phase_density(rng, d_r)
     partition = CirclePartition(tuple(np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))))
     frame = QuantumReferenceFrame(CircleRep(group, frame_gen), phase_povm(d_r, c, partition))
     full = OperatorAlgebra(d_s, np.eye(d_s * d_s, dtype=complex))
     return GroupAction(full, CircleRep(group, sys_gen)), frame, sys_gen, frame_gen, c
 
 
+def degenerate_case(rng):
+    """M_6 under a circle generator with eigenvalues -2, -2, 1, 1, 1, 3,
+    whose cached eigenvectors are mixed by a random unitary inside each
+    eigenspace after validation, so they are not the ones ``eigh`` returns;
+    observed through a five-level phase frame whose frequencies 0, 0, 1, 3,
+    3 repeat too, under the band limit 3."""
+    group = CircleGroup(3)
+    w = random_unitary(rng, 6)
+    sys_gen = (w * np.array([-2.0, -2.0, 1.0, 1.0, 1.0, 3.0])) @ dagger(w)
+    rep = CircleRep(group, sys_gen)
+    mix = np.zeros((6, 6), dtype=complex)
+    for lo, hi in ((0, 2), (2, 5), (5, 6)):
+        assert np.all(rep.freqs[lo:hi] == rep.freqs[lo])
+        mix[lo:hi, lo:hi] = random_unitary(rng, hi - lo)
+    rep.vecs = rep.vecs @ mix
+    frame_gen = np.diag([0.0, 0.0, 1.0, 3.0, 3.0]).astype(complex)
+    c = random_phase_density(rng, 5)
+    frame = QuantumReferenceFrame(
+        CircleRep(group, frame_gen), phase_povm(5, c, CirclePartition((0.3, 2.0, 5.1))))
+    return GroupAction(OperatorAlgebra(6, np.eye(36, dtype=complex)), rep), frame, sys_gen, frame_gen, c
+
+
+def off_integer_case(rng):
+    """M_5 under a circle generator whose eigenvalues -3, -1, 0, 2, 3 are
+    each moved off the integers by up to 1e-9, observed through a six-level
+    phase frame whose diagonal generator 0..5 is moved likewise, under the
+    band limit 5; both reps realise the rounded frequencies."""
+    group = CircleGroup(5)
+    w = random_unitary(rng, 5)
+    nudge = lambda k: rng.uniform(-9e-10, 9e-10, k)  # noqa: E731
+    sys_gen = (w * (np.array([-3.0, -1.0, 0.0, 2.0, 3.0]) + nudge(5))) @ dagger(w)
+    frame_gen = np.diag(np.arange(6.0) + nudge(6)).astype(complex)
+    c = random_phase_density(rng, 6)
+    frame = QuantumReferenceFrame(
+        CircleRep(group, frame_gen), phase_povm(6, c, CirclePartition((1.0, 2.5, 4.0))))
+    full = OperatorAlgebra(5, np.eye(25, dtype=complex))
+    return GroupAction(full, CircleRep(group, sys_gen)), frame, sys_gen, frame_gen, c
+
+
+CIRCLE_CASES = {
+    "circle": circle_fixture,
+    "thermal-10x24": thermal_frame_case,
+    "degenerate": degenerate_case,
+    "off-integer": off_integer_case,
+}
+
+
 def oracle_case(name, rng):
     """(action, frame, x, oracle joint operator, oracle expectation) for one
-    of the three frames the one quadrature path is pinned on."""
+    of the frames the relativisation is pinned on."""
     if name == "coset":
         g, lam, action, frame, _ = coset_fixture()
         # a random element of the translation algebra, averaged over the
@@ -573,8 +641,7 @@ def oracle_case(name, rng):
             action, frame, x, oracle.finite_relativize(x, us, effects),
             lambda om_s, om_r: oracle.finite_expectation(x, us, effects, om_s, om_r),
         )
-    builder = circle_fixture if name == "circle" else thermal_frame_case
-    action, frame, sys_gen, frame_gen, c = builder(rng)
+    action, frame, sys_gen, frame_gen, c = CIRCLE_CASES[name](rng)
     x = random_complex(rng, action.rep.dim)
     return (
         action, frame, x, oracle.circle_relativize(x, sys_gen, frame_gen, c),
@@ -582,18 +649,71 @@ def oracle_case(name, rng):
     )
 
 
-ORACLE_CASES = ["circle", "thermal-10x24", "coset"]
+ORACLE_CASES = [*CIRCLE_CASES, "coset"]
 
 
 class TestOneQuadraturePath:
     """relativize, expected_relative_outcome and localization_defect against
-    the test-side mode contraction and Kronecker sum."""
+    the test-side mode contraction, node sum and Kronecker sum.
+
+    On a circle frame ``relativize`` is the charge pinching and the
+    outcome-weighted route of ``expected_relative_outcome`` the 4B + 1 node
+    sum, so the latter's residual already compares two independent routes;
+    on a finite frame both routes share ``_orbit_and_effects``, and only the
+    Kronecker-sum oracle here checks the orbit and effects."""
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_relativize_matches_the_oracle(self, rng, name):
         action, frame, x, want, _ = oracle_case(name, rng)
         got = relativize(x, action, frame)
         assert op_norm(got - want) <= 1e-12 * op_norm(want)
+
+    @pytest.mark.parametrize("name", CIRCLE_CASES)
+    def test_relativize_matches_the_node_sum(self, rng, name):
+        action, frame, sys_gen, frame_gen, c = CIRCLE_CASES[name](rng)
+        bandwidth = frame.rep.group.bandwidth
+        for _ in range(3):
+            x = random_complex(rng, action.rep.dim)
+            want = oracle.circle_node_relativize(x, sys_gen, frame_gen, c, bandwidth)
+            modes = oracle.circle_relativize(x, sys_gen, frame_gen, c)
+            got = relativize(x, action, frame)
+            assert op_norm(got - want) <= 1e-12 * op_norm(want)
+            assert op_norm(got - modes) <= 1e-12 * op_norm(modes)
+
+    @pytest.mark.parametrize("name", CIRCLE_CASES)
+    def test_circle_relativisation_forms_no_node_stack(self, rng, name, monkeypatch):
+        action, frame, *_ = CIRCLE_CASES[name](rng)
+        x = random_complex(rng, action.rep.dim)
+        sigma = random_density(rng, frame.rep.dim)
+        calls = []
+        stack = CircleRep.unitary_stack
+
+        def spy(self, points):
+            calls.append(points)
+            return stack(self, points)
+
+        monkeypatch.setattr(CircleRep, "unitary_stack", spy)
+        relativize(x, action, frame)
+        localization_defect(x, action, frame, sigma)
+        assert calls == []
+
+    def test_a_dropped_charge_mode_fails_the_expectation_cross_check(self, rng, monkeypatch):
+        # the weighted node sum does not go through the pinching, so a
+        # pinching without its zero mode disagrees with it
+        action, frame, x, _, _ = oracle_case("circle", rng)
+        omega_s = random_density(rng, action.rep.dim)
+        omega_r = random_density(rng, frame.rep.dim)
+        expected_relative_outcome(x, action, frame, omega_s, omega_r)
+        modes = relativise._charge_modes
+
+        def drop_zero_mode(x, rep, deltas):
+            out = modes(x, rep, deltas)
+            out[deltas == 0] = 0.0
+            return out
+
+        monkeypatch.setattr(relativise, "_charge_modes", drop_zero_mode)
+        with pytest.raises(RuntimeError, match="expectations disagree"):
+            expected_relative_outcome(x, action, frame, omega_s, omega_r)
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_expected_outcome_matches_the_oracle(self, rng, name):
