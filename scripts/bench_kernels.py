@@ -22,7 +22,9 @@ Each case is named ``kernel:shape``:
   size of the group's generating set, the two product counts of the closure
   check (dim^2 over all basis pairs, (dim M + |gens|) dim against the
   generators) and the median build time.
-- ``centre:<shape>`` times ``vnalg.centre`` of that crossed product.
+- ``centre:<shape>`` times ``vnalg.centre`` of that crossed product. Its
+  defaults take both routes: ``S3-group-algebra`` (dim m = 36 = D) the
+  commutator Gram matrix, ``M2-Z4-phase`` (m = 16 > D = 8) A cap A'.
 - ``invariance:<shape>`` times the ``relativise.GroupAction`` invariance
   check of a span under a rep, and reports m, d, the number of quadrature
   nodes and the number of generators: one for a circle rep, the size of
@@ -73,7 +75,7 @@ DEFAULT_CASES = (
     + [f"fixed-points:{s}" for s in _CROSSED_SHAPES]
     + [f"fixed-points:{s}" for s in ("Z3-regular-x-3", "Z5-regular-x-5", "S3-regular-x-3")]
     + [f"closure:{s}" for s in _CROSSED_SHAPES]
-    + ["centre:S3-group-algebra"]
+    + ["centre:S3-group-algebra", "centre:M2-Z4-phase"]
     + [f"invariance:circle-{d}x{d_r}" for d, d_r in ((5, 12), (9, 24), (10, 24))]
     + ["invariance:M2-Z10-phase", "invariance:S3-group-algebra"]
 )

@@ -179,14 +179,18 @@ def generate_algebra(generators, ambient_dim: int) -> OperatorAlgebra:
     and their adjoints, from the identity: each round multiplies the rows
     it added by every letter, until a round adds nothing. A span that holds
     1 and is carried into itself by every letter holds every word, and the
-    words in a *-closed set of letters span a *-algebra.
+    words in a *-closed set of letters span a *-algebra. A generator of HS
+    norm at most 64 eps max(sqrt d, largest generator norm) is rounding
+    noise and is dropped: normalised, it would weigh as much as any other.
     """
     d = int(ambient_dim)
     gens = [as_operator(g, "generator") for g in generators]
     for g in gens:
         if g.shape[0] != d:
             raise ValueError("generator dimension does not match ambient_dim")
-    letters = np.array([g / hs_norm(g) for g in gens if hs_norm(g) > 0.0]).reshape(-1, d, d)
+    norms = [hs_norm(g) for g in gens]
+    cut = 64.0 * np.finfo(float).eps * max([np.sqrt(d), *norms])
+    letters = np.array([g / n for g, n in zip(gens, norms) if n > cut]).reshape(-1, d, d)
     letters = np.concatenate([letters, dagger(letters)])
     rows = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
     new = rows
@@ -234,7 +238,8 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     d = alg.ambient_dim
     eigenbasis = _generic_eigenbasis(alg)
     if eigenbasis is None:
-        return OperatorAlgebra(d, _gram_null_vectors(_commutation_gram(alg), "commutant").T)
+        gram = _block_gram(alg.basis_matrices(), np.array([d]))
+        return OperatorAlgebra(d, _gram_null_vectors(gram, "commutant").T)
     w, sizes = eigenbasis
     rotated = dagger(w) @ alg.basis_matrices() @ w
     null = _gram_null_vectors(_block_gram(rotated, sizes), "commutant")
@@ -273,12 +278,6 @@ def _generic_eigenbasis(alg: OperatorAlgebra) -> tuple[np.ndarray, np.ndarray] |
     sizes = np.diff(np.flatnonzero(np.concatenate([[True], split, [True]])))
     # The eigenspaces of one size made consecutive, each keeping its order.
     return w[:, np.argsort(np.repeat(sizes, sizes), kind="stable")], np.sort(sizes)
-
-
-def _commutation_gram(alg: OperatorAlgebra) -> np.ndarray:
-    """The d^2 x d^2 Gram operator G of ``commutant``, with
-    <vec x, G vec x> = sum_b ||[b, x]||^2 over the basis elements b."""
-    return _block_gram(alg.basis_matrices(), np.array([alg.ambient_dim]))
 
 
 def _block_gram(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -355,29 +354,27 @@ def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
 
 
 def centre(alg: OperatorAlgebra) -> OperatorAlgebra:
-    """The elements of ``alg`` that commute with all of it, found in its own
-    m coordinates: c = sum_k c_k a_k is central when every commutator map
+    """The elements of ``alg`` that commute with all of it; no d^2 x d^2
+    array is formed. For m <= d, in the algebra's own m coordinates:
+    c = sum_k c_k a_k is central when every commutator map
     C_i : c -> [c, a_i] kills it, so the centre is the null space of the
-    m x m Gram matrix sum_i C_i^dag C_i, cut by ``_rank`` as ``commutant``'s.
-    No d^2 x d^2 eigendecomposition is made.
-
-    The Gram matrix is formed the cheaper way: from the m^2 commutators
-    [a_k, a_i], m^2 d^3 work and m d^2 memory; or, for m > d, as the
-    compression conj(R) G R^T of ``commutant``'s Gram operator G to the
-    basis rows R, m d^4 work and d^4 memory.
+    m x m Gram matrix sum_i C_i^dag C_i, formed from the m^2 commutators
+    [a_k, a_i] and cut by ``_rank`` as ``commutant``'s. For m > d, as
+    Z(A) = A cap A', the smaller span first so that the SVD of
+    ``span_intersection`` runs on min(m, dim A') rows.
     """
     d = alg.ambient_dim
     rows = alg.rows
     m = rows.shape[0]
     if m > d:
-        gram = rows.conj() @ (_commutation_gram(alg) @ rows.T)
-    else:
-        stack = rows.reshape(-1, d, d)
-        gram = np.zeros((m, m), dtype=complex)
-        for a in stack:
-            # Row k holds vec([a_k, a]).
-            comm = (stack @ a - a @ stack).reshape(m, -1)
-            gram += comm.conj() @ comm.T
+        small, large = sorted((rows, commutant(alg).rows), key=len)
+        return OperatorAlgebra(d, span_intersection(small, large))
+    stack = rows.reshape(-1, d, d)
+    gram = np.zeros((m, m), dtype=complex)
+    for a in stack:
+        # Row k holds vec([a_k, a]).
+        comm = (stack @ a - a @ stack).reshape(m, -1)
+        gram += comm.conj() @ comm.T
     gram = (gram + dagger(gram)) / 2.0
     coeffs = _gram_null_vectors(gram, "centre")
     return OperatorAlgebra(d, coeffs.T @ rows)

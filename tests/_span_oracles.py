@@ -1,7 +1,8 @@
 """Reference span kernels for the tests: a sequential Gram-Schmidt
-extension, closure by alternating adjoints and all pairwise products, and
-span intersection from the null space of the stacked rows. Each cuts with
-its own fixed tolerance and shares no code with ``qrflab.vnalg``."""
+extension, closure by alternating adjoints and all pairwise products, span
+intersection from the null space of the stacked rows, and the centre from
+the commutators of the basis. Each cuts with its own fixed tolerance and
+shares no code with ``qrflab.vnalg``."""
 
 import numpy as np
 
@@ -70,3 +71,18 @@ def null_space_intersection(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarra
     if combos.shape[0] == 0:
         return np.zeros((0, a_rows.shape[1]), complex)
     return gram_schmidt_rows(combos[:, :m1] @ a_rows)
+
+
+def commutator_centre_rows(rows: np.ndarray, d: int, tol: float = 1.0e-9) -> np.ndarray:
+    """Orthonormal rows spanning the centre of the algebra with orthonormal
+    basis ``rows`` on C^d, at any number m of rows: sum_k c_k a_k is central
+    when c is in the null space of the m x m Gram matrix
+    G[k, l] = sum_i <[a_k, a_i], [a_l, a_i]>, cut relative to its largest
+    eigenvalue."""
+    stack = rows.reshape(-1, d, d)
+    m = stack.shape[0]
+    gram = np.zeros((m, m), dtype=complex)
+    for a in stack:
+        comm = (stack @ a - a @ stack).reshape(m, -1)
+        gram += comm.conj() @ comm.T
+    return null_space((gram + gram.conj().T) / 2.0, tol) @ rows

@@ -286,7 +286,8 @@ class TestScripts:
             ("commutant:tensor:2", {"n_squared": 16, "gram_dim": 8, "clusters": 2}),
             ("fixed-points:M2-Z4-phase", {}),
             ("closure:M2-Z4-phase", {}),
-            ("centre:M2-Z4-phase", {}),
+            # m = 16 > D = 8: the A cap A' route
+            ("centre:M2-Z4-phase", {"D": 8, "dim": 16, "centre_dim": 4}),
             ("invariance:circle-5x12", {}),
         ],
         ids=["commutant", "fixed-points", "closure", "centre", "invariance"],

@@ -22,6 +22,7 @@ from qrflab.vnalg import (
 )
 
 from _factories import SIGMA_X, SIGMA_Z, random_complex, random_hermitian, random_unitary
+from _span_oracles import commutator_centre_rows
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -72,6 +73,17 @@ class TestGeneration:
         alg = generate_algebra([SIGMA_Z], 2)
         assert alg.dim == 2
         assert span_distance(alg, diagonal_algebra(2)) < 1e-10
+
+    @pytest.mark.parametrize("diagonal,dim", [([np.diag([1.0, 2.0, 3.0])], 3), ([], 1)],
+                             ids=["beside-diag", "alone"])
+    def test_a_rounding_noise_generator_is_dropped(self, diagonal, dim):
+        # 1e-17 B normalised would be a full-weight letter and generate all
+        # of M_3; dropped, diag(1, 2, 3) generates the diagonal algebra and
+        # nothing the scalars
+        noise = 1e-17 * random_complex(np.random.default_rng(0), 3)
+        alg = generate_algebra(diagonal + [noise], 3)
+        assert alg.dim == dim
+        assert span_distance(alg, generate_algebra(diagonal, 3)) <= 1e-10
 
     @given(seeds)
     def test_projection_is_idempotent(self, seed):
@@ -226,7 +238,7 @@ def full_gram_commutant_dim(alg: OperatorAlgebra) -> int | str:
     """Oracle: the null space of the whole d^2 x d^2 Gram operator under the
     same cut, or "ambiguous" where that cut raises."""
     try:
-        gram = qrflab.vnalg._commutation_gram(alg)
+        gram = qrflab.vnalg._block_gram(alg.basis_matrices(), np.array([alg.ambient_dim]))
         return qrflab.vnalg._gram_null_vectors(gram, "commutant").shape[1]
     except ValueError as err:
         assert "ambiguous commutant rank" in str(err)
@@ -328,7 +340,8 @@ class TestCommutantOnTheBlockDiagonalSubspace:
         # a d^2 x d^2 Gram operator of at most 81 entries costs less than
         # the generic element's eigenspaces; the result is the whole Gram's
         alg = full_matrix_algebra(d)
-        want = qrflab.vnalg._gram_null_vectors(qrflab.vnalg._commutation_gram(alg), "c").T
+        gram = qrflab.vnalg._block_gram(alg.basis_matrices(), np.array([d]))
+        want = qrflab.vnalg._gram_null_vectors(gram, "c").T
         shapes = []
         eigh = np.linalg.eigh
 
@@ -372,11 +385,6 @@ class TestCentre:
         assert np.allclose(b, b[0, 0] * np.eye(3), atol=1e-10)
 
 
-def intersection_centre_rows(alg: OperatorAlgebra) -> np.ndarray:
-    """Oracle: the algebra intersected with its full ambient commutant."""
-    return span_intersection(alg.rows, commutant(alg).rows)
-
-
 def group_algebra(group) -> OperatorAlgebra:
     return generate_algebra(regular_representation(group).unitaries, group.order)
 
@@ -388,10 +396,39 @@ def crossed_fixture_algebras():
     return [(name, build_crossed_product(action).algebra) for name, action, _ in fixtures()]
 
 
+def charge_sector_algebra(frame_top: int) -> OperatorAlgebra:
+    """The invariant algebra of two qubits under their number operator and
+    the clock frame diag(0, ..., L), L = ``frame_top``: the charge blocks
+    M_1, M_3, M_4 (L - 1 times), M_3, M_1 on C^(4 (L + 1)), of dim
+    20 + 16 (L - 1), with every multiplicity 1."""
+    from qrflab.crossed import invariant_joint_algebra
+    from qrflab.relativise import GroupAction
+    from qrflab.symmetry import CircleGroup, CircleRep
+
+    band = CircleGroup(frame_top)
+    action = GroupAction(full_matrix_algebra(4), CircleRep(band, np.diag([0.0, 1, 1, 2])))
+    return invariant_joint_algebra(action, CircleRep(band, np.diag(np.arange(frame_top + 1.0))))
+
+
+def m2_z4_phase_crossed_product() -> OperatorAlgebra:
+    """M_2 x| Z_4 under the phase rep diag(1, i^k): dim 16 on C^8."""
+    from qrflab.crossed import build_crossed_product
+    from qrflab.relativise import GroupAction
+    from qrflab.symmetry import FiniteRep
+
+    phases = [np.diag([1.0, 1j**k]) for k in range(4)]
+    action = GroupAction(full_matrix_algebra(2), FiniteRep(cyclic_group(4), phases))
+    return build_crossed_product(action).algebra
+
+
 class TestCentreAgainstCommutantIntersection:
+    """``centre`` against the commutator Gram matrix in the algebra's own
+    coordinates, which ``tests/_span_oracles.py`` takes at every m, while
+    the program takes A cap A' for m > d."""
+
     def assert_matches_oracle(self, alg):
         z = centre(alg)
-        oracle = intersection_centre_rows(alg)
+        oracle = commutator_centre_rows(alg.rows, alg.ambient_dim)
         assert z.dim == oracle.shape[0]
         assert span_distance(z, oracle) <= 1e-10
 
@@ -417,44 +454,58 @@ class TestCentreAgainstCommutantIntersection:
         self.assert_matches_oracle(
             generate_algebra([random_hermitian(gen, d) for _ in range(k)], d))
 
-    @pytest.mark.parametrize("alg,centre_dim,operators", [
-        # m = d = 24: the Gram matrix from the commutators, no d^2 x d^2 operator
-        (group_algebra(symmetric_group(4)), 5, []),
-        # m = 64 > d = 8: the compressed 64 x 64 commutant Gram operator
-        (full_matrix_algebra(8), 1, [(64, 64)]),
+    @pytest.mark.parametrize("alg,centre_dim,eighs,grams", [
+        # m = d = 24: the Gram matrix from the commutators, no commutant
+        (group_algebra(symmetric_group(4)), 5, [(24, 24)], []),
+        # m = 64 > d = 8: A' from the generic element's 8 eigenspaces of
+        # size 1, an 8 x 8 Gram matrix, then A cap A' by one SVD; no 64 x 64
+        # Gram matrix and no d^2 x d^2 operator
+        (full_matrix_algebra(8), 1, [(8, 8), (8, 8)], [(8, 8)]),
     ], ids=["S4-group-algebra", "M8"])
     def test_diagonalises_one_matrix_in_the_algebras_coordinates(
-        self, alg, centre_dim, operators, monkeypatch
+        self, alg, centre_dim, eighs, grams, monkeypatch
     ):
-        # only the m x m Gram matrix is diagonalised, never the d^2 x d^2 one
-        formed = []
-        operator = qrflab.vnalg._commutation_gram
-
-        def record(a):
-            gram = operator(a)
-            formed.append(gram.shape)
-            return gram
-
-        monkeypatch.setattr(qrflab.vnalg, "_commutation_gram", record)
-        shapes = []
-        eigh = np.linalg.eigh
+        # the m x m Gram matrix for m <= d, none larger than d x d for m > d
+        shapes, formed = [], []
+        eigh, block_gram = np.linalg.eigh, qrflab.vnalg._block_gram
 
         def spy(a, *args, **kwargs):
             shapes.append(a.shape)
             return eigh(a, *args, **kwargs)
 
-        def no_commutant(*args, **kwargs):
-            raise AssertionError("centre must not take the ambient commutant")
+        def record(*args):
+            gram = block_gram(*args)
+            formed.append(gram.shape)
+            return gram
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        monkeypatch.setattr(qrflab.vnalg, "commutant", no_commutant)
+        monkeypatch.setattr(qrflab.vnalg, "_block_gram", record)
         assert centre(alg).dim == centre_dim
-        assert shapes == [(alg.dim, alg.dim)]
-        assert formed == operators
+        assert shapes == eighs
+        assert formed == grams
+
+    @pytest.mark.parametrize("name", ["M2-Z4-phase", "charge-sectors-L4"])
+    def test_centre_above_d_is_covariant_and_ignores_the_basis(self, name, rng):
+        # m > d, the A cap A' route: M_2 x| Z_4 (m = 16, d = 8, centre 4)
+        # and the charge blocks at L = 4 (m = 68, d = 20, centre 7)
+        alg = {"M2-Z4-phase": m2_z4_phase_crossed_product,
+               "charge-sectors-L4": lambda: charge_sector_algebra(4)}[name]()
+        d = alg.ambient_dim
+        assert alg.dim > d
+        z = centre(alg)
+        self.assert_matches_oracle(alg)
+        mixed = centre(OperatorAlgebra(d, random_unitary(rng, alg.dim) @ alg.rows))
+        assert mixed.dim == z.dim
+        assert span_distance(mixed, z) <= 1e-10
+        u = random_unitary(rng, d)
+        moved = OperatorAlgebra(d, (u @ alg.basis_matrices() @ dagger(u)).reshape(alg.dim, -1))
+        got = centre(moved)
+        assert got.dim == z.dim
+        assert span_distance(got, (u @ z.basis_matrices() @ dagger(u)).reshape(z.dim, -1)) <= 1e-10
 
     def test_empty_span_has_an_empty_centre(self):
         empty = OperatorAlgebra(3, np.zeros((0, 9), dtype=complex))
-        assert centre(empty).dim == intersection_centre_rows(empty).shape[0] == 0
+        assert centre(empty).dim == commutator_centre_rows(empty.rows, 3).shape[0] == 0
 
     def test_ambiguous_rank_raises_with_both_eigenvalues(self):
         # Z/sqrt2 and (I + delta X)/norm on a 2 x 2 block, plus the unit of
@@ -471,6 +522,20 @@ class TestCentreAgainstCommutantIntersection:
 
 
 class TestDecompose:
+    def test_memory_peak_of_the_charge_sectors_at_l8(self):
+        # D = 36, dim 132, 11 blocks of multiplicity 1: A' has dim 11, and
+        # no d^2 x d^2 = 1296^2 Gram operator (27 MB) is formed
+        alg = charge_sector_algebra(8)
+        assert (alg.ambient_dim, alg.dim) == (36, 132)
+        tracemalloc.start()
+        try:
+            structure = decompose(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert structure.blocks == [(1, 1), (1, 1), (3, 1), (3, 1)] + [(4, 1)] * 7
+        assert peak < 20e6
+
     def test_symmetric_group_algebra_splits_1_1_2(self):
         rep = regular_representation(symmetric_group(3))
         alg = generate_algebra(rep.unitaries, 6)
