@@ -25,6 +25,12 @@ Each case is named ``kernel:shape``:
 - ``centre:<shape>`` times ``vnalg.centre`` of that crossed product. Its
   defaults take both routes: ``S3-group-algebra`` (dim m = 36 = D) the
   commutator Gram matrix, ``M2-Z4-phase`` (m = 16 > D = 8) A cap A'.
+- ``decompose:<shape>`` times ``vnalg.decompose`` and reports the
+  algebra's dim m, its ambient dimension D and the number of Wedderburn
+  blocks. Its shapes are ``S3-group-algebra``, the crossed product above,
+  and ``charge-sectors-<L>``: the algebra of two qubits and a clock frame
+  diag(0, ..., L) invariant under their joint number operator, with
+  blocks M_1, M_3, M_4 (L - 1 times), M_3, M_1 on C^(4 (L + 1)).
 - ``invariance:<shape>`` times the ``relativise.GroupAction`` invariance
   check of a span under a rep, and reports m, d, the number of quadrature
   nodes and the number of generators: one for a circle rep, the size of
@@ -76,6 +82,7 @@ DEFAULT_CASES = (
     + [f"fixed-points:{s}" for s in ("Z3-regular-x-3", "Z5-regular-x-5", "S3-regular-x-3")]
     + [f"closure:{s}" for s in _CROSSED_SHAPES]
     + ["centre:S3-group-algebra", "centre:M2-Z4-phase"]
+    + [f"decompose:{s}" for s in ("S3-group-algebra", "charge-sectors-8", "charge-sectors-16")]
     + [f"invariance:circle-{d}x{d_r}" for d, d_r in ((5, 12), (9, 24), (10, 24))]
     + ["invariance:M2-Z10-phase", "invariance:S3-group-algebra"]
 )
@@ -173,6 +180,23 @@ def circle_case(shape: str):
     return np.eye(d * d, dtype=complex), rep
 
 
+def charge_sector_case(top: int):
+    """The algebra of ``charge-sectors-<top>``: M_4 of two qubits and the
+    clock frame diag(0, ..., top), invariant under their joint number
+    operator on a circle of band ``top``."""
+    import numpy as np
+
+    from qrflab.crossed import invariant_joint_algebra
+    from qrflab.relativise import GroupAction
+    from qrflab.symmetry import CircleGroup, CircleRep
+    from qrflab.vnalg import OperatorAlgebra
+
+    band = CircleGroup(top)
+    system = OperatorAlgebra(4, np.eye(16, dtype=complex))
+    action = GroupAction(system, CircleRep(band, np.diag([0.0, 1, 1, 2])))
+    return invariant_joint_algebra(action, CircleRep(band, np.diag(np.arange(top + 1.0))))
+
+
 def timed(call, repeats: int):
     """The warm-up call's result and the median of ``repeats`` more calls, in ms."""
     result = call()
@@ -190,7 +214,7 @@ def run_case(case: str, repeats: int) -> dict:
     from qrflab.relativise import GroupAction
     from qrflab.symmetry import tensor_fixed_point_rows
     from qrflab import vnalg
-    from qrflab.vnalg import OperatorAlgebra, centre, commutant
+    from qrflab.vnalg import OperatorAlgebra, centre, commutant, decompose
 
     kernel, _, shape = case.partition(":")
     if kernel == "commutant":
@@ -212,6 +236,14 @@ def run_case(case: str, repeats: int) -> dict:
         _, ms = timed(lambda: GroupAction(OperatorAlgebra(rep.dim, rows), rep), repeats)
         return {"m": rows.shape[0], "d": rep.dim, "nodes": int(rep.group.quadrature_nodes().size),
                 "gens": gens, "median_ms": ms}
+    if kernel == "decompose":
+        if m := re.fullmatch(r"charge-sectors-(\d+)", shape):
+            alg = charge_sector_case(int(m[1]))
+        else:
+            rows, u, _ = group_case(shape)
+            alg = build_crossed_product(GroupAction(OperatorAlgebra(u.dim, rows), u)).algebra
+        structure, ms = timed(lambda: decompose(alg), repeats)
+        return {"m": alg.dim, "D": alg.ambient_dim, "blocks": len(structure.blocks), "median_ms": ms}
     if kernel not in ("fixed-points", "closure", "centre"):
         raise ValueError(f"unknown kernel in case {case!r}")
     rows, u, v = group_case(shape)

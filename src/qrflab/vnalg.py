@@ -292,12 +292,19 @@ def _block_gram(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     basis. The K blocks of all pairs of two sizes come from one batched
     product, so no stack of more than dim d^2 or p^2 entries is held.
     """
-    m = stack.shape[0]
-    s = np.einsum("bki,bkj->ij", stack.conj(), stack)
-    t = np.einsum("bik,bjk->ij", stack, stack.conj())
+    m, d = stack.shape[0], stack.shape[1]
+    # S = sum b^dag b and conj(T) = sum conj(b b^dag), one GEMM each per
+    # chunk of at most d matrices, laid end to end by rows for S and by
+    # columns for T, so that no copy exceeds d^3 entries.
+    s, t_conj = np.zeros((2, d, d), dtype=complex)
+    for chunk in np.split(stack, range(d, m, d)):
+        rows, cols = chunk.reshape(-1, d), np.swapaxes(chunk, 1, 2).reshape(-1, d)
+        s += dagger(rows) @ rows
+        t_conj += dagger(cols) @ cols
+    del rows, cols
     # Both are Hermitian; symmetrising them here makes G exactly Hermitian.
     s = (s + dagger(s)) / 2.0
-    t = (t + dagger(t)) / 2.0
+    t_conj = (t_conj + dagger(t_conj)) / 2.0
     # (size, count, first matrix index, first coordinate) of each size.
     spans, a, o = [], 0, 0
     for n, group in itertools.groupby(sizes.tolist()):
@@ -323,9 +330,9 @@ def _block_gram(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         # S_x (x) I and I (x) conj(T_x) without forming either product.
         g6 = gram[o : o + n * n * c, o : o + n * n * c].reshape(c, n, n, c, n, n)
         s_x = np.einsum("xixj->xij", s[a : a + n * c, a : a + n * c].reshape(c, n, c, n))
-        t_x = np.einsum("xkxl->xkl", t[a : a + n * c, a : a + n * c].reshape(c, n, c, n))
+        t_x = np.einsum("xkxl->xkl", t_conj[a : a + n * c, a : a + n * c].reshape(c, n, c, n))
         np.einsum("xikxjk->xkij", g6)[...] += s_x[:, None]
-        np.einsum("xikxil->xikl", g6)[...] += t_x.conj()[:, None]
+        np.einsum("xikxil->xikl", g6)[...] += t_x[:, None]
     return gram
 
 
@@ -417,99 +424,34 @@ def _eigen_clusters(vals: np.ndarray, what: str) -> list:
     return np.split(np.arange(vals.size), split)
 
 
-def _split_block(
-    alg_rows: np.ndarray, iso: np.ndarray, rng: np.random.Generator
-) -> tuple[int, int, np.ndarray]:
-    """Turn one central block into (n, m, block unitary).
-
-    ``iso`` has orthonormal columns spanning the block subspace. Inside the
-    block the algebra is a full matrix factor M_n with multiplicity m; the
-    returned unitary reorders the block so elements look like X (x) 1_m.
-
-    Both random elements come from ``draw``: a seeded complex Gaussian on
-    the ambient space, projected onto the algebra's span and compressed to
-    the block. The projection depends on that span and not on the rows that
-    carry it, and another basis ``iso W`` of the block only conjugates the
-    draw by W, so the spectra split here do not depend on either basis.
-    """
-    r = iso.shape[1]
-    d = int(np.sqrt(alg_rows.shape[1]))
-    comp = dagger(iso) @ alg_rows.reshape(-1, d, d) @ iso
-    rows = _orthonormal_rows(comp.reshape(comp.shape[0], -1), None)
-    dim = rows.shape[0]
-    n = int(round(np.sqrt(dim)))
-    if n * n != dim or r % n != 0:
-        raise _Degenerate
-    m = r // n
-
-    def draw() -> np.ndarray:
-        g = _vec(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        return dagger(iso) @ _unvec((alg_rows.conj() @ g) @ alg_rows, d) @ iso
-
-    # An ambiguous rank from a random draw marks the draw degenerate.
-    for _ in range(8):
-        a = draw()
-        vals, vecs = hermitian_eig((a + dagger(a)) / 2.0)
-        try:
-            clusters = _eigen_clusters(vals, "block split")
-        except ValueError:
-            continue
-        if len(clusters) == n and all(len(c) == m for c in clusters):
-            break
-    else:
-        raise _Degenerate
-    chunks = [vecs[:, c] for c in clusters]
-
-    for _ in range(8):
-        g = draw()
-        u, s, vh = np.linalg.svd([dagger(ck) @ g @ chunks[0] for ck in chunks])
-        try:
-            if _rank(s.ravel(), "block alignment: singular values").all():
-                break
-        except ValueError:
-            pass
-    else:
-        raise _Degenerate
-    return n, m, np.hstack([ck @ (uk @ vk) for ck, uk, vk in zip(chunks, u, vh)])
-
-
-class _Degenerate(Exception):
-    pass
-
-
 def decompose(alg: OperatorAlgebra) -> BlockStructure:
     """Exhibit the block structure of a finite-dimensional algebra.
 
-    A generic Hermitian element of the centre is sampled (seeded, so runs
-    are reproducible): the orthogonal projection onto the centre of a random
-    Hermitian matrix on the ambient space, so the draw depends on the
-    centre's span and not on the basis ``centre`` returns. Its spectral
-    projections, split at the eigenvalue gaps ``_rank`` keeps, carve the
-    ambient space into the central blocks, which are then split
-    individually. Degenerate draws, ambiguous gaps among them, are retried
-    up to ``_DECOMPOSE_ATTEMPTS`` times.
+    Each attempt reads it from two seeded Gaussians on the ambient space, a
+    Hermitian h and a complex g, each projected onto the algebra's span, so
+    that neither depends on the rows that carry it. Up to a unitary,
+    A = (+)_i M_{n_i} (x) 1_{m_i}, so a generic h = (+)_i H_i (x) 1_{m_i}
+    has n_i eigenspaces of dimension m_i in central block i, split at the
+    gaps ``_rank`` keeps. In h's eigenbasis the (c, c') block of a generic g
+    is nonzero exactly when c and c' lie in one central block, and is then
+    a multiple of a unitary. So eigenspaces with one pattern of nonzero
+    blocks (squared HS norms cut by ``_rank``) form one central block,
+    linked all to all, and the polar factor
+    of block (c, c_0) aligns c with the block's first eigenspace c_0, which
+    puts A in the form (+)_i X_i (x) 1_{m_i}. sum_i n_i^2 = dim A and a
+    ``_block_defect`` within SPAN_TOL certify the result. A degenerate
+    draw, an ambiguous rank among them, moves on to the next of
+    ``_DECOMPOSE_ATTEMPTS`` seeded attempts.
     """
     d = alg.ambient_dim
-    z_rows = centre(alg).rows
     rng = np.random.default_rng(_DECOMPOSE_SEED)
     for _ in range(_DECOMPOSE_ATTEMPTS):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = _vec((g + dagger(g)) / 2.0)
-        z = _unvec((z_rows.conj() @ h) @ z_rows, d)
-        vals, vecs = hermitian_eig((z + dagger(z)) / 2.0)
+        x = rng.standard_normal((4, d, d))
         try:
-            clusters = _eigen_clusters(vals, "central split")
+            pieces = _block_pieces(alg, x[0] + 1j * x[1], x[2] + 1j * x[3])
         except ValueError:
             continue
-        if len(clusters) != z_rows.shape[0]:
-            continue
-        try:
-            pieces = []
-            for cl in clusters:
-                iso = vecs[:, cl]
-                n, m, q = _split_block(alg.rows, iso, rng)
-                pieces.append((n, m, iso @ q))
-        except _Degenerate:
+        if pieces is None or sum(n * n for n, _, _ in pieces) != alg.dim:
             continue
         pieces.sort(key=lambda p: (p[0], p[1]))
         u = np.hstack([p[2] for p in pieces])
@@ -517,10 +459,33 @@ def decompose(alg: OperatorAlgebra) -> BlockStructure:
         defect = _block_defect(alg, blocks, u)
         if defect <= SPAN_TOL:
             return BlockStructure(blocks, u, defect)
-    raise RuntimeError(
-        "central element remained degenerate after "
-        f"{_DECOMPOSE_ATTEMPTS} seeded attempts"
-    )
+    raise RuntimeError(f"block structure remained degenerate after {_DECOMPOSE_ATTEMPTS} attempts")
+
+
+def _block_pieces(alg: OperatorAlgebra, herm: np.ndarray, gen: np.ndarray) -> list | None:
+    """``decompose``'s (n, m, isometry) of each central block, read from the
+    draws ``herm`` (its Hermitian part) and ``gen``, or None for a
+    degenerate draw; an ambiguous rank raises ValueError."""
+    vals, vecs = hermitian_eig(alg.project((herm + dagger(herm)) / 2.0))
+    clusters = _eigen_clusters(vals, "block split")
+    g = dagger(vecs) @ alg.project(gen) @ vecs
+    starts = [c[0] for c in clusters]
+    power = np.add.reduceat(np.add.reduceat(np.abs(g) ** 2, starts, axis=0), starts, axis=1)
+    linked = _rank(power.ravel(), "block pattern: squared block norms").reshape(power.shape)
+    label = np.unique(linked, axis=0, return_inverse=True)[1].ravel()
+    if not np.array_equal(linked, label[:, None] == label):
+        return None
+    pieces = []
+    for block in range(label.max() + 1):
+        chunks = [clusters[c] for c in np.flatnonzero(label == block)]
+        if len({c.size for c in chunks}) != 1:
+            return None
+        u, s, vh = np.linalg.svd(np.array([g[np.ix_(c, chunks[0])] for c in chunks]))
+        if not _rank(s.ravel(), "block alignment: singular values").all():
+            return None
+        q = [vecs[:, c] @ (uk @ vk) for c, uk, vk in zip(chunks, u, vh)]
+        pieces.append((len(chunks), chunks[0].size, np.hstack(q)))
+    return pieces
 
 
 def _block_defect(
@@ -528,16 +493,17 @@ def _block_defect(
 ) -> float:
     """Worst deviation of conjugated basis elements from (+) X_i (x) 1_m form."""
     c = dagger(u) @ alg.basis_matrices() @ u
-    model = np.zeros_like(c)
     off = 0
     for n, m in blocks:
         r = n * m
+        # A view: splitting the axes of a slice never copies.
         sub = c[:, off : off + r, off : off + r].reshape(-1, n, m, n, m)
         x = np.einsum("ikalb->ikl", sub) / m
-        model[:, off : off + r, off : off + r] = np.kron(x, np.eye(m))
+        # X (x) 1_m taken off in place, through the writable diagonal a = b.
+        np.einsum("ikala->iakl", sub)[...] -= x[:, None]
         off += r
     # One norm per basis element: a batched norm would sum in another order.
-    return max(float(np.linalg.norm(diff)) for diff in c - model)
+    return max(float(np.linalg.norm(diff)) for diff in c)
 
 
 def normalized_trace(x: np.ndarray) -> complex:

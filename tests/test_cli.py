@@ -289,8 +289,10 @@ class TestScripts:
             # m = 16 > D = 8: the A cap A' route
             ("centre:M2-Z4-phase", {"D": 8, "dim": 16, "centre_dim": 4}),
             ("invariance:circle-5x12", {}),
+            # C^36 = 4 x 9: the charge blocks M_1, M_3, M_4 (7 times), M_3, M_1
+            ("decompose:charge-sectors-8", {"m": 132, "D": 36, "blocks": 11}),
         ],
-        ids=["commutant", "fixed-points", "closure", "centre", "invariance"],
+        ids=["commutant", "fixed-points", "closure", "centre", "invariance", "decompose"],
     )
     def test_bench_kernels_prints_one_json_document(self, case, shape):
         proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",

@@ -521,10 +521,15 @@ class TestCentreAgainstCommutantIntersection:
             centre(alg)
 
 
+def amplified_m2() -> OperatorAlgebra:
+    """M_2 (x) 1_2 on C^4: one central block, two eigenspaces of size 2."""
+    return generate_algebra([np.kron(SIGMA_X, np.eye(2)), np.kron(SIGMA_Z, np.eye(2))], 4)
+
+
 class TestDecompose:
     def test_memory_peak_of_the_charge_sectors_at_l8(self):
-        # D = 36, dim 132, 11 blocks of multiplicity 1: A' has dim 11, and
-        # no d^2 x d^2 = 1296^2 Gram operator (27 MB) is formed
+        # D = 36, dim 132, 11 blocks of multiplicity 1: no d^2 x d^2 = 1296^2
+        # Gram operator (27 MB) is formed
         alg = charge_sector_algebra(8)
         assert (alg.ambient_dim, alg.dim) == (36, 132)
         tracemalloc.start()
@@ -535,6 +540,23 @@ class TestDecompose:
             tracemalloc.stop()
         assert structure.blocks == [(1, 1), (1, 1), (3, 1), (3, 1)] + [(4, 1)] * 7
         assert peak < 20e6
+
+    def test_memory_peak_of_the_charge_sectors_at_l16(self):
+        # D = 68, dim 260: the conjugated basis stack is 19.2 MB. The block
+        # defect takes the X (x) 1 model off it in place, so the peak is
+        # that stack and one product temporary, about 39 MB; a model and a
+        # difference held beside it would take it to about 58 MB
+        alg = charge_sector_algebra(16)
+        assert (alg.ambient_dim, alg.dim) == (68, 260)
+        tracemalloc.start()
+        try:
+            structure = decompose(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert structure.blocks == [(1, 1), (1, 1), (3, 1), (3, 1)] + [(4, 1)] * 15
+        assert structure.defect <= 1e-9
+        assert peak < 45e6
 
     def test_symmetric_group_algebra_splits_1_1_2(self):
         rep = regular_representation(symmetric_group(3))
@@ -558,44 +580,55 @@ class TestDecompose:
         assert structure.commutant_dim == 2
 
     def test_amplified_factor(self):
-        alg = generate_algebra([np.kron(SIGMA_X, np.eye(2)), np.kron(SIGMA_Z, np.eye(2))], 4)
-        structure = decompose(alg)
+        structure = decompose(amplified_m2())
         assert structure.blocks == [(2, 2)]
         assert structure.defect <= 1e-7
+
+    def test_a_conjugated_m10_amplified_ten_times(self, rng):
+        # M_10 (x) 1_10 on C^100 in a random basis: one central block of ten
+        # eigenspaces of size 10
+        alg = conjugated([np.kron(e, np.eye(10)) for e in np.eye(100).reshape(100, 10, 10)], rng)
+        structure = decompose(alg)
+        assert structure.blocks == [(10, 10)]
+        assert structure.defect <= 1e-9
 
     def test_an_eigenvalue_gap_on_the_cut_raises_with_both_gaps(self):
         # gaps 1e-9 and 1 - 1e-9: the first sits on the 1e-9 cut, inside its 1e3 band
         with pytest.raises(
-            ValueError, match=r"ambiguous central split: eigenvalue gaps 1\.000e-09 and 1\.000e\+00"
+            ValueError, match=r"ambiguous block split: eigenvalue gaps 1\.000e-09 and 1\.000e\+00"
         ):
-            qrflab.vnalg._eigen_clusters(np.array([0.0, 1e-9, 1.0]), "central split")
+            qrflab.vnalg._eigen_clusters(np.array([0.0, 1e-9, 1.0]), "block split")
 
-    @pytest.mark.parametrize("call", [1, 2], ids=["central-draw", "block-draw"])
-    def test_a_draw_with_an_ambiguous_gap_is_retried(self, call, monkeypatch):
-        # the call-th spectrum decompose takes gets a gap on the 1e-9 cut; the
-        # draw must count as degenerate and the next one be taken. M2 (x) 1_2
-        # has one central block, so the second spectrum is the block split's
-        alg = generate_algebra([np.kron(SIGMA_X, np.eye(2)), np.kron(SIGMA_Z, np.eye(2))], 4)
-        real_eig = qrflab.vnalg.hermitian_eig
+    @pytest.mark.parametrize(
+        "what",
+        ["block split: eigenvalue gaps", "block pattern: squared block norms"],
+        ids=["eigenvalue-gap", "block-norm"],
+    )
+    def test_a_draw_with_an_ambiguous_gap_is_retried(self, what, monkeypatch):
+        # the first attempt's smallest eigenvalue gap, or smallest squared
+        # block norm, is moved onto the 1e-9 cut: the draw must count as
+        # degenerate and the next attempt be taken
+        alg = amplified_m2()
+        real_rank = qrflab.vnalg._rank
         calls = []
 
-        def spy(x):
-            vals, vecs = real_eig(x)
-            calls.append(vals)
-            if len(calls) == call:
-                vals = vals.copy()
-                vals[2] = vals[1] + 1e-9
-            return vals, vecs
+        def spy(values, name):
+            if name == what:
+                calls.append(name)
+                if len(calls) == 1:
+                    values = np.array(values, dtype=float)
+                    values[values.argmin()] = 1e-9 * max(1.0, values.max())
+            return real_rank(values, name)
 
-        monkeypatch.setattr(qrflab.vnalg, "hermitian_eig", spy)
+        monkeypatch.setattr(qrflab.vnalg, "_rank", spy)
         structure = decompose(alg)
         assert structure.blocks == [(2, 2)]
         assert structure.defect <= 1e-7
-        assert len(calls) > call
+        assert len(calls) == 2
 
     def test_an_alignment_draw_with_an_ambiguous_singular_value_is_retried(self, monkeypatch):
         # the first stack of aligner blocks gets a singular value on the cut
-        alg = generate_algebra([np.kron(SIGMA_X, np.eye(2)), np.kron(SIGMA_Z, np.eye(2))], 4)
+        alg = amplified_m2()
         real_svd = np.linalg.svd
         stacks = []
 
@@ -614,64 +647,70 @@ class TestDecompose:
         assert structure.defect <= 1e-7
         assert len(stacks) > 1
 
+    def test_a_spectrum_that_merges_two_central_blocks_is_retried(self, monkeypatch):
+        # the diagonal algebra of C^3 has three central blocks; the first
+        # spectrum decompose takes has its two lowest eigenvalues made equal,
+        # so one eigenspace spans two central blocks. That draw reads
+        # 1 + 1 = 2 < 3 = dim A and must be retried, not reported
+        alg = diagonal_algebra(3)
+        real_eig = qrflab.vnalg.hermitian_eig
+        calls = []
 
-    @pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(5)], ids=["S3", "Z5"])
-    def test_central_sample_does_not_depend_on_the_centre_basis(self, group, monkeypatch):
-        # centre's rows mixed by a seeded unitary: the first matrix decompose
-        # hands to hermitian_eig, and the blocks, must not change
-        rep = regular_representation(group)
-        alg = generate_algebra(rep.unitaries, group.order)
-        real_centre, real_eig = qrflab.vnalg.centre, qrflab.vnalg.hermitian_eig
+        def spy(x):
+            vals, vecs = real_eig(x)
+            calls.append(vals)
+            if len(calls) == 1:
+                vals = vals.copy()
+                vals[1] = vals[0]
+            return vals, vecs
 
-        def run(mixed: bool):
-            seen = []
+        monkeypatch.setattr(qrflab.vnalg, "hermitian_eig", spy)
+        structure = decompose(alg)
+        assert structure.blocks == [(1, 1)] * 3
+        assert structure.defect <= 1e-12
+        assert len(calls) == 2
 
-            def centre(a):
-                z = real_centre(a)
-                if not mixed:
-                    return z
-                return OperatorAlgebra(z.ambient_dim, random_unitary(np.random.default_rng(9), z.dim) @ z.rows)
+    @pytest.mark.parametrize(
+        "alg",
+        [group_algebra(symmetric_group(3)), group_algebra(cyclic_group(5)), charge_sector_algebra(4)],
+        ids=["S3", "Z5", "charge-sectors-L4"],
+    )
+    def test_takes_neither_the_centre_nor_the_commutant(self, alg, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decompose must read its blocks from its own draws")
 
-            def spy(x, *args, **kwargs):
-                seen.append(np.array(x))
-                return real_eig(x, *args, **kwargs)
-
-            monkeypatch.setattr(qrflab.vnalg, "centre", centre)
-            monkeypatch.setattr(qrflab.vnalg, "hermitian_eig", spy)
-            structure = decompose(alg)
-            return seen[0], structure
-
-        (first_plain, plain), (first_mixed, mixed) = run(False), run(True)
-        assert np.abs(first_plain - first_mixed).max() <= 1e-12
-        assert plain.blocks == mixed.blocks
-        assert plain.defect <= 1e-12 and mixed.defect <= 1e-12
+        monkeypatch.setattr(qrflab.vnalg, "centre", forbidden)
+        monkeypatch.setattr(qrflab.vnalg, "commutant", forbidden)
+        structure = decompose(alg)
+        assert structure.algebra_dim == alg.dim
+        assert structure.defect <= 1e-9
 
     @pytest.mark.parametrize(
         "group", [symmetric_group(3), dihedral_group(4), symmetric_group(4)], ids=["S3", "D4", "S4"]
     )
     def test_block_draws_do_not_depend_on_the_algebra_basis(self, group, monkeypatch):
-        # the algebra's rows mixed by a seeded unitary: every spectrum
-        # decompose splits, the block splits' among them, must not change
+        # the algebra's rows mixed by a seeded unitary: both projected draws
+        # of every attempt decompose makes must not change
         rep = regular_representation(group)
         alg = generate_algebra(rep.unitaries, group.order)
         mix = random_unitary(np.random.default_rng(11), alg.dim)
-        real_eig = qrflab.vnalg.hermitian_eig
+        real_project = OperatorAlgebra.project
 
-        def spectra(a):
+        def draws(a):
             seen = []
 
-            def spy(x, *args, **kwargs):
-                vals, vecs = real_eig(x, *args, **kwargs)
-                seen.append(vals)
-                return vals, vecs
+            def spy(self, x):
+                seen.append(real_project(self, x))
+                return seen[-1]
 
-            monkeypatch.setattr(qrflab.vnalg, "hermitian_eig", spy)
+            monkeypatch.setattr(OperatorAlgebra, "project", spy)
             structure = decompose(a)
             return seen, structure
 
-        plain, plain_structure = spectra(alg)
-        mixed, mixed_structure = spectra(OperatorAlgebra(alg.ambient_dim, mix @ alg.rows))
-        assert len(plain) == len(mixed) > 1
+        plain, plain_structure = draws(alg)
+        mixed, mixed_structure = draws(OperatorAlgebra(alg.ambient_dim, mix @ alg.rows))
+        assert len(plain) == len(mixed) >= 2
+        assert len(plain) % 2 == 0
         assert max(np.abs(a - b).max() for a, b in zip(plain, mixed)) <= 1e-12
         assert plain_structure.blocks == mixed_structure.blocks
 
