@@ -10,8 +10,8 @@ Each case is named ``kernel:shape``:
   Gram matrix is diagonalised, p = sum of the squared eigenspace sizes of
   the generic element (d^3 for ``tensor:d``, d for ``full:d``), and the
   number of those eigenspaces, ``clusters``. Where ``commutant`` takes the
-  whole operator space (``vnalg._generic_eigenbasis`` returns None, or a
-  source tree does not have it), p = n^2 and there is one cluster.
+  whole operator space (d <= 3, or a source tree without
+  ``vnalg._generic_eigenbasis``), p = n^2 and there is one cluster.
 - ``fixed-points:<shape>`` times ``symmetry.tensor_fixed_point_rows``, the
   Ad(U (x) V) fixed points of M (x) B(H_V) for an Ad U-invariant span M of
   m operators, and reports m, d_u, d_v, the number of quadrature nodes and

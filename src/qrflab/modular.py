@@ -81,9 +81,8 @@ class ModularData:
 
     def conjugation_defect(self) -> float:
         """Worst distance of J x J from the commutant, over the basis."""
-        comm = commutant(self.algebra)
-        # One distance per element: a batched projection would round otherwise.
-        return max(map(comm.distance, self.conjugate_in(self.algebra.basis_matrices())))
+        moved = self.conjugate_in(self.algebra.basis_matrices())
+        return _worst_residual(moved.reshape(self.algebra.rows.shape), commutant(self.algebra).rows)
 
     def vector_invariance_defect(self) -> float:
         """max of |J omega - omega| and |Delta omega - omega|."""

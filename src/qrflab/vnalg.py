@@ -26,26 +26,17 @@ SPAN_TOL = 1.0e-7
 # The HS distance to a span, over max(1, ||x||), at which x is a member.
 _MEMBER_TOL = 1.0e-8
 
-# ``decompose``'s seeded draws, so runs are reproducible, and how many it makes.
+# The seed of the generic elements ``_generic_draws`` holds, so runs are
+# reproducible, and how many pairs of them ``decompose`` may try.
 _DECOMPOSE_SEED = 7
 _DECOMPOSE_ATTEMPTS = 8
 
-# ``commutant``'s seeded draw of a generic element of the span, and the
-# fraction of max(1, spread) that a gap in its spectrum must exceed to
-# split two eigenspaces.
-_COMMUTANT_SEED = 5
+# The fraction of max(1, spread) that a gap in the spectrum of
+# ``commutant``'s generic element must exceed to split two eigenspaces.
 _COMMUTANT_SPLIT = 1.0e-3
-# Up to this ambient dimension ``commutant`` diagonalises the whole Gram
-# operator without drawing.
+# Up to this ambient dimension ``commutant`` takes the whole operator
+# space as one eigenspace, without drawing.
 _WHOLE_GRAM_DIM = 3
-
-
-def _vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=complex).ravel()
-
-
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d)
 
 
 def _rank(values: np.ndarray, what: str) -> np.ndarray:
@@ -92,11 +83,12 @@ def _orthonormal_rows(candidates: np.ndarray, basis: np.ndarray | None) -> np.nd
     in the basis span; a thin SVD of the survivors gives the new rows.
     """
     cur = basis if basis is not None else np.zeros((0, candidates.shape[1]), complex)
+    cur_h = dagger(cur)
     norms = np.linalg.norm(candidates, axis=1)
     nonzero = _rank(norms, "span rank: candidate norms")
     resid = candidates[nonzero] / norms[nonzero, None]
     for _ in range(2):
-        resid = resid - (resid @ dagger(cur)) @ cur
+        resid = _span_residual(resid, cur, cur_h)
     resid = resid[_rank(np.linalg.norm(resid, axis=1), "span rank: residual norms")]
     if not resid.shape[0]:
         return cur
@@ -136,14 +128,15 @@ class OperatorAlgebra:
         return self.rows.reshape(-1, self.ambient_dim, self.ambient_dim)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        v = _vec(x)
-        return _unvec((self.rows.conj() @ v) @ self.rows, self.ambient_dim)
+        """The HS-orthogonal projection onto the span of a d x d matrix or of
+        each in a (k, d, d) stack, with no conjugated copy of the basis."""
+        x = np.asarray(x, dtype=complex)
+        coef = (x.reshape(-1, self.rows.shape[1]).conj() @ self.rows.T).conj()
+        return (coef @ self.rows).reshape(x.shape)
 
     def distance(self, x: np.ndarray) -> float:
         """HS distance from ``x`` to the span."""
-        v = _vec(x)
-        coef = self.rows.conj() @ v
-        return float(np.linalg.norm(v - coef @ self.rows))
+        return hs_norm(x - self.project(x))
 
     def contains(self, x: np.ndarray) -> bool:
         return self.distance(x) <= _MEMBER_TOL * max(1.0, hs_norm(x))
@@ -166,7 +159,7 @@ def algebra_from_matrices(mats, ambient_dim: int) -> OperatorAlgebra:
     The set is scaled by its largest HS norm first, so that its span, and
     not its units, decides which members are zero.
     """
-    cands = np.array([_vec(as_operator(m)) for m in mats])
+    cands = np.array([as_operator(m).ravel() for m in mats])
     scale = np.linalg.norm(cands, axis=1).max()
     rows = _orthonormal_rows(cands / scale if scale else cands, None)
     return OperatorAlgebra(ambient_dim, rows)
@@ -211,9 +204,9 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     eigenvalues, the squared singular values of the stacked (dim d^2) x d^2
     system, are cut by ``_rank``; an ambiguous rank raises ValueError.
 
-    G is diagonalised only on a subspace known to hold the commutant. A
-    seeded Hermitian Gaussian projected onto the span is an element h of
-    the span whenever the projection is Hermitian, so every x in the
+    G is diagonalised only on a subspace known to hold the commutant. The
+    first Hermitian draw of ``_generic_draws`` projected onto a span closed
+    under adjoints is an element h of the span, so every x in the
     commutant commutes with h: the commutant lies in {h}', which in h's
     eigenbasis is the block-diagonal matrices (+)_c B(E_c) over h's
     eigenspaces E_c, of dimension p = sum_c dim(E_c)^2: for M_n (x) 1 on
@@ -230,17 +223,13 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
       (Cauchy interlacing), while the cut, set by the largest, can only
       fall; so the rank margin of an exact algebra never gets worse.
     - A span that is not closed under adjoints may project the draw to a
-      non-Hermitian matrix, which its Hermitian part would leave outside
-      the span. Then G itself is diagonalised, as it is for d up to
-      ``_WHOLE_GRAM_DIM``, where its at most 81 x 81 eigendecomposition
-      costs less than finding h's eigenspaces.
+      non-Hermitian matrix, whose eigenspaces need not hold the commutant;
+      that raises ValueError. For d up to ``_WHOLE_GRAM_DIM`` the whole
+      space is one eigenspace, so G itself is diagonalised: its at most
+      81 x 81 eigendecomposition costs less than finding h's eigenspaces.
     """
     d = alg.ambient_dim
-    eigenbasis = _generic_eigenbasis(alg)
-    if eigenbasis is None:
-        gram = _block_gram(alg.basis_matrices(), np.array([d]))
-        return OperatorAlgebra(d, _gram_null_vectors(gram, "commutant").T)
-    w, sizes = eigenbasis
+    w, sizes = _generic_eigenbasis(alg)
     rotated = dagger(w) @ alg.basis_matrices() @ w
     null = _gram_null_vectors(_block_gram(rotated, sizes), "commutant")
     # The coordinates run block by block, row-major within a block: the
@@ -252,27 +241,29 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
 
 
 @functools.lru_cache(maxsize=8)
-def _commutant_draw(d: int) -> np.ndarray:
-    """``commutant``'s seeded Hermitian Gaussian on C^d, vectorised."""
-    g = np.random.default_rng(_COMMUTANT_SEED).standard_normal((2, d, d))
-    g = g[0] + 1j * g[1]
-    draw = _vec(g + dagger(g)) / 2.0
-    draw.flags.writeable = False
-    return draw
+def _generic_draws(d: int) -> np.ndarray:
+    """The seeded (Hermitian, complex) Gaussian pairs on C^d, read-only, one
+    per attempt of ``decompose``; ``commutant`` takes the first Hermitian."""
+    x = np.random.default_rng(_DECOMPOSE_SEED).standard_normal((_DECOMPOSE_ATTEMPTS, 4, d, d))
+    herm = x[:, 0] + 1j * x[:, 1]
+    draws = np.stack([(herm + dagger(herm)) / 2.0, x[:, 2] + 1j * x[:, 3]], axis=1)
+    draws.flags.writeable = False
+    return draws
 
 
-def _generic_eigenbasis(alg: OperatorAlgebra) -> tuple[np.ndarray, np.ndarray] | None:
+def _generic_eigenbasis(alg: OperatorAlgebra) -> tuple[np.ndarray, np.ndarray]:
     """A unitary whose columns run through the eigenspaces of ``commutant``'s
     generic element h, and the sizes of those eigenspaces, ascending, in the
     order the columns take them: eigenvalues ascending within one size.
-    None, for the whole operator space, when d <= ``_WHOLE_GRAM_DIM`` or
-    the draw is not Hermitian."""
+    For d <= ``_WHOLE_GRAM_DIM`` the whole space is one eigenspace. A span
+    that projects the draw to a non-Hermitian matrix is not closed under
+    adjoints and raises ValueError."""
     d = alg.ambient_dim
     if d <= _WHOLE_GRAM_DIM:
-        return None
-    h = _unvec((alg.rows.conj() @ _commutant_draw(d)) @ alg.rows, d)
+        return np.eye(d, dtype=complex), np.array([d])
+    h = alg.project(_generic_draws(d)[0, 0])
     if hs_norm(h - dagger(h)) > DEFAULT_TOL * max(1.0, hs_norm(h)):
-        return None
+        raise ValueError("commutant needs a span closed under adjoints")
     vals, w = np.linalg.eigh((h + dagger(h)) / 2.0)
     split = np.diff(vals) > _COMMUTANT_SPLIT * max(1.0, float(vals[-1] - vals[0]))
     sizes = np.diff(np.flatnonzero(np.concatenate([[True], split, [True]])))
@@ -289,8 +280,9 @@ def _block_gram(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     Block (x, y) of the compression is [x = y] (S_x (x) I + I (x) conj(T_x))
     - K_xy - K_yx^dag, with S_x and T_x the (x, x) blocks of S and T and
     K_xy[(i,k),(j,l)] = sum_b b_ij conj(b_kl) over the (x, y) blocks of the
-    basis. The K blocks of all pairs of two sizes come from one batched
-    product, so no stack of more than dim d^2 or p^2 entries is held.
+    basis. The K blocks of all pairs of two sizes come from batched
+    products over chunks of those pairs, so no copy of the stack holds more
+    than d^3 entries.
     """
     m, d = stack.shape[0], stack.shape[1]
     # S = sum b^dag b and conj(T) = sum conj(b b^dag), one GEMM each per
@@ -314,13 +306,18 @@ def _block_gram(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     k = np.empty((o, o), dtype=complex)
     for n1, c1, a1, o1 in spans:
         for n2, c2, a2, o2 in spans:
-            f = stack[:, a1 : a1 + n1 * c1, a2 : a2 + n2 * c2].reshape(m, c1, n1, c2, n2)
-            f = f.transpose(1, 3, 2, 4, 0).reshape(c1 * c2, n1 * n2, m)
-            # outer[x, y, i, j, k, l] = sum_b B_ij conj(B_kl), B = block (x, y).
-            outer = (f @ dagger(f)).reshape(c1, c2, n1, n2, n1, n2)
-            k[o1 : o1 + n1 * n1 * c1, o2 : o2 + n2 * n2 * c2].reshape(
-                c1, n1, n1, c2, n2, n2
-            )[...] = outer.transpose(0, 2, 4, 1, 3, 5)
+            # The pairs (x, y) of blocks, ``step`` rows x at a time, so that
+            # neither f nor its adjoint holds more than d^3 entries.
+            step = max(1, d**3 // max(1, m * n1 * n2 * c2))
+            for x in range(0, c1, step):
+                r = min(step, c1 - x)
+                f = stack[:, a1 + n1 * x : a1 + n1 * (x + r), a2 : a2 + n2 * c2]
+                f = f.reshape(m, r, n1, c2, n2).transpose(1, 3, 2, 4, 0).reshape(r * c2, n1 * n2, m)
+                # outer[x, y, i, j, k, l] = sum_b B_ij conj(B_kl), B = block (x, y).
+                outer = (f @ dagger(f)).reshape(r, c2, n1, n2, n1, n2)
+                k[o1 + n1 * n1 * x : o1 + n1 * n1 * (x + r), o2 : o2 + n2 * n2 * c2].reshape(
+                    r, n1, n1, c2, n2, n2
+                )[...] = outer.transpose(0, 2, 4, 1, 3, 5)
     gram = k + dagger(k)
     del k
     np.negative(gram, out=gram)
@@ -354,8 +351,7 @@ def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     """
     if not a_rows.shape[0]:
         return a_rows
-    resid = a_rows - (a_rows @ dagger(b_rows)) @ b_rows
-    u, s, _ = np.linalg.svd(resid, full_matrices=False)
+    u, s, _ = np.linalg.svd(_span_residual(a_rows, b_rows), full_matrices=False)
     null = ~_rank(s, "intersection rank: singular values")
     return dagger(u[:, null]) @ a_rows
 
@@ -427,8 +423,8 @@ def _eigen_clusters(vals: np.ndarray, what: str) -> list:
 def decompose(alg: OperatorAlgebra) -> BlockStructure:
     """Exhibit the block structure of a finite-dimensional algebra.
 
-    Each attempt reads it from two seeded Gaussians on the ambient space, a
-    Hermitian h and a complex g, each projected onto the algebra's span, so
+    Each attempt reads it from one pair of ``_generic_draws`` on the ambient
+    space, a Hermitian h and a complex g, projected onto the algebra's span, so
     that neither depends on the rows that carry it. Up to a unitary,
     A = (+)_i M_{n_i} (x) 1_{m_i}, so a generic h = (+)_i H_i (x) 1_{m_i}
     has n_i eigenspaces of dimension m_i in central block i, split at the
@@ -443,12 +439,9 @@ def decompose(alg: OperatorAlgebra) -> BlockStructure:
     draw, an ambiguous rank among them, moves on to the next of
     ``_DECOMPOSE_ATTEMPTS`` seeded attempts.
     """
-    d = alg.ambient_dim
-    rng = np.random.default_rng(_DECOMPOSE_SEED)
-    for _ in range(_DECOMPOSE_ATTEMPTS):
-        x = rng.standard_normal((4, d, d))
+    for draws in _generic_draws(alg.ambient_dim):
         try:
-            pieces = _block_pieces(alg, x[0] + 1j * x[1], x[2] + 1j * x[3])
+            pieces = _block_pieces(alg, draws)
         except ValueError:
             continue
         if pieces is None or sum(n * n for n, _, _ in pieces) != alg.dim:
@@ -462,22 +455,25 @@ def decompose(alg: OperatorAlgebra) -> BlockStructure:
     raise RuntimeError(f"block structure remained degenerate after {_DECOMPOSE_ATTEMPTS} attempts")
 
 
-def _block_pieces(alg: OperatorAlgebra, herm: np.ndarray, gen: np.ndarray) -> list | None:
-    """``decompose``'s (n, m, isometry) of each central block, read from the
-    draws ``herm`` (its Hermitian part) and ``gen``, or None for a
-    degenerate draw; an ambiguous rank raises ValueError."""
-    vals, vecs = hermitian_eig(alg.project((herm + dagger(herm)) / 2.0))
+def _block_pieces(alg: OperatorAlgebra, draws: np.ndarray) -> list | None:
+    """``decompose``'s (n, m, isometry) of each central block, read from a
+    (Hermitian, complex) pair of ``draws``, or None for a degenerate draw;
+    an ambiguous rank raises ValueError."""
+    h, g = alg.project(draws)
+    vals, vecs = hermitian_eig(h)
     clusters = _eigen_clusters(vals, "block split")
-    g = dagger(vecs) @ alg.project(gen) @ vecs
+    g = dagger(vecs) @ g @ vecs
     starts = [c[0] for c in clusters]
     power = np.add.reduceat(np.add.reduceat(np.abs(g) ** 2, starts, axis=0), starts, axis=1)
     linked = _rank(power.ravel(), "block pattern: squared block norms").reshape(power.shape)
-    label = np.unique(linked, axis=0, return_inverse=True)[1].ravel()
+    # Each cluster labelled by the first cluster it is linked to, which
+    # labels itself.
+    label = linked.argmax(axis=1)
     if not np.array_equal(linked, label[:, None] == label):
         return None
     pieces = []
-    for block in range(label.max() + 1):
-        chunks = [clusters[c] for c in np.flatnonzero(label == block)]
+    for first in np.flatnonzero(label == np.arange(label.size)):
+        chunks = [clusters[c] for c in np.flatnonzero(label == first)]
         if len({c.size for c in chunks}) != 1:
             return None
         u, s, vh = np.linalg.svd(np.array([g[np.ix_(c, chunks[0])] for c in chunks]))
@@ -491,19 +487,25 @@ def _block_pieces(alg: OperatorAlgebra, herm: np.ndarray, gen: np.ndarray) -> li
 def _block_defect(
     alg: OperatorAlgebra, blocks: list[tuple[int, int]], u: np.ndarray
 ) -> float:
-    """Worst deviation of conjugated basis elements from (+) X_i (x) 1_m form."""
-    c = dagger(u) @ alg.basis_matrices() @ u
-    off = 0
-    for n, m in blocks:
-        r = n * m
-        # A view: splitting the axes of a slice never copies.
-        sub = c[:, off : off + r, off : off + r].reshape(-1, n, m, n, m)
-        x = np.einsum("ikalb->ikl", sub) / m
-        # X (x) 1_m taken off in place, through the writable diagonal a = b.
-        np.einsum("ikala->iakl", sub)[...] -= x[:, None]
-        off += r
-    # One norm per basis element: a batched norm would sum in another order.
-    return max(float(np.linalg.norm(diff)) for diff in c)
+    """Worst deviation of conjugated basis elements from (+) X_i (x) 1_m form,
+    taken over chunks of at most d basis elements, so that no stack of more
+    than d^3 entries is held."""
+    d, u_h, norms = alg.ambient_dim, dagger(u), []
+    basis = alg.basis_matrices()
+    for chunk in np.split(basis, range(d, basis.shape[0], d)):
+        c = u_h @ chunk @ u
+        off = 0
+        for n, m in blocks:
+            r = n * m
+            # A view: splitting the axes of a slice never copies.
+            sub = c[:, off : off + r, off : off + r].reshape(-1, n, m, n, m)
+            x = np.einsum("ikalb->ikl", sub) / m
+            # X (x) 1_m taken off in place, through the writable diagonal a = b.
+            np.einsum("ikala->iakl", sub)[...] -= x[:, None]
+            off += r
+        # One norm per basis element: a batched norm would sum in another order.
+        norms.extend(float(np.linalg.norm(diff)) for diff in c)
+    return max(norms)
 
 
 def normalized_trace(x: np.ndarray) -> complex:
@@ -524,18 +526,17 @@ class ProductTrace:
 
     left: OperatorAlgebra
     right: OperatorAlgebra
-    _rows: np.ndarray = field(init=False, repr=False)
+    _span: OperatorAlgebra = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Elementary tensors of two orthonormal bases are orthonormal; row
         # (i, j) is vec(a_i (x) b_j).
         a, b = self.left.basis_matrices(), self.right.basis_matrices()
         kron = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-        self._rows = kron.reshape(a.shape[0] * b.shape[0], -1)
+        d = self.left.ambient_dim * self.right.ambient_dim
+        self._span = OperatorAlgebra(d, kron.reshape(a.shape[0] * b.shape[0], -1))
 
     def __call__(self, x: np.ndarray) -> complex:
-        v = _vec(x)
-        resid = v - (self._rows.conj() @ v) @ self._rows
-        if np.linalg.norm(resid) > _MEMBER_TOL * max(1.0, float(np.linalg.norm(v))):
+        if not self._span.contains(x):
             raise ValueError("operator lies outside the tensor product algebra")
         return normalized_trace(x)
