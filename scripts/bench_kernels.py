@@ -18,10 +18,16 @@ Each case is named ``kernel:shape``:
   the fixed-point rank r.
 - ``closure:<shape>`` builds the crossed product M x| G of a group shape and
   times ``verify_commutation_theorem`` on it. It reports dim M, d, |G|, the
-  ambient dimension D = d |G|, the crossed product's dim = dim M |G|, the
-  size of the group's generating set, the two product counts of the closure
-  check (dim^2 over all basis pairs, (dim M + |gens|) dim against the
-  generators) and the median build time.
+  ambient dimension D = d |G| and D^2, the crossed product's dim = dim M |G|,
+  the size of the group's generating set, the product counts of the closure
+  check (dim^2 products of basis pairs for the all-pairs check, against
+  (dim M + |gens|) dim products with the generators, which with the dim
+  adjoints and the identity make (dim M + |gens| + 1) dim + 1 projected
+  elements) and the median build time. ``route`` is the closure route
+  taken: ``graded`` when each row of the span lies on one g-diagonal, and
+  each element is then projected in ``width`` = |G| d^2 coordinates, or
+  ``dense``, with ``width`` = D^2 (also for a source tree without
+  ``crossed._graded_rows``).
 - ``centre:<shape>`` times ``vnalg.centre`` of that crossed product. Its
   defaults take both routes: ``S3-group-algebra`` (dim m = 36 = D) the
   commutator Gram matrix, ``M2-Z4-phase`` (m = 16 > D = 8) A cap A'.
@@ -210,6 +216,7 @@ def timed(call, repeats: int):
 
 def run_case(case: str, repeats: int) -> dict:
     """The shape fields and median time of one ``kernel:shape`` case."""
+    from qrflab import crossed
     from qrflab.crossed import build_crossed_product, verify_commutation_theorem
     from qrflab.relativise import GroupAction
     from qrflab.symmetry import tensor_fixed_point_rows
@@ -261,9 +268,14 @@ def run_case(case: str, repeats: int) -> dict:
     if not report.passed:
         raise RuntimeError(f"case {case!r}: commutation check failed")
     dim_m, gens = rows.shape[0], len(u.group.generators())
+    graded_rows = getattr(crossed, "_graded_rows", lambda rows, d, group: None)
+    graded = graded_rows(cp.algebra.rows, u.dim, u.group) is not None
     return {"dim_m": dim_m, "d": u.dim, "order": u.group.order, "D": cp.ambient_dim,
-            "dim": cp.dim, "gens": gens, "all_pairs_products": cp.dim ** 2,
-            "generator_products": (dim_m + gens) * cp.dim, "build_ms": build_ms, "median_ms": ms}
+            "D_squared": cp.ambient_dim ** 2, "dim": cp.dim, "gens": gens,
+            "all_pairs_products": cp.dim ** 2, "generator_products": (dim_m + gens) * cp.dim,
+            "route": "graded" if graded else "dense",
+            "width": u.group.order * u.dim ** 2 if graded else cp.ambient_dim ** 2,
+            "build_ms": build_ms, "median_ms": ms}
 
 
 def main(argv: list[str] | None = None) -> int:

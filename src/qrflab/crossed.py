@@ -28,6 +28,7 @@ from .vnalg import (
     OperatorAlgebra,
     SPAN_TOL,
     _orthonormal_rows,
+    _span_residual,
     _worst_residual,
     span_distance,
 )
@@ -116,7 +117,11 @@ class CommutationReport:
     x a_j for each generator x (pi of M's basis, 1 (x) rho(s) for s in the
     group's ``generators()``) and each basis element a_j. It vanishes
     exactly when S is that generated *-algebra, for any S spanned by words
-    in the generators, as the span of ``build_crossed_product`` is.
+    in the generators, as the span of ``build_crossed_product`` is. When
+    each row of S lies on one g-diagonal of H_S (x) l2(G), as each row of
+    the closed form does, every product is projected onto its own
+    diagonal's rows in |G| d^2 coordinates; any other basis of S is
+    projected over all D^2 (``_closure_defect``).
     """
 
     crossed_dim: int
@@ -137,6 +142,75 @@ class CommutationReport:
         )
 
 
+def _graded_rows(rows: np.ndarray, d: int, group: FiniteGroup) -> np.ndarray | None:
+    """The orthonormal ``rows`` on H_S (x) l2(G), d = dim H_S, sorted by
+    g-diagonal, or None unless each row is nonzero on exactly one.
+
+    Block (h, k) of an operator lies on the g-diagonal g = h^-1 k, and a
+    row on diagonal g is held as its |G| blocks (h, h g) in h order:
+    |G| d^2 coordinates rather than D^2. The result is a (|G|, r, |G| d^2)
+    stack whose slice g holds the rows on diagonal g, padded with zero rows
+    to the largest count r. The test is on exact zeros, so a basis mixed
+    across diagonals, even by rounding, gives None.
+    """
+    n, m = group.order, rows.shape[0]
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    # each row takes the diagonal of its first nonzero entry, and keeps it
+    # if that diagonal holds all of the row's nonzero real and imaginary parts
+    nonzero = rows.view(float) != 0
+    _, h, _, k = np.unravel_index(nonzero.argmax(axis=1) // 2, (d, n, d, n))
+    label = group.table[group.inverse[h], k]
+    h = np.arange(n)
+    blocks = rows.reshape(m, d, n, d, n)
+    on_diagonal = blocks[np.arange(m)[:, None], :, h, :, group.table[h, label[:, None]]]
+    kept = np.count_nonzero(on_diagonal.reshape(m, -1).view(float), axis=1)
+    if (kept != np.count_nonzero(nonzero, axis=1)).any():
+        return None
+    counts = np.bincount(label, minlength=n)
+    order = np.argsort(label, kind="stable")
+    slot = np.arange(m) - np.repeat(np.cumsum(counts) - counts, counts)
+    graded = np.zeros((n, counts.max(initial=0), n * d * d), dtype=complex)
+    graded[label[order], slot] = on_diagonal[order].reshape(m, -1)
+    return graded
+
+
+def _graded_closure_defect(graded: np.ndarray, alphas: np.ndarray, group: FiniteGroup) -> float:
+    """``_closure_defect`` on the ``_graded_rows`` of a span.
+
+    Each generator sends a row on one g-diagonal to one diagonal: pi(b)
+    keeps it, acting on block h as alpha(h, b); 1 (x) rho(s) takes block
+    (h s, h s g) to block (h, h s g), so diagonal g to s g; the adjoint
+    takes block (h, h g) to (h g, h), so g to g^-1; and the identity lies on
+    e. Rows on different diagonals are orthogonal, so the projection of an
+    element of diagonal t onto the span is its projection onto the rows on
+    t, and each residual is formed explicitly in |G| d^2 coordinates, one
+    batched product over the diagonals: |G|^2 fewer flops than over D^2.
+    """
+    n, r, w = graded.shape
+    d = alphas.shape[2]
+    table = group.table
+    rows_h = dagger(graded)
+    blocks = graded.reshape(n, r, n, d, d)
+
+    def worst(x: np.ndarray) -> float:
+        return float(np.linalg.norm(_span_residual(x, graded, rows_h), axis=-1).max())
+
+    e = group.identity
+    unit = np.tile(np.eye(d, dtype=complex).ravel(), (1, n)) / np.sqrt(n * d)
+    result = float(np.linalg.norm(_span_residual(unit, graded[e], rows_h[e])))
+    # diagonal t of the adjoints: block (h, h t) is block (h t, h) of diagonal t^-1, conjugated
+    adjoints = dagger(blocks[group.inverse[:, None], :, table.T].swapaxes(1, 2))
+    result = max(result, worst(adjoints.reshape(n, r, w)))
+    # every pi(b) at once: one batched product over the diagonals
+    moved = np.einsum("bhts,gjhsc->gbjhtc", alphas, blocks, optimize=True)
+    result = max(result, worst(moved.reshape(n, -1, w)))
+    for s in group.generators():
+        # diagonal t = s g takes the rows of diagonal g = s^-1 t, blocks h s
+        moved = blocks[table[group.inverse[s]]][:, :, table[:, s]]
+        result = max(result, worst(moved.reshape(n, r, w)))
+    return result
+
+
 def _closure_defect(alg: OperatorAlgebra, alphas: np.ndarray, group: FiniteGroup) -> float:
     """Worst distance to the span S of a basis element's adjoint, of the
     identity over its norm, and of x a_j for each generator x and each
@@ -148,10 +222,30 @@ def _closure_defect(alg: OperatorAlgebra, alphas: np.ndarray, group: FiniteGroup
     generators, by induction on the word's length; a span spanned by such
     words is then the unital algebra they generate, closed under products,
     and the adjoint half makes it a *-algebra. So (k + |gens|) dim products
-    replace the dim^2 products of all basis pairs. No generator is formed:
-    on the row index (t, h) of H_S (x) l2(G), pi(b) acts on row block h as
-    alpha(h, b), and rho(s), which sends |h> to |h s^-1>, permutes the
-    blocks, h -> h s. Every projection onto S shares one adjoint of its rows.
+    replace the dim^2 products of all basis pairs.
+
+    M x| G is graded by G: each of its elements is sum_g pi(x_g) rho(g),
+    and each row ``build_crossed_product`` places lies on one g-diagonal.
+    When every row of S does, S is the direct sum of its diagonals and the
+    check runs diagonal by diagonal (``_graded_closure_defect``). The route
+    is read from the rows alone, so it needs no proof that S has the closed
+    form: a hand-built span, or a basis mixed across diagonals, takes
+    ``_dense_closure_defect`` over all D^2 coordinates, with the same
+    meaning.
+    """
+    graded = _graded_rows(alg.rows, alphas.shape[2], group)
+    if graded is None:
+        return _dense_closure_defect(alg, alphas, group)
+    return _graded_closure_defect(graded, alphas, group)
+
+
+def _dense_closure_defect(alg: OperatorAlgebra, alphas: np.ndarray, group: FiniteGroup) -> float:
+    """``_closure_defect`` over D^2 coordinates, for any orthonormal rows.
+
+    No generator is formed: on the row index (t, h) of H_S (x) l2(G), pi(b)
+    acts on row block h as alpha(h, b), and rho(s), which sends |h> to
+    |h s^-1>, permutes the blocks, h -> h s. Every projection onto S shares
+    one adjoint of its rows.
     """
     d = alg.ambient_dim
     rows = alg.rows
@@ -184,6 +278,11 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     and the blocks of V (U(g) (x) rho(g)) V^dag - 1 (x) rho(g) are
     U(h g^-1) U(g) U(h)^dag - 1, in column block h. The alpha(g, b) of M's
     basis are computed once, for the untwist and closure checks together.
+
+    The fixed points stay on the sketched average, although V = lambda is a
+    permutation: its orbit sum over index pairs gives
+    sum_h alpha_h(b) (x) |h><h g|, the formula ``build_crossed_product``
+    places, and ``span_defect`` would then compare that formula with itself.
     """
     action = cp.action
     rep = action.rep

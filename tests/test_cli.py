@@ -285,7 +285,8 @@ class TestScripts:
             # M_2 (x) 1 on C^4: two eigenspaces of size 2, p = 8 of n^2 = 16
             ("commutant:tensor:2", {"n_squared": 16, "gram_dim": 8, "clusters": 2}),
             ("fixed-points:M2-Z4-phase", {}),
-            ("closure:M2-Z4-phase", {}),
+            # D = 8: each product is projected in |G| d^2 = 16 of D^2 = 64 coordinates
+            ("closure:M2-Z4-phase", {"D": 8, "D_squared": 64, "width": 16, "route": "graded"}),
             # m = 16 > D = 8: the A cap A' route
             ("centre:M2-Z4-phase", {"D": 8, "dim": 16, "centre_dim": 4}),
             ("invariance:circle-5x12", {}),

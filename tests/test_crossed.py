@@ -213,6 +213,13 @@ def growth_cases():
     return cases
 
 
+def squares_off_the_identity(action: GroupAction) -> bool:
+    """Whether the first generator s of the action's group has s^2 != e."""
+    group = action.rep.group
+    s = group.generators()[0]
+    return group.table[s, s] != group.identity
+
+
 def hand_built_span(action: GroupAction, mats) -> CrossedProductAlgebra:
     """A candidate crossed product spanned by the given matrices."""
     return CrossedProductAlgebra(action, algebra_from_matrices(mats, mats[0].shape[0]))
@@ -408,29 +415,32 @@ class TestClosureAgainstAllPairs:
 
     def test_closure_projects_generator_products_only(self, monkeypatch):
         # M2 under Z10: dim M = 4, one generator of Z10, dim = 40; the
-        # all-pairs check would project dim^2 = 1600 products
+        # all-pairs check would project dim^2 = 1600 products. The closed
+        # form takes the graded route: each product is projected once, onto
+        # its own g-diagonal's rows, in |G| d^2 = 40 of the D^2 = 400
+        # coordinates
         (action,) = [a for name, a in growth_cases() if name == "M2-Z10-phase"]
         cp = build_crossed_product(action)
         dim, dim_m = cp.dim, action.algebra.dim
         n_gens = len(action.rep.group.generators())
         assert (dim, dim_m, n_gens) == (40, 4, 1)
-        projected = []
-        residual = qrflab.crossed._worst_residual
+        shapes = []
+        for name in ("_span_residual", "_worst_residual"):
+            def spy(x, rows, rows_h=None, kernel=getattr(qrflab.crossed, name)):
+                shapes.append(x.shape)
+                return kernel(x, rows, rows_h)
 
-        def count_rows(x, rows, rows_h=None):
-            projected.append(x.shape[0])
-            return residual(x, rows, rows_h)
-
-        monkeypatch.setattr(qrflab.crossed, "_worst_residual", count_rows)
+            monkeypatch.setattr(qrflab.crossed, name, spy)
         report = verify_commutation_theorem(cp)
         assert report.passed
-        assert sum(projected) <= (dim_m + n_gens + 1) * dim + dim
-        assert max(projected) <= dim
+        assert shapes and max(shape[-1] for shape in shapes) <= 40 < cp.ambient_dim**2
+        assert sum(int(np.prod(shape[:-1])) for shape in shapes) <= (dim_m + n_gens + 1) * dim + 1
 
     def test_closure_takes_one_adjoint_of_the_rows(self, monkeypatch):
-        # S3 group algebra: the identity, the adjoints, dim M = 6 alpha
-        # stacks and 2 generators are projected onto one span
-        (action,) = [a for name, a in growth_cases() if name == "S3-group-algebra"]
+        # M2 under Z10: the graded route shares one adjoint of its
+        # (|G|, dim M, |G| d^2) rows across every projection, and takes no
+        # adjoint of the D^2-wide rows
+        (action,) = [a for name, a in growth_cases() if name == "M2-Z10-phase"]
         cp = build_crossed_product(action)
         d = action.rep.dim
         alphas = qrflab.crossed._alphas(action.algebra.rows.reshape(-1, d, d), action.rep)
@@ -443,7 +453,97 @@ class TestClosureAgainstAllPairs:
             monkeypatch.setattr(module, "dagger", spy)
         defect = qrflab.crossed._closure_defect(cp.algebra, alphas, action.rep.group)
         assert defect <= 1e-12
-        assert shapes.count(cp.algebra.rows.shape) == 1
+        assert shapes.count((10, 4, 40)) == 1
+        assert cp.algebra.rows.shape not in shapes
+
+
+class TestGradedClosure:
+    """The graded closure route against the dense one, which projects over
+    all D^2 coordinates and stays as the oracle."""
+
+    CASES = TestClosureAgainstAllPairs.CASES
+
+    @staticmethod
+    def routes(monkeypatch, cp):
+        """The closure defect of ``cp`` and the routes it took."""
+        d = cp.action.rep.dim
+        alphas = qrflab.crossed._alphas(cp.action.algebra.rows.reshape(-1, d, d), cp.action.rep)
+        taken = []
+        with monkeypatch.context() as patch:
+            for route in ("graded", "dense"):
+                name = f"_{route}_closure_defect"
+
+                def spy(*args, kernel=getattr(qrflab.crossed, name), route=route):
+                    taken.append(route)
+                    return kernel(*args)
+
+                patch.setattr(qrflab.crossed, name, spy)
+            defect = qrflab.crossed._closure_defect(cp.algebra, alphas, cp.action.rep.group)
+        return defect, taken, alphas
+
+    @pytest.mark.parametrize("name,action", CASES, ids=[c[0] for c in CASES])
+    def test_graded_route_agrees_with_the_dense_route(self, name, action, monkeypatch):
+        cp = build_crossed_product(action)
+        defect, taken, alphas = self.routes(monkeypatch, cp)
+        assert taken == ["graded"]
+        dense = qrflab.crossed._dense_closure_defect(cp.algebra, alphas, action.rep.group)
+        assert defect <= 1e-12
+        assert abs(defect - dense) <= 1e-14
+
+    RICH = [(name, action) for name, action in CASES if action.algebra.dim > 1]
+
+    @pytest.mark.parametrize("name,action", RICH, ids=[c[0] for c in RICH])
+    def test_graded_route_agrees_on_a_span_that_differs_per_diagonal(
+        self, name, action, monkeypatch
+    ):
+        # a graded span that is not closed: on each g-diagonal, a different
+        # random half of the rows pi(b) rho(g), mixed within the diagonal,
+        # so a product projected onto the wrong diagonal reads differently
+        cp = build_crossed_product(action)
+        k, n = action.algebra.dim, action.rep.group.order
+        rows = cp.algebra.rows.reshape(k, n, -1)
+        rng = np.random.default_rng(20241020)
+        keep = (k + 1) // 2
+        mixed = np.vstack([random_unitary(rng, k)[:keep] @ rows[:, g] for g in range(n)])
+        span = CrossedProductAlgebra(action, OperatorAlgebra(cp.ambient_dim, mixed))
+        defect, taken, alphas = self.routes(monkeypatch, span)
+        assert taken == ["graded"]
+        dense = qrflab.crossed._dense_closure_defect(span.algebra, alphas, action.rep.group)
+        assert defect >= 0.1
+        assert abs(defect - dense) <= 1e-14
+
+    @pytest.mark.parametrize("name,action", CASES, ids=[c[0] for c in CASES])
+    def test_a_basis_mixed_across_diagonals_takes_the_dense_route(self, name, action, monkeypatch):
+        # the same span in a basis mixed by a unitary: no row lies on one
+        # g-diagonal, and the defect does not depend on the basis
+        alg = build_crossed_product(action).algebra
+        mix = random_unitary(np.random.default_rng(20241018), alg.dim)
+        mixed = CrossedProductAlgebra(action, OperatorAlgebra(alg.ambient_dim, mix @ alg.rows))
+        defect, taken, _ = self.routes(monkeypatch, mixed)
+        assert taken == ["dense"]
+        assert defect <= 1e-12
+
+    DROPPED = [(name, action) for name, action in CASES if squares_off_the_identity(action)]
+
+    @pytest.mark.parametrize("name,action", DROPPED, ids=[c[0] for c in DROPPED])
+    def test_graded_route_flags_a_span_without_a_diagonal(self, name, action, monkeypatch):
+        # negative control: the closed-form rows pi(b) rho(g) with those on
+        # the rho(s^2)-diagonal dropped; rho(s) carries the rho(s)-diagonal
+        # there, so the graded span is not closed
+        cp = build_crossed_product(action)
+        group = action.rep.group
+        s = group.generators()[0]
+        k, n = action.algebra.dim, group.order
+        keep = np.arange(k * n) % n != group.table[s, s]
+        unclosed = CrossedProductAlgebra(
+            action, OperatorAlgebra(cp.ambient_dim, cp.algebra.rows[keep])
+        )
+        defect, taken, alphas = self.routes(monkeypatch, unclosed)
+        assert taken == ["graded"]
+        assert defect >= 0.1
+        dense = qrflab.crossed._dense_closure_defect(unclosed.algebra, alphas, group)
+        assert abs(defect - dense) <= 1e-14
+        assert not verify_commutation_theorem(unclosed).passed
 
 
 class TestConjugationDefects:

@@ -305,6 +305,18 @@ class TestCommutantOnTheBlockDiagonalSubspace:
         with pytest.raises(ValueError, match="closed under adjoints"):
             commutant(alg)
 
+    def test_a_span_that_is_not_star_closed_at_d3_takes_the_whole_gram(self, monkeypatch):
+        # span{I, N} on C^3: at d <= 3 no draw is taken and the whole Gram
+        # operator is diagonalised, so the commutant is the polynomials in
+        # N, span{I, N, N^2}
+        nilpotent = np.diag(np.ones(2), k=1).astype(complex)
+        alg = algebra_from_matrices([np.eye(3), nilpotent], 3)
+        monkeypatch.setattr(qrflab.vnalg, "_generic_draws", None)
+        comm = commutant(alg)
+        powers = algebra_from_matrices([np.eye(3), nilpotent, nilpotent @ nilpotent], 3)
+        assert comm.dim == 3
+        assert span_distance(comm, powers) <= 1e-12
+
     def test_the_generic_element_is_the_first_hermitian_draw_of_decompose(self, monkeypatch):
         # commutant and decompose read one cached seeded draw: commutant's
         # h is decompose's first projected Hermitian draw
