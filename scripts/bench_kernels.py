@@ -15,7 +15,14 @@ Each case is named ``kernel:shape``:
 - ``fixed-points:<shape>`` times ``symmetry.tensor_fixed_point_rows``, the
   Ad(U (x) V) fixed points of M (x) B(H_V) for an Ad U-invariant span M of
   m operators, and reports m, d_u, d_v, the number of quadrature nodes and
-  the fixed-point rank r.
+  the fixed-point rank r. It also reports how the rows were read off
+  eigenspaces: ``components``, the isotypic components that hold fixed
+  points (the charges shared by H_V and M (x) H_V, for the circle),
+  ``max_d_pi``, the largest dimension of their irreps, and ``averaged``,
+  the components with d_pi > 1, whose rows are group averages (all three
+  null for a source tree without ``symmetry._fixed_points``). Its shapes are
+  the group shapes below and ``charge-sectors-<L>``, the circle shape of
+  ``decompose`` below, with M the full M_4.
 - ``closure:<shape>`` builds the crossed product M x| G of a group shape and
   times ``verify_commutation_theorem`` on it. It reports dim M, d, |G|, the
   ambient dimension D = d |G| and D^2, the crossed product's dim = dim M |G|,
@@ -86,6 +93,7 @@ DEFAULT_CASES = (
     + [f"commutant:full:{d}" for d in (8, 10, 12, 16)]
     + [f"fixed-points:{s}" for s in _CROSSED_SHAPES]
     + [f"fixed-points:{s}" for s in ("Z3-regular-x-3", "Z5-regular-x-5", "S3-regular-x-3")]
+    + [f"fixed-points:charge-sectors-{top}" for top in (8, 16)]
     + [f"closure:{s}" for s in _CROSSED_SHAPES]
     + ["centre:S3-group-algebra", "centre:M2-Z4-phase"]
     + [f"decompose:{s}" for s in ("S3-group-algebra", "charge-sectors-8", "charge-sectors-16")]
@@ -186,21 +194,28 @@ def circle_case(shape: str):
     return np.eye(d * d, dtype=complex), rep
 
 
-def charge_sector_case(top: int):
-    """The algebra of ``charge-sectors-<top>``: M_4 of two qubits and the
-    clock frame diag(0, ..., top), invariant under their joint number
-    operator on a circle of band ``top``."""
+def charge_sector_reps(top: int):
+    """(rows, u, v) of ``charge-sectors-<top>``: the full M_4 of two qubits
+    under their number operator, and the clock frame diag(0, ..., top), on
+    a circle of band ``top``."""
     import numpy as np
 
-    from qrflab.crossed import invariant_joint_algebra
-    from qrflab.relativise import GroupAction
     from qrflab.symmetry import CircleGroup, CircleRep
-    from qrflab.vnalg import OperatorAlgebra
 
     band = CircleGroup(top)
-    system = OperatorAlgebra(4, np.eye(16, dtype=complex))
-    action = GroupAction(system, CircleRep(band, np.diag([0.0, 1, 1, 2])))
-    return invariant_joint_algebra(action, CircleRep(band, np.diag(np.arange(top + 1.0))))
+    u = CircleRep(band, np.diag([0.0, 1, 1, 2]))
+    return np.eye(16, dtype=complex), u, CircleRep(band, np.diag(np.arange(top + 1.0)))
+
+
+def charge_sector_case(top: int):
+    """The algebra of ``charge-sectors-<top>``: M_4 of two qubits and the
+    clock frame, invariant under their joint number operator."""
+    from qrflab.crossed import invariant_joint_algebra
+    from qrflab.relativise import GroupAction
+    from qrflab.vnalg import OperatorAlgebra
+
+    rows, u, v = charge_sector_reps(top)
+    return invariant_joint_algebra(GroupAction(OperatorAlgebra(4, rows), u), v)
 
 
 def timed(call, repeats: int):
@@ -216,7 +231,7 @@ def timed(call, repeats: int):
 
 def run_case(case: str, repeats: int) -> dict:
     """The shape fields and median time of one ``kernel:shape`` case."""
-    from qrflab import crossed
+    from qrflab import crossed, symmetry
     from qrflab.crossed import build_crossed_product, verify_commutation_theorem
     from qrflab.relativise import GroupAction
     from qrflab.symmetry import tensor_fixed_point_rows
@@ -253,11 +268,20 @@ def run_case(case: str, repeats: int) -> dict:
         return {"m": alg.dim, "D": alg.ambient_dim, "blocks": len(structure.blocks), "median_ms": ms}
     if kernel not in ("fixed-points", "closure", "centre"):
         raise ValueError(f"unknown kernel in case {case!r}")
-    rows, u, v = group_case(shape)
+    if m := re.fullmatch(r"charge-sectors-(\d+)", shape):
+        rows, u, v = charge_sector_reps(int(m[1]))
+    else:
+        rows, u, v = group_case(shape)
     if kernel == "fixed-points":
         fixed, ms = timed(lambda: tensor_fixed_point_rows(rows, u, v), repeats)
+        labelled = getattr(symmetry, "_fixed_points", None)
+        dims = labelled(rows, u, v)[1] if labelled else None
         return {"m": rows.shape[0], "d_u": u.dim, "d_v": v.dim,
-                "nodes": int(u.group.quadrature_nodes().size), "r": fixed.shape[0], "median_ms": ms}
+                "nodes": int(u.group.quadrature_nodes().size), "r": fixed.shape[0],
+                "components": len(dims) if dims is not None else None,
+                "max_d_pi": max(dims, default=0) if dims is not None else None,
+                "averaged": sum(d > 1 for d in dims) if dims is not None else None,
+                "median_ms": ms}
     action = GroupAction(OperatorAlgebra(u.dim, rows), u)
     if kernel == "centre":
         cp = build_crossed_product(action)

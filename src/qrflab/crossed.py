@@ -96,10 +96,14 @@ def build_crossed_product(action: GroupAction) -> CrossedProductAlgebra:
 def invariant_joint_algebra(action: GroupAction, frame_rep: Rep) -> OperatorAlgebra:
     """Fixed points of Ad(U_S (x) U_R) inside M_S (x) B(H_R).
 
-    Taken by ``tensor_fixed_point_rows`` from M_S's own basis, for finite
-    and band-limited circle representations alike; no superoperator on the
-    joint operator space is built. The result stays inside M_S (x) B(H_R)
-    because the action keeps M_S invariant to ``relativise._INVARIANCE_TOL``.
+    Taken by ``tensor_fixed_point_rows`` from M_S's own basis: for a
+    band-limited circle, M_S's charge-delta Fourier modes times the frame's
+    matrix units e_k e_l^dag with n_l - n_k = delta; for a finite group,
+    from the isotypic components on H_R and on M_S (x) H_R of a seeded
+    class sum, split where needed by a seeded generic element. No
+    superoperator on the joint operator space and no SVD is formed. The
+    result stays inside M_S (x) B(H_R) because the action keeps M_S
+    invariant to ``relativise._INVARIANCE_TOL``.
     """
     if action.rep.group != frame_rep.group:
         raise ValueError("system and frame must share one symmetry group")
@@ -279,10 +283,13 @@ def verify_commutation_theorem(cp: CrossedProductAlgebra) -> CommutationReport:
     U(h g^-1) U(g) U(h)^dag - 1, in column block h. The alpha(g, b) of M's
     basis are computed once, for the untwist and closure checks together.
 
-    The fixed points stay on the sketched average, although V = lambda is a
-    permutation: its orbit sum over index pairs gives
-    sum_h alpha_h(b) (x) |h><h g|, the formula ``build_crossed_product``
-    places, and ``span_defect`` would then compare that formula with itself.
+    The two sides of ``span_defect`` are computed independently: the fixed
+    points are read off eigenspaces of group-algebra elements on H_S and on
+    M (x) l2(G), and averaged by Schur orthogonality where an irrep has
+    dimension > 1, never from ``build_crossed_product``'s formula. For
+    V = lambda the orbit sum over index pairs would give
+    sum_h alpha_h(b) (x) |h><h g|, that formula, and ``span_defect`` would
+    then compare it with itself.
     """
     action = cp.action
     rep = action.rep

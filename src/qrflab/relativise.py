@@ -20,7 +20,7 @@ from .opcore import (
     dagger,
     op_norm,
 )
-from .symmetry import CircleRep, FiniteRep, HomogeneousSpace, Rep
+from .symmetry import CircleRep, FiniteRep, HomogeneousSpace, Rep, _charge_modes
 from .vnalg import OperatorAlgebra, _span_residual, _worst_residual
 
 # How far an algebra or an observable may move under the group and stay invariant.
@@ -202,14 +202,6 @@ def _charge_pinching(x: np.ndarray, rep: CircleRep, frame: QuantumReferenceFrame
     joint = np.take(modes, flat + a[:, None])
     joint *= c[:, None, :]
     return joint
-
-
-def _charge_modes(x: np.ndarray, rep: CircleRep, deltas: np.ndarray) -> np.ndarray:
-    """The Fourier modes x^(delta) = V (x~ * [q_a - q_b = delta]) V^dag of x
-    under ``rep``, one per entry of ``deltas``, stacked on axis 0."""
-    v, q = rep.vecs, rep.freqs
-    mask = (q[:, None] - q[None, :]) == deltas[:, None, None]
-    return v @ ((dagger(v) @ x @ v) * mask) @ dagger(v)
 
 
 def _phase_density(frame: QuantumReferenceFrame) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Reference span kernels for the tests: a sequential Gram-Schmidt
 extension, closure by alternating adjoints and all pairwise products, span
-intersection from the null space of the stacked rows, and the centre from
-the commutators of the basis. Each cuts with its own fixed tolerance and
-shares no code with ``qrflab.vnalg``."""
+intersection from the null space of the stacked rows, the centre from the
+commutators of the basis, and tensor fixed points from a seeded Gaussian
+sketch of the group average. Each cuts with its own fixed tolerance and
+shares no code with ``qrflab.vnalg`` or ``qrflab.symmetry``'s kernel."""
 
 import numpy as np
 
@@ -86,3 +87,53 @@ def commutator_centre_rows(rows: np.ndarray, d: int, tol: float = 1.0e-9) -> np.
         comm = (stack @ a - a @ stack).reshape(m, -1)
         gram += comm.conj() @ comm.T
     return null_space((gram + gram.conj().T) / 2.0, tol) @ rows
+
+
+# The sketch's samples beyond the rank, its seed, and the singular-value gap
+# that certifies the rank.
+SKETCH_OVERSAMPLE = 10
+SKETCH_SEED = 7
+SKETCH_GAP = 1.0e-6
+
+
+def sketch_fixed_point_rows(rows: np.ndarray, u, v) -> np.ndarray:
+    """Orthonormal rows spanning the Ad(U (x) V) fixed points of M (x) B(H_V)
+    for the Ad U-invariant span M of ``rows``, from a seeded Gaussian range
+    sketch of the group average (Halko, Martinsson & Tropp, SIAM Rev. 53
+    (2011) 217) and a thin SVD.
+
+    C_g[k, i] = <a_k, U(g) a_i U(g)^dag> is Ad U(g) on M's basis; the rank
+    r = (1 / |nodes|) sum_g tr(C_g) |tr V(g)|^2 of the average is rounded
+    from the character formula; r + SKETCH_OVERSAMPLE random coordinate
+    stacks y are averaged as sum_g C_g . (V(g) y V(g)^dag), and the top r
+    right singular vectors, certified by the gap SKETCH_GAP on both sides
+    of the cut, are the coordinates of the fixed points in the tensor basis
+    a_i (x) E_kl. Reads the representations only through
+    ``unitary_stack`` at the group's quadrature nodes.
+    """
+    d_u, d_v = u.dim, v.dim
+    a = rows.reshape(-1, d_u, d_u)
+    m = a.shape[0]
+    nodes = u.group.quadrature_nodes()
+    us, vs = u.unitary_stack(nodes), v.unitary_stack(nodes)
+    moved = (us[:, None] @ a[None] @ us.conj().transpose(0, 2, 1)[:, None]).reshape(nodes.size, m, -1)
+    cs = np.einsum("kx,gix->gki", a.reshape(m, -1).conj(), moved)
+    trace = np.trace(cs, axis1=1, axis2=2) @ np.abs(np.trace(vs, axis1=1, axis2=2)) ** 2
+    r = int(round((trace / nodes.size).real))
+    s = r + SKETCH_OVERSAMPLE
+    rng = np.random.default_rng(SKETCH_SEED)
+    y = rng.standard_normal((s, m, d_v, d_v)) + 1j * rng.standard_normal((s, m, d_v, d_v))
+    # Held as (k, i, sample, l) for y[sample, i, k, l]: left and right
+    # multiplication on H_V are then each one GEMM over the whole sketch.
+    y = np.ascontiguousarray(y.transpose(2, 1, 0, 3))
+    acc = np.zeros_like(y)
+    for c, vg in zip(cs, vs):
+        left = (vg @ y.reshape(d_v, -1)).reshape(d_v, m, s * d_v)
+        acc += ((c @ left).reshape(-1, d_v) @ vg.conj().T).reshape(acc.shape)
+    acc = acc.transpose(2, 1, 0, 3)
+    _, sv, vh = np.linalg.svd(acc.reshape(s, -1), full_matrices=False)
+    sv = np.append(sv, 0.0)
+    if r and (sv[r - 1] < SKETCH_GAP * sv[0] or sv[r] > SKETCH_GAP * sv[r - 1]):
+        raise ValueError(f"sketch rank {r} is not certified")
+    fixed = vh[:r].reshape(r, m, d_v, d_v)
+    return np.einsum("rmkl,mij->rikjl", fixed, a).reshape(r, (d_u * d_v) ** 2)

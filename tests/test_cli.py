@@ -285,6 +285,9 @@ class TestScripts:
             # M_2 (x) 1 on C^4: two eigenspaces of size 2, p = 8 of n^2 = 16
             ("commutant:tensor:2", {"n_squared": 16, "gram_dim": 8, "clusters": 2}),
             ("fixed-points:M2-Z4-phase", {}),
+            # C^4 (x) C^9: the 9 clock charges are shared, each a 1-dim irrep
+            ("fixed-points:charge-sectors-8",
+             {"m": 16, "d_v": 9, "r": 132, "components": 9, "max_d_pi": 1, "averaged": 0}),
             # D = 8: each product is projected in |G| d^2 = 16 of D^2 = 64 coordinates
             ("closure:M2-Z4-phase", {"D": 8, "D_squared": 64, "width": 16, "route": "graded"}),
             # m = 16 > D = 8: the A cap A' route
@@ -293,7 +296,8 @@ class TestScripts:
             # C^36 = 4 x 9: the charge blocks M_1, M_3, M_4 (7 times), M_3, M_1
             ("decompose:charge-sectors-8", {"m": 132, "D": 36, "blocks": 11}),
         ],
-        ids=["commutant", "fixed-points", "closure", "centre", "invariance", "decompose"],
+        ids=["commutant", "fixed-points", "fixed-points-charge-sectors", "closure", "centre",
+             "invariance", "decompose"],
     )
     def test_bench_kernels_prints_one_json_document(self, case, shape):
         proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",

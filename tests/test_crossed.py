@@ -22,6 +22,7 @@ from qrflab.symmetry import (
     dihedral_group,
     regular_representation,
     symmetric_group,
+    tensor_fixed_point_rows,
     tensor_rep,
 )
 from qrflab.vnalg import (
@@ -33,8 +34,8 @@ from qrflab.vnalg import (
 )
 
 from _factories import SIGMA_X, SIGMA_Z, random_unitary
-from _span_oracles import null_space_intersection
-from test_symmetry import dihedral_irrep, superoperator_fixed_rows
+from _span_oracles import null_space_intersection, sketch_fixed_point_rows
+from test_symmetry import coordinate_fixed_rows, dihedral_irrep, superoperator_fixed_rows
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -211,6 +212,17 @@ def growth_cases():
     rep = FiniteRep(lam.group, [w @ u @ dagger(w) for u in lam.unitaries])
     cases.append(("S3-group-algebra", GroupAction(algebra_from_matrices(rep.unitaries, 6), rep)))
     return cases
+
+
+def kernel_fixture_cases():
+    """Every crossed fixture with the frame rep ``tensor_fixed_point_rows``
+    meets in the checks: the regular rep for ``fixtures()`` and
+    ``growth_cases()``, and the two cases with their own frames."""
+    cases = [(name, action, regular_representation(action.rep.group))
+             for name, action, _ in fixtures()]
+    cases += [(name, action, regular_representation(action.rep.group))
+              for name, action in growth_cases()]
+    return cases + [circle_joint_case(), mixed_basis_case()]
 
 
 def squares_off_the_identity(action: GroupAction) -> bool:
@@ -400,6 +412,19 @@ class TestCommutationTheorem:
         action = GroupAction(full_algebra(2), rep)
         with pytest.raises(ValueError, match="handled analytically"):
             build_crossed_product(action)
+
+
+class TestFixedPointKernelOnFixtures:
+    @pytest.mark.parametrize("name,action,frame_rep", kernel_fixture_cases(),
+                             ids=[c[0] for c in kernel_fixture_cases()])
+    def test_matches_the_sketch_and_coordinate_oracles(self, name, action, frame_rep):
+        rows = action.algebra.rows
+        got = tensor_fixed_point_rows(rows, action.rep, frame_rep)
+        sketch = sketch_fixed_point_rows(rows, action.rep, frame_rep)
+        oracle = coordinate_fixed_rows(rows, action.rep, frame_rep)
+        assert got.shape == sketch.shape == oracle.shape
+        assert span_distance(got, sketch) <= 1e-12
+        assert span_distance(got, oracle) <= 1e-12
 
 
 class TestClosureAgainstAllPairs:

@@ -40,7 +40,7 @@ from qrflab.opcore import DEFAULT_TOL, rel_err
 
 import _frame_oracles as frame_oracle
 from _factories import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian, random_unitary
-from _span_oracles import gram_schmidt_rows, null_space_intersection
+from _span_oracles import gram_schmidt_rows, null_space_intersection, sketch_fixed_point_rows
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -57,6 +57,44 @@ def superoperator_fixed_rows(u) -> np.ndarray:
     """Oracle for the fixed points of Ad U: the averaging superoperator is
     idempotent, so Gram-Schmidt over its columns spans its range."""
     return gram_schmidt_rows(superoperator_projector(u).T)
+
+
+def coordinate_fixed_rows(rows: np.ndarray, u, v) -> np.ndarray:
+    """Oracle for the Ad(U (x) V) fixed points of M (x) B(H_V): Gram-Schmidt
+    over the columns of the averaging superoperator of C_g (x) V(g) (x) conj(V(g))
+    on M's coordinates y_i in B(H_V), with C_g[k, i] = <a_k, U(g) a_i U(g)^dag>
+    taken one entry at a time; each fixed coordinate vector is lifted to
+    sum_i a_i (x) y_i."""
+    d_u, d_v = u.dim, v.dim
+    a = rows.reshape(-1, d_u, d_u)
+    nodes = u.group.quadrature_nodes()
+    avg = 0.0
+    for ug, vg in zip(u.unitary_stack(nodes), v.unitary_stack(nodes)):
+        c = np.array([[np.vdot(ak, ug @ ai @ ug.conj().T) for ai in a] for ak in a])
+        avg = avg + np.kron(c, np.kron(vg, vg.conj()))
+    coords = gram_schmidt_rows((avg / nodes.size).T).reshape(-1, len(a), d_v, d_v)
+    lifted = [sum(np.kron(ai, y) for ai, y in zip(a, x)).ravel() for x in coords]
+    return np.array(lifted).reshape(-1, (d_u * d_v) ** 2)
+
+
+def charge_sector_reps(top: int) -> tuple[CircleRep, CircleRep]:
+    """Two qubits under their number operator diag(0, 1, 1, 2), and the
+    clock frame diag(0, ..., top), on a circle of band ``top``: with the
+    full M_4 their invariant algebra is the charge blocks M_1, M_3,
+    M_4 (top - 1 times), M_3, M_1, of dim 20 + 16 (top - 1)."""
+    band = CircleGroup(top)
+    return CircleRep(band, np.diag([0.0, 1, 1, 2])), CircleRep(band, np.diag(np.arange(top + 1.0)))
+
+
+def mixed_within_degenerate_eigenspaces(vals: np.ndarray, vecs: np.ndarray, rng) -> np.ndarray:
+    """``vecs`` with the columns of each run of equal ``vals`` (within 1e-9
+    of the largest |value|) mixed by a random unitary."""
+    vecs = vecs.copy()
+    cut = 1e-9 * max(1.0, float(np.abs(vals).max()))
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(vals) > cut, [True]]))
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        vecs[:, lo:hi] = vecs[:, lo:hi] @ random_unitary(rng, hi - lo)
+    return vecs
 
 
 def loop_regular(group) -> list[np.ndarray]:
@@ -265,6 +303,34 @@ class TestFiniteGroups:
         # greedy: each generator lies outside the subgroup of those before it
         for k, g in enumerate(gens):
             assert g not in cayley_reach(group, gens[:k])
+
+    def test_generators_are_computed_once(self, monkeypatch):
+        group = symmetric_group(4)
+        first = group.generators()
+        first.append(99)
+        monkeypatch.setattr(FiniteGroup, "_greedy_generators", lambda self: pytest.fail("recomputed"))
+        # a caller's list is its own: appending to it leaves the group's set
+        assert group.generators() == first[:-1]
+
+    @pytest.mark.parametrize("group,classes", [
+        (cyclic_group(1), 1),
+        (cyclic_group(6), 6),
+        (symmetric_group(3), 3),
+        (symmetric_group(4), 5),
+        (dihedral_group(4), 5),
+        (dihedral_group(5), 4),
+    ], ids=["Z1", "Z6", "S3", "S4", "D4", "D5"])
+    def test_class_labels_are_the_conjugacy_classes(self, group, classes):
+        labels = group.class_labels
+        t, inv = group.table, group.inverse
+        for g in range(group.order):
+            conjugates = {int(t[t[h, g], inv[h]]) for h in range(group.order)}
+            assert conjugates == set(np.flatnonzero(labels == labels[g]).tolist())
+        assert sorted(set(labels.tolist())) == list(range(classes))
+        # labelled in the order of each class's smallest element
+        firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(classes)]
+        assert firsts == sorted(firsts)
+        assert labels is group.class_labels
 
     def test_cyclic_groups_have_one_generator(self):
         for n in (2, 3, 5, 12):
@@ -566,6 +632,90 @@ class TestFixedPointKernel:
         )
         assert got.shape[0] == oracle.shape[0] > 0
         assert span_distance(got, oracle) <= 1e-10
+
+    @pytest.mark.parametrize("name,rep", kernel_cases(), ids=[c[0] for c in kernel_cases()])
+    def test_matches_the_sketch_and_superoperator_oracles(self, name, rep):
+        got = fixed_point_rows(rep)
+        sketch = sketch_fixed_point_rows(np.ones((1, 1), dtype=complex), trivial_rep(rep.group, 1), rep)
+        oracle = superoperator_fixed_rows(rep)
+        assert got.shape == sketch.shape == oracle.shape
+        assert span_distance(got, sketch) <= 1e-12
+        assert span_distance(got, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("top", [4, 8, 16])
+    def test_charge_sectors_match_the_sketch_oracle(self, top):
+        u, v = charge_sector_reps(top)
+        rows = np.eye(16, dtype=complex)
+        got = tensor_fixed_point_rows(rows, u, v)
+        oracle = sketch_fixed_point_rows(rows, u, v)
+        assert got.shape == oracle.shape == (20 + 16 * (top - 1), (4 * (top + 1)) ** 2)
+        assert span_distance(got, oracle) <= 1e-12
+
+    def test_memory_peak_of_the_charge_sector_build_at_l16(self):
+        # the whole build: the kernel's rows and the orthonormality check of
+        # the algebra that carries them
+        from qrflab.crossed import invariant_joint_algebra
+
+        u, v = charge_sector_reps(16)
+        action = GroupAction(OperatorAlgebra(4, np.eye(16, dtype=complex)), u)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            alg = invariant_joint_algebra(action, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alg.dim == 260
+        assert peak < 2.5 * alg.rows.nbytes
+
+    def test_a_mix_inside_a_degenerate_charge_leaves_the_span(self):
+        # N_S = diag(0, 1, 1, 2) and a frame with charge 1 twice: the
+        # eigenvectors of each generator mixed inside the charge-1 eigenspace
+        band = CircleGroup(4)
+        u = CircleRep(band, np.diag([0.0, 1, 1, 2]))
+        v = CircleRep(band, np.diag([0.0, 1, 1, 2, 4]))
+        rows = np.eye(16, dtype=complex)
+        want = tensor_fixed_point_rows(rows, u, v)
+        rng = np.random.default_rng(27)
+        for rep in (u, v):
+            rep.vecs = mixed_within_degenerate_eigenspaces(rep.freqs, rep.vecs, rng)
+        got = tensor_fixed_point_rows(rows, u, v)
+        assert got.shape == want.shape
+        assert span_distance(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["Z3-regular-x-3", "Z5-regular-x-5", "S3-regular-x-3"])
+    def test_a_mix_inside_a_degenerate_eigenspace_leaves_the_span(self, name, monkeypatch):
+        # every eigenbasis the kernel reads, of the class sum and of the
+        # generic element, mixed inside each degenerate eigenspace
+        rep = dict(kernel_cases())[name]
+        want = fixed_point_rows(rep)
+        rng = np.random.default_rng(27)
+        eigh = np.linalg.eigh
+
+        def mixed_eigh(x):
+            vals, vecs = eigh(x)
+            return vals, mixed_within_degenerate_eigenspaces(vals, vecs, rng)
+
+        monkeypatch.setattr(np.linalg, "eigh", mixed_eigh)
+        got = fixed_point_rows(rep)
+        assert got.shape == want.shape
+        assert span_distance(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["Z3-regular-x-3", "S3-regular-x-3"])
+    def test_a_merged_draw_is_retried_then_refused(self, name, monkeypatch):
+        # all-ones coefficients make both elements a multiple of sum_g g,
+        # which merges every nontrivial isotypic component into one label
+        rep = dict(kernel_cases())[name]
+        want = fixed_point_rows(rep)
+        real = symmetry._label_draws(rep.group.order)
+        merged = np.ones_like(real)
+        monkeypatch.setattr(symmetry, "_label_draws", lambda order: merged)
+        with pytest.raises(ValueError, match="not certified"):
+            fixed_point_rows(rep)
+        monkeypatch.setattr(symmetry, "_label_draws", lambda order: np.concatenate([merged[:1], real]))
+        got = fixed_point_rows(rep)
+        assert got.shape == want.shape
+        assert span_distance(got, want) <= 1e-12
 
     def test_never_calls_kron(self, monkeypatch):
         calls = []
