@@ -51,6 +51,21 @@ Each case is named ``kernel:shape``:
   ``circle-<d>x<d_r>`` (the full M_d under a circle rep of band d_r - 1,
   with 4 d_r - 3 nodes) and the group shapes below.
 
+- ``modular:gibbs-d<d>`` builds the modular data of a doubled Gibbs state
+  at beta = 1, of a seeded H with spectrum in [0, 2) on C^d, as
+  thermal-frames draws it, and times three checks: ``flow_ms``, the median
+  of ``ModularData.flow_defect``; ``conjugation_ms``, of
+  ``conjugation_defect``; ``kms_ms``, of ``kms_check`` on three seeded pairs
+  over the default grid; ``median_ms`` is the median of the three in a row.
+  It reports the ambient dimension D = d^2, the algebra's dim m = d^2, and
+  the number of flow probe times and KMS grid times.
+- ``relativise:circle-<d>x<d_r>`` times ``expected_relative_outcome`` of a
+  seeded Hermitian x in the full M_d, under the circle rep of
+  ``invariance:circle-<d>x<d_r>``, through a d_r-level phase frame with
+  frequencies 0, ..., d_r - 1 and a seeded c on a seeded four-arc
+  partition, in seeded states, as thermal-frames draws it. It reports d,
+  d_r and the number of quadrature nodes 4B + 1 of its weighted route.
+
 The group shapes are the qrfbench call shapes, each rep conjugated by a
 seeded unitary:
 
@@ -68,6 +83,7 @@ unless the caller's environment already sets ``OPENBLAS_NUM_THREADS``.
     python scripts/bench_kernels.py --repeats 5
     python scripts/bench_kernels.py --src path/to/other/src --cases commutant:full:8 closure:M2-Z10-phase
     python scripts/bench_kernels.py --cases invariance:circle-10x24 invariance:S3-group-algebra
+    python scripts/bench_kernels.py --cases modular:gibbs-d5 relativise:circle-10x24
 """
 
 from __future__ import annotations
@@ -99,6 +115,8 @@ DEFAULT_CASES = (
     + [f"decompose:{s}" for s in ("S3-group-algebra", "charge-sectors-8", "charge-sectors-16")]
     + [f"invariance:circle-{d}x{d_r}" for d, d_r in ((5, 12), (9, 24), (10, 24))]
     + ["invariance:M2-Z10-phase", "invariance:S3-group-algebra"]
+    + [f"modular:gibbs-d{d}" for d in (2, 3, 4, 5)]
+    + [f"relativise:circle-{d}x{d_r}" for d, d_r in ((5, 12), (9, 24), (10, 24))]
 )
 
 
@@ -194,6 +212,81 @@ def circle_case(shape: str):
     return np.eye(d * d, dtype=complex), rep
 
 
+def random_hermitian(rng, d: int):
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (x + x.conj().T) / 2.0
+
+
+def random_density(rng, d: int):
+    """A seeded full-rank density matrix on C^d."""
+    import numpy as np
+
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = x @ x.conj().T + 1e-3 * np.eye(d)
+    return rho / np.trace(rho).real
+
+
+def modular_case(shape: str, repeats: int) -> dict:
+    """The shape fields and medians of ``modular:gibbs-d<d>``."""
+    import numpy as np
+
+    from qrflab.modular import (
+        FLOW_PROBE_TIMES,
+        KMS_TIME_GRID,
+        gibbs_state,
+        gns_doubling,
+        kms_check,
+        modular_data,
+    )
+
+    m = re.fullmatch(r"gibbs-d(\d+)", shape)
+    if not m:
+        raise ValueError(f"unknown modular shape {shape!r}")
+    d = int(m[1])
+    rng = np.random.default_rng(0)
+    w = random_unitary(rng, d)
+    h = (w * rng.uniform(0.0, 2.0, d)) @ w.conj().T
+    h = (h + h.conj().T) / 2.0
+    rho = gibbs_state(h, 1.0)
+    pairs = [(random_hermitian(rng, d) + 1j * random_hermitian(rng, d), random_hermitian(rng, d))
+             for _ in range(3)]
+    md = modular_data(*gns_doubling(rho))
+    _, flow_ms = timed(md.flow_defect, repeats)
+    _, conjugation_ms = timed(md.conjugation_defect, repeats)
+    _, kms_ms = timed(lambda: kms_check(rho, h, 1.0, pairs), repeats)
+    _, ms = timed(
+        lambda: (md.flow_defect(), md.conjugation_defect(), kms_check(rho, h, 1.0, pairs)), repeats)
+    return {"D": md.algebra.ambient_dim, "m": md.algebra.dim, "probe_times": len(FLOW_PROBE_TIMES),
+            "grid_times": len(KMS_TIME_GRID), "flow_ms": flow_ms,
+            "conjugation_ms": conjugation_ms, "kms_ms": kms_ms, "median_ms": ms}
+
+
+def relativise_case(shape: str, repeats: int) -> dict:
+    """The shape fields and median of ``relativise:circle-<d>x<d_r>``."""
+    import numpy as np
+
+    from qrflab.frames import CirclePartition, QuantumReferenceFrame, phase_povm
+    from qrflab.relativise import GroupAction, expected_relative_outcome
+    from qrflab.symmetry import CircleRep
+    from qrflab.vnalg import OperatorAlgebra
+
+    rows, rep = circle_case(shape)
+    d, d_r = rep.dim, rep.group.bandwidth + 1
+    rng = np.random.default_rng(1)
+    vecs = rng.standard_normal((d_r, d_r)) + 1j * rng.standard_normal((d_r, d_r))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    bounds = tuple(np.sort(rng.uniform(0.0, 2.0 * np.pi, 4)))
+    frame = QuantumReferenceFrame(
+        CircleRep(rep.group, np.diag(np.arange(d_r)).astype(complex)),
+        phase_povm(d_r, vecs.conj().T @ vecs, CirclePartition(bounds)),
+    )
+    action = GroupAction(OperatorAlgebra(d, rows), rep)
+    x = random_hermitian(rng, d)
+    omega_s, omega_r = random_density(rng, d), random_density(rng, d_r)
+    _, ms = timed(lambda: expected_relative_outcome(x, action, frame, omega_s, omega_r), repeats)
+    return {"d": d, "d_r": d_r, "nodes": int(rep.group.quadrature_nodes().size), "median_ms": ms}
+
+
 def charge_sector_reps(top: int):
     """(rows, u, v) of ``charge-sectors-<top>``: the full M_4 of two qubits
     under their number operator, and the clock frame diag(0, ..., top), on
@@ -239,6 +332,10 @@ def run_case(case: str, repeats: int) -> dict:
     from qrflab.vnalg import OperatorAlgebra, centre, commutant, decompose
 
     kernel, _, shape = case.partition(":")
+    if kernel == "modular":
+        return modular_case(shape, repeats)
+    if kernel == "relativise":
+        return relativise_case(shape, repeats)
     if kernel == "commutant":
         n_squared, expected_dim, alg = commutant_case(shape)
         comm, ms = timed(lambda: commutant(alg), repeats)

@@ -488,7 +488,7 @@ def _op_modular_data(ctx, args, path, tol):
     rho = _build_state(ctx, _require(args, "state", path), f"{path}.state")
     alg, omega = gns_doubling(rho)
     md = modular_data(alg, omega)
-    spectrum = sorted(float(v) for v in np.linalg.eigvalsh(md.delta))
+    spectrum = [float(v) for v in md.delta_eig[0]]
     flow = md.flow_defect()
     conj = md.conjugation_defect()
     vec = md.vector_invariance_defect()

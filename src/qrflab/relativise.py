@@ -118,26 +118,13 @@ def _is_stabiliser_invariant(
 def _orbit_and_effects(
     x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The orbit X_k = U_S(g_k) x U_S(g_k)^dag at the frame's group points,
-    stacked with the effect E_k that each point carries.
-
-    A finite frame pairs cell s with its coset representative g_s and its
-    effect E_s. A phase frame pairs each of the 4B + 1 quadrature nodes theta
-    of its group with U_R(theta) c U_R(theta)^dag / (4B + 1), which for the
-    diagonal frame generator n is c * e^{i theta (n_k - n_l)} / (4B + 1).
-    """
-    if isinstance(frame.rep, FiniteRep):
-        cells: HomogeneousSpace = frame.povm.space
-        points = np.array(cells.representatives)
-        effects = frame.povm.effects
-    else:
-        c, n = _phase_density(frame)
-        points = frame.rep.group.quadrature_nodes()
-        phases = np.exp(1j * np.multiply.outer(points, n))
-        effects = phases[:, :, None] * (c / points.size)
-        effects *= phases.conj()[:, None, :]
-    us = action.rep.unitary_stack(points)
-    return us @ x @ dagger(us), effects
+    """The orbit X_s = U_S(g_s) x U_S(g_s)^dag over the cells s of a finite
+    frame, stacked with the effects E_s: g_s is the coset representative of
+    cell s. Circle frames take no orbit stack (``relativize``,
+    ``_circle_node_weights``)."""
+    cells: HomogeneousSpace = frame.povm.space
+    us = action.rep.unitary_stack(np.array(cells.representatives))
+    return us @ x @ dagger(us), frame.povm.effects
 
 
 def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:
@@ -150,16 +137,16 @@ def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame)
 
     A circle frame gives the circle integral of U_S x U_S^dag (x) U_R c U_R^dag.
     ``_require_same_group`` makes both reps share the band limit B, so the
-    integrand has frequencies of at most 4B and its 4B + 1 node sum, which
-    ``expected_relative_outcome`` takes, is exact. ``relativize`` takes the
-    same integral as the charge pinching of ``_charge_pinching`` instead:
-    it keeps the entries whose frequencies cancel, read off the two
-    spectra, with no node stack. This second circle path is kept beside the
-    node sum because it is exact by construction rather than by a
-    quadrature rule, costs one d_S^3 rotation per frequency difference
-    rather than 4B + 1 orbit and effect products, and is the charge-sector
-    structure of the invariant algebra; it also makes the two routes of
-    ``expected_relative_outcome`` independent.
+    integrand has frequencies of at most 4B and its 4B + 1 node sum is
+    exact. ``relativize`` takes the integral as the charge pinching of
+    ``_charge_pinching`` instead: it keeps the entries whose frequencies
+    cancel, read off the two spectra, with no node stack. The pinching is
+    exact by construction rather than by a quadrature rule, costs one d_S^3
+    rotation per frequency difference, and is the charge-sector structure
+    of the invariant algebra. The node sum survives in
+    ``expected_relative_outcome``, whose weighted route takes it in phases
+    in the two generators' eigenbases (``_circle_node_weights``) and shares
+    nothing with the pinching, so the two routes there stay independent.
     """
     x = as_operator(x)
     _require_same_group(action, frame)
@@ -238,34 +225,75 @@ def expected_relative_outcome(
 ) -> complex:
     """Expectation of the relativised observable in a product state.
 
-    Evaluated twice: directly on the joint space, and as the orbit
+    Evaluated twice: directly on the joint space, contracting the joint
+    operator with omega_R and then with omega_S, and as the orbit
     expectation weighted by the frame's outcome distribution,
     sum_k tr(omega_S X_k) tr(omega_R E_k), which never forms the joint
     operator. The two routes must agree, or a ``RuntimeError`` is raised.
+
     For a circle frame they are independent: the joint operator is the
-    charge pinching of ``relativize``, the weighted sum runs over the 4B + 1
-    quadrature nodes of ``_orbit_and_effects``, and the residual guards
-    both. For a finite frame both take the orbit X_k and the effects E_k
-    from ``_orbit_and_effects``, so the residual guards the contraction and
-    reshape in ``relativize`` but not the orbit and effects themselves;
-    those are checked against an independent Kronecker-sum oracle by
+    charge pinching of ``relativize``, and the weighted sum runs over the
+    4B + 1 quadrature nodes theta_k of ``_circle_node_weights``, taken in
+    phases in the two generators' eigenbases with no unitary, orbit or
+    effect stack; the residual guards both. For a finite frame both take
+    the orbit X_k and the effects E_k from ``_orbit_and_effects``, so the
+    residual guards the contraction and reshape in ``relativize`` but not
+    the orbit and effects themselves; those are checked against an
+    independent Kronecker-sum oracle by
     ``tests/test_relativise.py::TestOneQuadraturePath``.
     """
     omega_s = check_density(omega_s)
     omega_r = check_density(omega_r)
     d_s, d_r = action.rep.dim, frame.rep.dim
     joint = relativize(x, action, frame).reshape(d_s, d_r, d_s, d_r)
-    direct = complex(np.einsum("injm,ji,mn->", joint, omega_s, omega_r))
-    orbit, effects = _orbit_and_effects(x, action, frame)
-    weighted = complex(
-        np.einsum("kij,ji->k", orbit, omega_s) @ np.einsum("kij,ji->k", effects, omega_r)
-    )
+    direct = complex(np.einsum("ij,ji->", np.einsum("injm,mn->ij", joint, omega_r), omega_s))
+    if isinstance(frame.rep, CircleRep):
+        weighted = complex(_circle_node_weights(x, action.rep, frame, omega_s, omega_r).sum())
+    else:
+        orbit, effects = _orbit_and_effects(x, action, frame)
+        weighted = complex(
+            np.einsum("kij,ji->k", orbit, omega_s) @ np.einsum("kij,ji->k", effects, omega_r)
+        )
     if abs(direct - weighted) > tol * max(1.0, abs(direct)):
         raise RuntimeError(
             "joint and outcome-weighted expectations disagree: "
             f"{direct!r} vs {weighted!r}"
         )
     return direct
+
+
+def _circle_node_weights(
+    x: np.ndarray,
+    rep: CircleRep,
+    frame: QuantumReferenceFrame,
+    omega_s: np.ndarray,
+    omega_r: np.ndarray,
+) -> np.ndarray:
+    """The terms s_k r_k of the weighted route at the frame group's
+    quadrature nodes theta_k, with s_k = tr(omega_S U_S x U_S^dag) and
+    r_k = tr(omega_R U_R c U_R^dag) / (4B + 1) at theta_k.
+
+    Each is a phase sum in its generator's eigenbasis: with q the realised
+    system frequencies, V their eigenvectors and a~ = V^dag a V,
+    s_k = sum_ab e^{i theta_k (q_a - q_b)} x~_ab omega~_ba, and r_k is the
+    same form for c and omega_R under the diagonal frame generator n.
+    """
+    c, n = _phase_density(frame)
+    points = frame.rep.group.quadrature_nodes()
+    vecs_h = dagger(rep.vecs)
+    s = _phase_traces(vecs_h @ x @ rep.vecs, vecs_h @ omega_s @ rep.vecs, rep.freqs, points)
+    r = _phase_traces(c, omega_r, n, points)
+    return s * r / points.size
+
+
+def _phase_traces(
+    a: np.ndarray, b: np.ndarray, freqs: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """sum_ab e^{i theta (q_a - q_b)} a_ab b_ba at each angle theta of
+    ``points``, for the frequencies q = ``freqs``: tr(b U a U^dag) with
+    U = diag(e^{i theta q}), as one (points, d) x (d, d) product."""
+    phases = np.exp(1j * np.multiply.outer(points, freqs))
+    return ((phases @ (a * b.T)) * phases.conj()).sum(axis=1)
 
 
 def localization_defect(

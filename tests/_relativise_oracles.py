@@ -1,8 +1,9 @@
 """Reference relativisation for the tests: the exact Fourier-mode
-contraction and the 4B + 1 node sum of a band-limited circle frame, the
-Kronecker sum over the cells of a finite frame, and the node-by-node
-invariance distance of a span. Each works on plain matrices, traces through
-Kronecker products, and shares no code with ``qrflab.relativise``."""
+contraction, the 4B + 1 node sum and its outcome-weighted node terms of a
+band-limited circle frame, the Kronecker sum over the cells of a finite
+frame, and the node-by-node invariance distance of a span. Each works on
+plain matrices, traces through Kronecker products, and shares no code with
+``qrflab.relativise``."""
 
 import numpy as np
 
@@ -51,6 +52,18 @@ def circle_expectation(x, sys_gen, frame_gen, c, omega_s, omega_r):
     xt, v, mask = _modes(x, sys_gen, frame_gen)
     rs = v.conj().T @ omega_s @ v
     return complex(np.einsum("jnkm,jk,kj,nm,mn->", mask, xt, rs, c, omega_r))
+
+
+def circle_node_weights(x, sys_gen, frame_gen, c, omega_s, omega_r, bandwidth):
+    """tr(omega_S X_k) tr(omega_R E_k) at each of the 4B + 1 quadrature
+    nodes, with the orbit X_k = U_S x U_S^dag and the effect
+    E_k = U_R c U_R^dag / (4B + 1) formed as matrices node by node."""
+    u_s = circle_node_unitaries(sys_gen, bandwidth)
+    u_r = circle_node_unitaries(frame_gen, bandwidth)
+    return np.array([
+        np.trace(omega_s @ a @ x @ a.conj().T) * np.trace(omega_r @ b @ c @ b.conj().T) / len(u_s)
+        for a, b in zip(u_s, u_r)
+    ])
 
 
 def finite_relativize(x, unitaries, effects):

@@ -295,9 +295,13 @@ class TestScripts:
             ("invariance:circle-5x12", {}),
             # C^36 = 4 x 9: the charge blocks M_1, M_3, M_4 (7 times), M_3, M_1
             ("decompose:charge-sectors-8", {"m": 132, "D": 36, "blocks": 11}),
+            # M_4 (x) 1 on C^16: 6 flow probe times, 8 KMS grid times
+            ("modular:gibbs-d4", {"D": 16, "m": 16, "probe_times": 6, "grid_times": 8}),
+            # band 11: the weighted route sums over 4 * 11 + 1 nodes
+            ("relativise:circle-5x12", {"d": 5, "d_r": 12, "nodes": 45}),
         ],
         ids=["commutant", "fixed-points", "fixed-points-charge-sectors", "closure", "centre",
-             "invariance", "decompose"],
+             "invariance", "decompose", "modular", "relativise"],
     )
     def test_bench_kernels_prints_one_json_document(self, case, shape):
         proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",

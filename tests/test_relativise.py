@@ -562,12 +562,12 @@ def random_phase_density(rng, d):
     return dagger(vecs) @ vecs
 
 
-def thermal_frame_case(rng):
-    """The largest relativise shape of the thermal-frames benchmark: M_10
-    under a random circle generator with frequencies in [-12, 12], observed
-    through a 24-level phase frame with frame frequencies 0..23, all under
-    the band limit B = 23, on a random four-arc partition."""
-    d_s, d_r = 10, 24
+def thermal_frame_case(rng, d_s=10, d_r=24):
+    """A relativise shape of the thermal-frames benchmark, by default its
+    largest: M_10 under a random circle generator with frequencies in
+    [-12, 12], observed through a 24-level phase frame with frame
+    frequencies 0..23, all under the band limit B = 23, on a random
+    four-arc partition."""
     group = CircleGroup(d_r - 1)
     w = random_unitary(rng, d_s)
     sys_gen = (w * rng.integers(-(d_r // 2), d_r // 2 + 1, d_s)) @ dagger(w)
@@ -658,7 +658,8 @@ class TestOneQuadraturePath:
 
     On a circle frame ``relativize`` is the charge pinching and the
     outcome-weighted route of ``expected_relative_outcome`` the 4B + 1 node
-    sum, so the latter's residual already compares two independent routes;
+    sum taken in phases, so the latter's residual already compares two
+    independent routes;
     on a finite frame both routes share ``_orbit_and_effects``, and only the
     Kronecker-sum oracle here checks the orbit and effects."""
 
@@ -695,6 +696,7 @@ class TestOneQuadraturePath:
         monkeypatch.setattr(CircleRep, "unitary_stack", spy)
         relativize(x, action, frame)
         localization_defect(x, action, frame, sigma)
+        expected_relative_outcome(x, action, frame, random_density(rng, action.rep.dim), sigma)
         assert calls == []
 
     def test_a_dropped_charge_mode_fails_the_expectation_cross_check(self, rng, monkeypatch):
@@ -712,6 +714,39 @@ class TestOneQuadraturePath:
             return out
 
         monkeypatch.setattr(relativise, "_charge_modes", drop_zero_mode)
+        with pytest.raises(RuntimeError, match="expectations disagree"):
+            expected_relative_outcome(x, action, frame, omega_s, omega_r)
+
+    @pytest.mark.parametrize("shape", [(5, 12), (9, 24), (10, 24)], ids=lambda s: "%dx%d" % s)
+    def test_circle_node_weights_match_the_orbit_and_effect_sum(self, rng, shape):
+        # the weighted route's node terms, taken in phases, against the
+        # orbit and effect matrices formed node by node
+        action, frame, sys_gen, frame_gen, c = thermal_frame_case(rng, *shape)
+        for _ in range(3):
+            x = random_hermitian(rng, action.rep.dim)
+            omega_s = random_density(rng, action.rep.dim)
+            omega_r = random_density(rng, frame.rep.dim)
+            got = relativise._circle_node_weights(x, action.rep, frame, omega_s, omega_r)
+            want = oracle.circle_node_weights(
+                x, sys_gen, frame_gen, c, omega_s, omega_r, frame.rep.group.bandwidth)
+            assert got.shape == (4 * frame.rep.group.bandwidth + 1,)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_a_wrong_node_effect_fails_the_expectation_cross_check(self, rng, monkeypatch):
+        # the frame's effect at one node is taken with c transposed
+        action, frame, x, _, _ = oracle_case("circle", rng)
+        omega_s = random_density(rng, action.rep.dim)
+        omega_r = random_density(rng, frame.rep.dim)
+        expected_relative_outcome(x, action, frame, omega_s, omega_r)
+        traces = relativise._phase_traces
+
+        def wrong_node(a, b, freqs, points):
+            out = traces(a, b, freqs, points)
+            if a.shape[0] == frame.rep.dim:
+                out[1] = traces(a.T, b, freqs, points[1:2])[0]
+            return out
+
+        monkeypatch.setattr(relativise, "_phase_traces", wrong_node)
         with pytest.raises(RuntimeError, match="expectations disagree"):
             expected_relative_outcome(x, action, frame, omega_s, omega_r)
 
@@ -756,3 +791,31 @@ class TestOneQuadraturePath:
         turned = CircleRep(frame.rep.group, v @ frame_gen @ dagger(v))
         with pytest.raises(ValueError, match="generator must be diagonal in the POVM basis"):
             relativize(random_hermitian(rng, 3), action, QuantumReferenceFrame(turned, frame.povm))
+
+
+class TestSystemBasisCovariance:
+    """Turning the system by one unitary W, generator, observable and state
+    together, is a change of basis: the expectations and the localisation
+    defect stay, and the relativised operator turns by W (x) 1."""
+
+    @pytest.mark.parametrize("name", CIRCLE_CASES)
+    def test_conjugating_the_system_by_one_unitary(self, rng, name):
+        action, frame, sys_gen, *_ = CIRCLE_CASES[name](rng)
+        d_s, d_r = action.rep.dim, frame.rep.dim
+        w = random_unitary(rng, d_s)
+        turned = GroupAction(action.algebra, CircleRep(action.rep.group, w @ sys_gen @ dagger(w)))
+        x = random_complex(rng, d_s)
+        omega_s, omega_r = random_density(rng, d_s), random_density(rng, d_r)
+        sigma = random_density(rng, d_r)
+        x_w, omega_w = w @ x @ dagger(w), w @ omega_s @ dagger(w)
+
+        before = expected_relative_outcome(x, action, frame, omega_s, omega_r)
+        after = expected_relative_outcome(x_w, turned, frame, omega_w, omega_r)
+        assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
+        before = localization_defect(x, action, frame, sigma)
+        after = localization_defect(x_w, turned, frame, sigma)
+        assert abs(after - before) <= 1e-12 * max(1.0, before)
+        big_w = np.kron(w, np.eye(d_r))
+        y = relativize(x, action, frame)
+        y_w = relativize(x_w, turned, frame)
+        assert op_norm(y_w - big_w @ y @ dagger(big_w)) <= 1e-12 * op_norm(y)
