@@ -51,6 +51,20 @@ Each case is named ``kernel:shape``:
   ``circle-<d>x<d_r>`` (the full M_d under a circle rep of band d_r - 1,
   with 4 d_r - 3 nodes) and the group shapes below.
 
+- ``span:phase-generation-<L>`` times ``vnalg.generate_algebra`` on the
+  relativised matrix units of a qubit with charges (0, 1), observed
+  through the canonical phase frame (c all ones) of the clock
+  diag(0, ..., L) on L + 1 equal arcs under the band L + 1, plus 1 (x) each
+  clock projection. It reports the ambient dimension D = 2 (L + 1) and the
+  generated dim, which is that of the invariant joint algebra, 4 L + 2.
+  A source tree whose span kernel normalises each candidate on its own
+  raises "ambiguous span rank" at L = 8.
+- ``intersection:charge-sectors-<L>`` times ``vnalg.span_intersection`` of
+  the smaller of the ``charge-sectors-<L>`` algebra A (below) and its
+  commutant A' against the larger, and reports both row counts, the
+  dim of the intersection (the centre) and the ``tracemalloc`` peak of one
+  more call in MB.
+
 - ``modular:gibbs-d<d>`` builds the modular data of a doubled Gibbs state
   at beta = 1, of a seeded H with spectrum in [0, 2) on C^d, as
   thermal-frames draws it, and times three checks: ``flow_ms``, the median
@@ -84,6 +98,7 @@ unless the caller's environment already sets ``OPENBLAS_NUM_THREADS``.
     python scripts/bench_kernels.py --src path/to/other/src --cases commutant:full:8 closure:M2-Z10-phase
     python scripts/bench_kernels.py --cases invariance:circle-10x24 invariance:S3-group-algebra
     python scripts/bench_kernels.py --cases modular:gibbs-d5 relativise:circle-10x24
+    python scripts/bench_kernels.py --cases span:phase-generation-8 intersection:charge-sectors-16
 """
 
 from __future__ import annotations
@@ -115,6 +130,8 @@ DEFAULT_CASES = (
     + [f"decompose:{s}" for s in ("S3-group-algebra", "charge-sectors-8", "charge-sectors-16")]
     + [f"invariance:circle-{d}x{d_r}" for d, d_r in ((5, 12), (9, 24), (10, 24))]
     + ["invariance:M2-Z10-phase", "invariance:S3-group-algebra"]
+    + [f"span:phase-generation-{top}" for top in (4, 8)]
+    + [f"intersection:charge-sectors-{top}" for top in (8, 16)]
     + [f"modular:gibbs-d{d}" for d in (2, 3, 4, 5)]
     + [f"relativise:circle-{d}x{d_r}" for d, d_r in ((5, 12), (9, 24), (10, 24))]
 )
@@ -311,6 +328,54 @@ def charge_sector_case(top: int):
     return invariant_joint_algebra(GroupAction(OperatorAlgebra(4, rows), u), v)
 
 
+def phase_generation_case(shape: str, repeats: int) -> dict:
+    """The shape fields and median of ``span:phase-generation-<L>``."""
+    import numpy as np
+
+    from qrflab.frames import CirclePartition, QuantumReferenceFrame, phase_povm
+    from qrflab.relativise import GroupAction, relativize
+    from qrflab.symmetry import CircleGroup, CircleRep
+    from qrflab.vnalg import OperatorAlgebra, generate_algebra
+
+    m = re.fullmatch(r"phase-generation-(\d+)", shape)
+    if not m:
+        raise ValueError(f"unknown span shape {shape!r}")
+    n = int(m[1]) + 1
+    band = CircleGroup(n)
+    action = GroupAction(OperatorAlgebra(2, np.eye(4, dtype=complex)),
+                         CircleRep(band, np.diag([0.0, 1.0])))
+    arcs = CirclePartition(tuple(2.0 * np.pi * np.arange(n) / n))
+    frame = QuantumReferenceFrame(CircleRep(band, np.diag(np.arange(n, dtype=float))),
+                                  phase_povm(n, np.ones((n, n)), arcs))
+    gens = [relativize(unit.reshape(2, 2), action, frame) for unit in np.eye(4)]
+    gens += [np.kron(np.eye(2), np.diag(p)) for p in np.eye(n)]
+    alg, ms = timed(lambda: generate_algebra(gens, 2 * n), repeats)
+    return {"D": 2 * n, "dim": alg.dim, "median_ms": ms}
+
+
+def intersection_case(shape: str, repeats: int) -> dict:
+    """The shape fields, median and ``tracemalloc`` peak of
+    ``intersection:charge-sectors-<L>``."""
+    import tracemalloc
+
+    from qrflab.vnalg import commutant, span_intersection
+
+    m = re.fullmatch(r"charge-sectors-(\d+)", shape)
+    if not m:
+        raise ValueError(f"unknown intersection shape {shape!r}")
+    alg = charge_sector_case(int(m[1]))
+    small, large = sorted((alg.rows, commutant(alg).rows), key=len)
+    rows, ms = timed(lambda: span_intersection(small, large), repeats)
+    tracemalloc.start()
+    try:
+        span_intersection(small, large)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"small_rows": small.shape[0], "large_rows": large.shape[0], "dim": rows.shape[0],
+            "median_ms": ms, "peak_mb": peak / 1e6}
+
+
 def timed(call, repeats: int):
     """The warm-up call's result and the median of ``repeats`` more calls, in ms."""
     result = call()
@@ -336,6 +401,10 @@ def run_case(case: str, repeats: int) -> dict:
         return modular_case(shape, repeats)
     if kernel == "relativise":
         return relativise_case(shape, repeats)
+    if kernel == "span":
+        return phase_generation_case(shape, repeats)
+    if kernel == "intersection":
+        return intersection_case(shape, repeats)
     if kernel == "commutant":
         n_squared, expected_dim, alg = commutant_case(shape)
         comm, ms = timed(lambda: commutant(alg), repeats)

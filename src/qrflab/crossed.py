@@ -28,7 +28,6 @@ from .vnalg import (
     OperatorAlgebra,
     SPAN_TOL,
     _orthonormal_rows,
-    _span_residual,
     _worst_residual,
     span_distance,
 )
@@ -193,25 +192,19 @@ def _graded_closure_defect(graded: np.ndarray, alphas: np.ndarray, group: Finite
     n, r, w = graded.shape
     d = alphas.shape[2]
     table = group.table
-    rows_h = dagger(graded)
     blocks = graded.reshape(n, r, n, d, d)
-
-    def worst(x: np.ndarray) -> float:
-        return float(np.linalg.norm(_span_residual(x, graded, rows_h), axis=-1).max())
-
-    e = group.identity
     unit = np.tile(np.eye(d, dtype=complex).ravel(), (1, n)) / np.sqrt(n * d)
-    result = float(np.linalg.norm(_span_residual(unit, graded[e], rows_h[e])))
+    result = _worst_residual(unit, graded[group.identity])
     # diagonal t of the adjoints: block (h, h t) is block (h t, h) of diagonal t^-1, conjugated
     adjoints = dagger(blocks[group.inverse[:, None], :, table.T].swapaxes(1, 2))
-    result = max(result, worst(adjoints.reshape(n, r, w)))
+    result = max(result, _worst_residual(adjoints.reshape(n, r, w), graded))
     # every pi(b) at once: one batched product over the diagonals
     moved = np.einsum("bhts,gjhsc->gbjhtc", alphas, blocks, optimize=True)
-    result = max(result, worst(moved.reshape(n, -1, w)))
+    result = max(result, _worst_residual(moved.reshape(n, -1, w), graded))
     for s in group.generators():
         # diagonal t = s g takes the rows of diagonal g = s^-1 t, blocks h s
         moved = blocks[table[group.inverse[s]]][:, :, table[:, s]]
-        result = max(result, worst(moved.reshape(n, r, w)))
+        result = max(result, _worst_residual(moved.reshape(n, r, w), graded))
     return result
 
 
@@ -248,23 +241,21 @@ def _dense_closure_defect(alg: OperatorAlgebra, alphas: np.ndarray, group: Finit
 
     No generator is formed: on the row index (t, h) of H_S (x) l2(G), pi(b)
     acts on row block h as alpha(h, b), and rho(s), which sends |h> to
-    |h s^-1>, permutes the blocks, h -> h s. Every projection onto S shares
-    one adjoint of its rows.
+    |h s^-1>, permutes the blocks, h -> h s.
     """
     d = alg.ambient_dim
     rows = alg.rows
-    rows_h = dagger(rows)
     unit = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
     adjoints = dagger(rows.reshape(-1, d, d)).reshape(rows.shape)
-    worst = max(_worst_residual(unit, rows, rows_h), _worst_residual(adjoints, rows, rows_h))
+    worst = max(_worst_residual(unit, rows), _worst_residual(adjoints, rows))
     _, n, d_s, _ = alphas.shape
     blocks = rows.reshape(-1, d_s, n, d)
     for alpha in alphas:
         moved = np.einsum("hts,jshc->jthc", alpha, blocks, optimize=True)
-        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows, rows_h))
+        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows))
     for s in group.generators():
         moved = blocks[:, :, group.table[:, s]]
-        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows, rows_h))
+        worst = max(worst, _worst_residual(moved.reshape(rows.shape), rows))
     return worst
 
 

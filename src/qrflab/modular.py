@@ -20,7 +20,7 @@ from .opcore import (
     hermitian_eig,
     rel_err,
 )
-from .vnalg import OperatorAlgebra, _rank, _worst_residual, commutant
+from .vnalg import OperatorAlgebra, _coefficients, _rank, _worst_residual, commutant
 
 # Real times at which flow invariance of the algebra is probed.
 FLOW_PROBE_TIMES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
@@ -74,14 +74,13 @@ class ModularData:
         of V^dag sigma_t(b) V is that of V^dag b V times
         e^{it (log l_i - log l_j)}. The basis is rotated into V once; each
         probe time multiplies the rotated rows by that phase and takes off
-        their projection onto the rotated rows, with one adjoint shared by
-        all times. The rotation is unitary on the Hilbert-Schmidt space, so
-        it keeps every distance. The times reuse two (m, D^2) buffers:
-        fresh arrays of that size per time cost more than the products."""
+        their projection onto the rotated rows. The rotation is unitary on
+        the Hilbert-Schmidt space, so it keeps every distance. The times
+        reuse two (m, D^2) buffers: fresh arrays of that size per time cost
+        more than the products."""
         vals, vecs = self.delta_eig
         basis = self.algebra.basis_matrices()
         rows = (dagger(vecs) @ basis @ vecs).reshape(basis.shape[0], -1)
-        rows_h = dagger(rows)
         logs = np.log(vals)
         gaps = (logs[:, None] - logs[None, :]).ravel()
         moved, projected = np.empty_like(rows), np.empty_like(rows)
@@ -89,7 +88,7 @@ class ModularData:
         worst = 0.0
         for t in FLOW_PROBE_TIMES:
             np.multiply(rows, np.exp(1j * t * gaps), out=moved)
-            np.matmul(moved @ rows_h, rows, out=projected)
+            np.matmul(_coefficients(moved, rows), rows, out=projected)
             moved -= projected
             worst = max(worst, float(np.einsum("ij,ij->i", parts, parts).max()))
         return float(np.sqrt(worst))

@@ -70,19 +70,18 @@ class GroupAction:
         if self.algebra.ambient_dim != self.rep.dim:
             raise ValueError("algebra and representation dimensions differ")
         rows = self.algebra.rows
-        rows_h = dagger(rows)
-        if _invariance_bound(rows, rows_h, self.rep) <= _INVARIANCE_TOL:
+        if _invariance_bound(rows, self.rep) <= _INVARIANCE_TOL:
             return
         basis = rows.reshape(-1, self.rep.dim, self.rep.dim)
         for u in self.rep.unitary_stack(self.rep.group.quadrature_nodes()):
             moved = (u @ basis @ dagger(u)).reshape(rows.shape)
-            if _worst_residual(moved, rows, rows_h) > _INVARIANCE_TOL:
+            if _worst_residual(moved, rows) > _INVARIANCE_TOL:
                 raise ValueError("representation does not preserve the algebra")
 
 
-def _invariance_bound(rows: np.ndarray, rows_h: np.ndarray, rep: Rep) -> float:
+def _invariance_bound(rows: np.ndarray, rep: Rep) -> float:
     """``GroupAction``'s bound on ||Q Ad U(g) P|| over the whole group, from
-    the generators alone; ``rows_h`` is ``dagger(rows)``."""
+    the generators alone, for the orthonormal ``rows`` of the span."""
     basis = rows.reshape(-1, rep.dim, rep.dim)
     if isinstance(rep, CircleRep):
         n = (rep.vecs * rep.freqs) @ dagger(rep.vecs)
@@ -90,7 +89,7 @@ def _invariance_bound(rows: np.ndarray, rows_h: np.ndarray, rep: Rep) -> float:
     else:
         us = rep.unitary_stack(np.array(rep.group.generators(), dtype=int))
         moved, length = [u @ basis @ dagger(u) for u in us], rep.group.order - 1
-    norms = [np.linalg.norm(_span_residual(m.reshape(rows.shape), rows, rows_h)) for m in moved]
+    norms = [np.linalg.norm(_span_residual(m.reshape(rows.shape), rows)) for m in moved]
     return length * float(max(norms, default=0.0))
 
 

@@ -299,9 +299,13 @@ class TestScripts:
             ("modular:gibbs-d4", {"D": 16, "m": 16, "probe_times": 6, "grid_times": 8}),
             # band 11: the weighted route sums over 4 * 11 + 1 nodes
             ("relativise:circle-5x12", {"d": 5, "d_r": 12, "nodes": 45}),
+            # C^2 (x) C^5: the canonical phase frame generates the invariant algebra
+            ("span:phase-generation-4", {"D": 10, "dim": 18}),
+            # A' (11 rows) against A (132 rows): the centre, 11 blocks
+            ("intersection:charge-sectors-8", {"small_rows": 11, "large_rows": 132, "dim": 11}),
         ],
         ids=["commutant", "fixed-points", "fixed-points-charge-sectors", "closure", "centre",
-             "invariance", "decompose", "modular", "relativise"],
+             "invariance", "decompose", "modular", "relativise", "span", "intersection"],
     )
     def test_bench_kernels_prints_one_json_document(self, case, shape):
         proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",

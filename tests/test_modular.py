@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qrflab.modular
+import qrflab.vnalg
 from qrflab.modular import (
     FLOW_PROBE_TIMES,
     KMS_TIME_GRID,
@@ -215,6 +216,21 @@ class TestRankAndEigenpairsOnce:
             assert abs(md.flow_defect() - want) <= 1e-12
         assert data.flow_defect() <= 1e-10
         assert foreign.flow_defect() >= 0.5
+
+    def test_flow_takes_no_adjoint_of_the_rows(self, rng, monkeypatch):
+        # gibbs-d4: (16, 256) rows, rotated into Delta's eigenbasis; only the
+        # 16 x 16 eigenvectors are adjoined
+        alg, omega = doubled_gibbs(4, rng)
+        data = modular_data(alg, omega)
+        shapes = []
+        for module in (qrflab.modular, qrflab.vnalg):
+            def spy(x, adjoint=module.dagger):
+                shapes.append(np.shape(x))
+                return adjoint(x)
+
+            monkeypatch.setattr(module, "dagger", spy)
+        assert data.flow_defect() <= 1e-10
+        assert shapes == [(16, 16)]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_flow_reads_the_eigenpairs_kept_at_construction(self, d, rng, monkeypatch):

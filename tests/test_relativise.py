@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrflab import relativise
+from qrflab import relativise, vnalg
 from qrflab.frames import (
     CirclePartition,
     Povm,
@@ -193,7 +193,7 @@ class TestInvarianceFromGenerators:
             rows = tilted_rows(mats, eps)
             distance = oracle.node_invariance_distance(rows, unitaries)
             # the generator bound is never below the distance at a node
-            bound = _invariance_bound(rows, dagger(rows), rep)
+            bound = _invariance_bound(rows, rep)
             assert bound >= distance
             straddled |= distance <= _INVARIANCE_TOL < bound
             try:
@@ -225,7 +225,7 @@ class TestInvarianceFromGenerators:
             mats = [w @ np.kron(np.diag(np.eye(3)[k]), e) @ dagger(w)
                     for k in range(3) for e in np.eye(4).reshape(4, 2, 2)]
         alg = algebra_from_matrices(mats, 6)
-        assert _invariance_bound(alg.rows, dagger(alg.rows), rep) <= 1e-10
+        assert _invariance_bound(alg.rows, rep) <= 1e-10
         assert oracle.node_invariance_distance(alg.rows, oracle.circle_node_unitaries(
             rep.generator, 64)) <= 1e-12
         calls = []
@@ -250,7 +250,7 @@ class TestInvarianceFromGenerators:
         moved = (raw @ basis - basis @ raw).reshape(rows.shape)
         raw_bound = np.pi * np.linalg.norm(moved - (moved @ dagger(rows)) @ rows)
         assert raw_bound >= 1e-9
-        assert _invariance_bound(rows, dagger(rows), rep) <= 1e-14
+        assert _invariance_bound(rows, rep) <= 1e-14
         assert oracle.node_invariance_distance(rows, oracle.circle_node_unitaries(raw, 1)) <= 1e-14
         GroupAction(alg, rep)
 
@@ -262,6 +262,21 @@ class TestInvarianceFromGenerators:
         monkeypatch.setattr(CircleRep, "unitary_stack", lambda self, points: calls.append(points))
         GroupAction(OperatorAlgebra(17, np.eye(17 * 17, dtype=complex)), rep)
         assert calls == []
+
+    def test_the_circle_10x24_check_takes_no_adjoint_of_the_rows(self, monkeypatch):
+        # the full M_10 of thermal-frames, (100, 100) rows: every projection
+        # takes its coefficients with no copy of the rows
+        action, *_ = thermal_frame_case(np.random.default_rng(3))
+        shapes = []
+        for module in (relativise, vnalg):
+            def spy(x, adjoint=module.dagger):
+                shapes.append(np.shape(x))
+                return adjoint(x)
+
+            monkeypatch.setattr(module, "dagger", spy)
+        GroupAction(action.algebra, action.rep)
+        assert action.algebra.rows.shape == (100, 100)
+        assert shapes and (100, 100) not in shapes
 
     def test_an_invariant_span_under_a_finite_group_reads_the_generators_only(self, monkeypatch):
         lam, mats, _ = finite_diagonal_fixture()

@@ -6,11 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrflab.symmetry import cyclic_group, regular_representation, symmetric_group
+from qrflab.crossed import invariant_joint_algebra
+from qrflab.frames import CirclePartition, QuantumReferenceFrame, phase_povm
+from qrflab.relativise import GroupAction, relativize
+from qrflab.symmetry import (
+    CircleGroup,
+    CircleRep,
+    cyclic_group,
+    regular_representation,
+    symmetric_group,
+)
 from qrflab.vnalg import (
+    OperatorAlgebra,
     _orthonormal_rows,
     algebra_from_matrices,
     commutant,
+    decompose,
     generate_algebra,
     span_distance,
     span_intersection,
@@ -239,3 +250,43 @@ class TestMetamorphic:
         spanned = algebra_from_matrices(conjugate(plain.basis_matrices(), w), d)
         assert spanned.dim == dim
         assert span_distance(spanned, moved) <= 1e-10
+
+
+def phase_generation(frame_top: int, c: np.ndarray):
+    """A qubit with charges (0, 1) and the clock diag(0, ..., L) under the
+    band L + 1, observed through a phase frame with correlation matrix ``c``
+    on L + 1 equal arcs, L = ``frame_top``. Returns the relativised matrix
+    units of M_2 plus 1 (x) each clock projection, and the invariant joint
+    algebra they should generate."""
+    n = frame_top + 1
+    band = CircleGroup(n)
+    action = GroupAction(OperatorAlgebra(2, np.eye(4, dtype=complex)),
+                         CircleRep(band, np.diag([0.0, 1.0])))
+    arcs = CirclePartition(tuple(2.0 * np.pi * np.arange(n) / n))
+    frame = QuantumReferenceFrame(CircleRep(band, np.diag(np.arange(n, dtype=float))),
+                                  phase_povm(n, c, arcs))
+    gens = [relativize(unit.reshape(2, 2), action, frame) for unit in np.eye(4)]
+    gens += [np.kron(np.eye(2), np.diag(p)) for p in np.eye(n)]
+    return gens, invariant_joint_algebra(action, frame.rep)
+
+
+class TestPhaseFrameGeneration:
+    """The relativised observables of a phase frame closed by
+    ``generate_algebra``: a closure round whose words are small but lie in
+    the span must add nothing, whatever their norms."""
+
+    @pytest.mark.parametrize("frame_top,dim", [(1, 6), (2, 10), (4, 18), (8, 34)])
+    def test_the_canonical_frame_generates_the_invariant_algebra(self, frame_top, dim):
+        # c = all ones; at L = 8 a round holds a word of norm 1.05e-4 in the
+        # span, whose residual must be judged against the largest word
+        gens, invariant = phase_generation(frame_top, np.ones((frame_top + 1,) * 2))
+        generated = generate_algebra(gens, 2 * (frame_top + 1))
+        assert generated.dim == invariant.dim == dim
+        assert span_distance(generated, invariant) <= 1e-12
+
+    @pytest.mark.parametrize("frame_top,dim", [(1, 4), (2, 6), (4, 10), (8, 18)])
+    def test_the_dephased_frame_generates_a_commutative_algebra(self, frame_top, dim):
+        gens, _ = phase_generation(frame_top, np.eye(frame_top + 1))
+        generated = generate_algebra(gens, 2 * (frame_top + 1))
+        assert generated.dim == dim
+        assert all(n == 1 for n, _ in decompose(generated).blocks)

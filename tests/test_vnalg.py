@@ -431,6 +431,35 @@ class TestCentre:
         b = c.basis_matrices()[0]
         assert np.allclose(b, b[0, 0] * np.eye(3), atol=1e-10)
 
+    def test_memory_peak_of_an_intersection_at_l16(self, charge_sectors_l16):
+        # A' (19 rows) against A (260 rows of D^2 = 4624, 19.2 MB): the
+        # coefficients conjugate the 19 rows and never copy A's
+        alg = charge_sectors_l16
+        small = commutant(alg).rows
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rows = span_intersection(small, alg.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape[0] == 19
+        assert peak / alg.rows.nbytes <= 0.5
+
+    def test_memory_peak_of_the_centre_at_l16(self, charge_sectors_l16):
+        # the commutant holds the basis rotated into one stack, rotated d
+        # elements at a time, beside the rows; the intersection copies no rows
+        alg = charge_sectors_l16
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            z = centre(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.dim == 19
+        assert peak / alg.rows.nbytes <= 1.75
+
 
 def group_algebra(group) -> OperatorAlgebra:
     return generate_algebra(regular_representation(group).unitaries, group.order)
