@@ -78,7 +78,9 @@ Each case is named ``kernel:shape``:
   ``invariance:circle-<d>x<d_r>``, through a d_r-level phase frame with
   frequencies 0, ..., d_r - 1 and a seeded c on a seeded four-arc
   partition, in seeded states, as thermal-frames draws it. It reports d,
-  d_r and the number of quadrature nodes 4B + 1 of its weighted route.
+  d_r and the number of quadrature nodes 4B + 1 of its weighted route, and
+  as ``localization_ms`` the median of ``localization_defect`` of the same x
+  at a seeded frame state.
 
 The group shapes are the qrfbench call shapes, each rep conjugated by a
 seeded unitary:
@@ -283,7 +285,7 @@ def relativise_case(shape: str, repeats: int) -> dict:
     import numpy as np
 
     from qrflab.frames import CirclePartition, QuantumReferenceFrame, phase_povm
-    from qrflab.relativise import GroupAction, expected_relative_outcome
+    from qrflab.relativise import GroupAction, expected_relative_outcome, localization_defect
     from qrflab.symmetry import CircleRep
     from qrflab.vnalg import OperatorAlgebra
 
@@ -300,8 +302,11 @@ def relativise_case(shape: str, repeats: int) -> dict:
     action = GroupAction(OperatorAlgebra(d, rows), rep)
     x = random_hermitian(rng, d)
     omega_s, omega_r = random_density(rng, d), random_density(rng, d_r)
+    sigma = random_density(rng, d_r)
     _, ms = timed(lambda: expected_relative_outcome(x, action, frame, omega_s, omega_r), repeats)
-    return {"d": d, "d_r": d_r, "nodes": int(rep.group.quadrature_nodes().size), "median_ms": ms}
+    _, localization_ms = timed(lambda: localization_defect(x, action, frame, sigma), repeats)
+    return {"d": d, "d_r": d_r, "nodes": int(rep.group.quadrature_nodes().size), "median_ms": ms,
+            "localization_ms": localization_ms}
 
 
 def charge_sector_reps(top: int):

@@ -20,7 +20,7 @@ from .opcore import (
     hermitian_eig,
     rel_err,
 )
-from .vnalg import OperatorAlgebra, _coefficients, _rank, _worst_residual, commutant
+from .vnalg import OperatorAlgebra, _coefficients, _orthonormal_rows, _rank, _worst_residual
 
 # Real times at which flow invariance of the algebra is probed.
 FLOW_PROBE_TIMES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
@@ -94,9 +94,37 @@ class ModularData:
         return float(np.sqrt(worst))
 
     def conjugation_defect(self) -> float:
-        """Worst distance of J x J from the commutant, over the basis."""
-        moved = self.conjugate_in(self.algebra.basis_matrices())
-        return _worst_residual(moved.reshape(self.algebra.rows.shape), commutant(self.algebra).rows)
+        """Worst distance of J x J from the commutant M', over the basis.
+
+        M' is read off the cyclic separating vector Omega rather than
+        solved for. ``modular_data`` has checked that Omega is cyclic and
+        separating, so dim M = D and the matrix C whose columns are
+        a_k Omega is invertible. For each xi let A(xi) be the matrix whose
+        columns are a_k xi, and Y(xi) = A(xi) C^-1, the map a_k Omega ->
+        a_k xi. Writing 1 = sum_k c_k a_k gives Y(xi) Omega = xi. M is
+        closed under products, so b a_k = sum_j s_j a_j for b in M, and
+        Y(xi) b a_k Omega = b a_k xi = b Y(xi) a_k Omega: Y(xi) commutes
+        with M. Conversely y' in M' with y' Omega = xi sends a_k Omega to
+        a_k xi, so y' = Y(xi). Hence M' = span{Y(e_i)}, of dim D, formed
+        as one batched product and orthonormalised by ``_orthonormal_rows``.
+
+        The argument needs an ``OperatorAlgebra`` that keeps its closure
+        contract. On a span not closed under products the Y(e_i) need not
+        commute with it, and J x J is measured against their span instead:
+        for span{1, X (x) 1, Z (x) 1, X (x) X} on C^4 the defect reads about
+        0.9, as it does against the commutant.
+        """
+        mats = self.algebra.basis_matrices()
+        d = self.algebra.ambient_dim
+        # Y(e_i)[r, j] = sum_k mats[k, r, i] C^-1[k, j]
+        cands = np.transpose(mats, (2, 1, 0)) @ np.linalg.inv((mats @ self.omega).T)
+        rows = _orthonormal_rows(cands.reshape(d, d * d), None)
+        if rows.shape[0] != d:
+            raise RuntimeError(
+                f"commutant read off the cyclic vector has dim {rows.shape[0]}, not {d}"
+            )
+        moved = self.conjugate_in(mats)
+        return _worst_residual(moved.reshape(self.algebra.rows.shape), rows)
 
     def vector_invariance_defect(self) -> float:
         """max of |J omega - omega| and |Delta omega - omega|."""

@@ -110,8 +110,12 @@ def _stabiliser_defect(x: np.ndarray, action: GroupAction, frame: QuantumReferen
 def _is_stabiliser_invariant(
     x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame
 ) -> bool:
-    """The stabiliser test at ``_INVARIANCE_TOL``, relative to max(1, ||x||)."""
-    return _stabiliser_defect(x, action, frame) <= _INVARIANCE_TOL * max(1.0, op_norm(x))
+    """The stabiliser test at ``_INVARIANCE_TOL``, relative to max(1, ||x||).
+
+    The scale is at least 1, so a defect within ``_INVARIANCE_TOL`` passes
+    without the norm, an SVD; circle frames always have defect 0."""
+    defect = _stabiliser_defect(x, action, frame)
+    return defect <= _INVARIANCE_TOL or defect <= _INVARIANCE_TOL * op_norm(x)
 
 
 def _orbit_and_effects(
@@ -124,6 +128,21 @@ def _orbit_and_effects(
     cells: HomogeneousSpace = frame.povm.space
     us = action.rep.unitary_stack(np.array(cells.representatives))
     return us @ x @ dagger(us), frame.povm.effects
+
+
+def _relativisable(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:
+    """x as an operator, once it is checked to be an input of ``relativize``:
+    a system observable in the algebra, invariant under the stabiliser,
+    with action and frame sharing one group."""
+    x = as_operator(x)
+    _require_same_group(action, frame)
+    if x.shape[0] != action.rep.dim:
+        raise ValueError("observable dimension does not match the system")
+    if not action.algebra.contains(x):
+        raise ValueError("observable lies outside the system algebra")
+    if not _is_stabiliser_invariant(x, action, frame):
+        raise ValueError("relativisation requires stabiliser-invariant input")
+    return x
 
 
 def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame) -> np.ndarray:
@@ -147,14 +166,7 @@ def relativize(x: np.ndarray, action: GroupAction, frame: QuantumReferenceFrame)
     in the two generators' eigenbases (``_circle_node_weights``) and shares
     nothing with the pinching, so the two routes there stay independent.
     """
-    x = as_operator(x)
-    _require_same_group(action, frame)
-    if x.shape[0] != action.rep.dim:
-        raise ValueError("observable dimension does not match the system")
-    if not action.algebra.contains(x):
-        raise ValueError("observable lies outside the system algebra")
-    if not _is_stabiliser_invariant(x, action, frame):
-        raise ValueError("relativisation requires stabiliser-invariant input")
+    x = _relativisable(x, action, frame)
     d_s, d_r = action.rep.dim, frame.rep.dim
     if isinstance(frame.rep, CircleRep):
         joint = _charge_pinching(x, action.rep, frame)
@@ -305,10 +317,32 @@ def localization_defect(
 
     Vanishes exactly when sigma is perfectly localised at the identity cell
     of a sharp frame; grows as sigma spreads over the orbit.
+
+    The round trip restrict(relativize(x), sigma) is taken in frame-weight
+    form, with no joint operator: for y = sum_j X_j (x) F_j,
+    tr_R(y (1 (x) sigma)) = sum_j X_j tr(sigma F_j). A finite frame pairs
+    the orbit X_s with the effects E_s of ``_orbit_and_effects``. A circle
+    frame pairs the charge modes x^(delta) of ``_charge_modes`` with the
+    weights w_delta = sum_{n_l - n_k = delta} c_kl sigma_lk, the entries of
+    ``_charge_pinching`` traced against sigma. Inputs are checked as
+    ``relativize`` and ``restrict`` check them.
     """
-    joint = relativize(x, action, frame)
-    back = restrict(joint, sigma, (action.rep.dim, frame.rep.dim))
-    return op_norm(back - x)
+    x = _relativisable(x, action, frame)
+    sigma = check_density(sigma)
+    if sigma.shape[0] != frame.rep.dim:
+        raise ValueError("frame state dimension mismatch")
+    if isinstance(frame.rep, CircleRep):
+        c, n = _phase_density(frame)
+        spread = int(n.max() - n.min())
+        which = (n[None, :] - n[:, None] + spread).ravel()
+        terms = (c * sigma.T).ravel()
+        weights = np.zeros(2 * spread + 1, dtype=complex)
+        np.add.at(weights, which, terms)
+        modes = _charge_modes(x, action.rep, np.arange(-spread, spread + 1))
+    else:
+        modes, effects = _orbit_and_effects(x, action, frame)
+        weights = np.einsum("kij,ji->k", effects, sigma)
+    return op_norm(np.tensordot(weights, modes, axes=1) - x)
 
 
 @dataclass

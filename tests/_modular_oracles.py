@@ -1,6 +1,7 @@
 """Reference modular checks for the tests: the KMS boundary residuals by a
 loop over pairs and times, the flow defect with Delta^{it} formed as a
-matrix at every probe time, and the purification as a Kronecker sum. Each
+matrix at every probe time, the conjugation defect against a commutant
+found by a null-space solve, and the purification as a Kronecker sum. Each
 takes its inputs as plain matrices and shares no kernel with
 ``qrflab.modular``."""
 
@@ -47,6 +48,21 @@ def flow_defect(delta, rows, times):
             moved = (u @ b.reshape(d, d) @ u.conj().T).ravel()
             resid = moved - rows.T @ (rows.conj() @ moved)
             worst = max(worst, float(np.linalg.norm(resid)))
+    return worst
+
+
+def conjugation_defect(j, rows, commutant_rows):
+    """Worst HS distance from J b J to the span of the orthonormal
+    ``commutant_rows``, over the orthonormal ``rows`` b of the algebra, with
+    J antilinear as J psi = j conj(psi), each b moved and projected on its
+    own. The commutant is taken as given: the tests pass that of
+    ``vnalg.commutant``, the Gram-operator null space."""
+    d = j.shape[0]
+    worst = 0.0
+    for b in rows:
+        moved = (j @ b.reshape(d, d).conj() @ j.conj()).ravel()
+        resid = moved - commutant_rows.T @ (commutant_rows.conj() @ moved)
+        worst = max(worst, float(np.linalg.norm(resid)))
     return worst
 
 

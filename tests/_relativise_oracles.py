@@ -1,7 +1,8 @@
 """Reference relativisation for the tests: the exact Fourier-mode
 contraction, the 4B + 1 node sum and its outcome-weighted node terms of a
 band-limited circle frame, the Kronecker sum over the cells of a finite
-frame, and the node-by-node invariance distance of a span. Each works on
+frame, the localisation defect of a joint operator, and the node-by-node
+invariance distance of a span. Each works on
 plain matrices, traces through Kronecker products, and shares no code with
 ``qrflab.relativise``."""
 
@@ -84,6 +85,14 @@ def restrict(joint, sigma, d_s, d_r):
     """tr_R(X (1 (x) sigma)), through the Kronecker product."""
     blk = (joint @ np.kron(np.eye(d_s), sigma)).reshape(d_s, d_r, d_s, d_r)
     return np.einsum("injn->ij", blk)
+
+
+def localization_defect(joint, x, sigma):
+    """||tr_R(y (1 (x) sigma)) - x||, the operator-norm distance of x from
+    its round trip through the given joint operator y, restricted through
+    the Kronecker product."""
+    d_s, d_r = x.shape[0], sigma.shape[0]
+    return float(np.linalg.norm(restrict(joint, sigma, d_s, d_r) - x, 2))
 
 
 def circle_node_unitaries(generator, bandwidth):

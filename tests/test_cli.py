@@ -299,13 +299,16 @@ class TestScripts:
             ("modular:gibbs-d4", {"D": 16, "m": 16, "probe_times": 6, "grid_times": 8}),
             # band 11: the weighted route sums over 4 * 11 + 1 nodes
             ("relativise:circle-5x12", {"d": 5, "d_r": 12, "nodes": 45}),
+            # band 23: 93 nodes; localization_ms times the frame-weight round trip
+            ("relativise:circle-9x24", {"d": 9, "d_r": 24, "nodes": 93}),
             # C^2 (x) C^5: the canonical phase frame generates the invariant algebra
             ("span:phase-generation-4", {"D": 10, "dim": 18}),
             # A' (11 rows) against A (132 rows): the centre, 11 blocks
             ("intersection:charge-sectors-8", {"small_rows": 11, "large_rows": 132, "dim": 11}),
         ],
         ids=["commutant", "fixed-points", "fixed-points-charge-sectors", "closure", "centre",
-             "invariance", "decompose", "modular", "relativise", "span", "intersection"],
+             "invariance", "decompose", "modular", "relativise", "relativise-9x24", "span",
+             "intersection"],
     )
     def test_bench_kernels_prints_one_json_document(self, case, shape):
         proc = run_python(str(REPO / "scripts" / "bench_kernels.py"), "--repeats", "1",
@@ -315,6 +318,8 @@ class TestScripts:
         assert entry["case"] == case
         assert entry["median_ms"] > 0.0
         assert {key: entry[key] for key in shape} == shape
+        if case.startswith("relativise:"):
+            assert entry["localization_ms"] > 0.0
 
     def test_bench_kernels_finds_the_checkout_without_pythonpath(self):
         # the usage line of the script's docstring, with no PYTHONPATH set

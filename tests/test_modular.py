@@ -18,7 +18,7 @@ from qrflab.modular import (
     modular_flow,
 )
 from qrflab.opcore import dagger, op_norm
-from qrflab.vnalg import OperatorAlgebra, commutant, span_distance
+from qrflab.vnalg import OperatorAlgebra, algebra_from_matrices, commutant, span_distance
 
 import _modular_oracles as modular_oracle
 from _factories import (
@@ -177,6 +177,108 @@ class TestConjugationClosedForm:
             # the stacked commutator system would be 46656 x 1296 (0.48 GB
             # as float64, 0.97 GB as complex)
             assert peak < 200e6
+
+
+def commutant_rows_read_by_the_defect(data, monkeypatch):
+    """The defect and the M' rows it measured J x J against, caught at its
+    call of ``_worst_residual``."""
+    caught = []
+    worst = qrflab.modular._worst_residual
+
+    def spy(x, rows):
+        caught.append(rows)
+        return worst(x, rows)
+
+    monkeypatch.setattr(qrflab.modular, "_worst_residual", spy)
+    defect = data.conjugation_defect()
+    monkeypatch.undo()
+    [rows] = caught
+    return defect, rows
+
+
+def oracle_defect(data):
+    """The conjugation defect against ``vnalg.commutant``'s Gram-operator
+    null space."""
+    rows = commutant(data.algebra).rows
+    return modular_oracle.conjugation_defect(data.j_matrix, data.algebra.rows, rows)
+
+
+def block_sum_case(rng):
+    """(M_2 (x) 1_2) (+) C on C^5, turned by a seeded unitary, with a
+    seeded vector vec(A) (+) z: cyclic and separating for A invertible and
+    z nonzero. M' = (1_2 (x) M_2) (+) C."""
+    u = random_unitary(rng, 5)
+    units = np.eye(4).reshape(4, 2, 2)
+    mats = []
+    for e in units:
+        m = np.zeros((5, 5), dtype=complex)
+        m[:4, :4] = np.kron(e, np.eye(2))
+        mats.append(u @ m @ dagger(u))
+    mats.append(u @ np.diag([0, 0, 0, 0, 1.0]).astype(complex) @ dagger(u))
+    omega = u @ np.append(random_complex(rng, 2).ravel(), 0.6 + 0.3j)
+    return algebra_from_matrices(mats, 5), omega
+
+
+class TestConjugationFromTheCyclicVector:
+    """J M J = M' with M' read off the cyclic separating vector, against
+    the commutant of the Gram-operator null space."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_the_commutant_oracle_on_doubled_gibbs_states(self, d, beta, rng, monkeypatch):
+        rho, _, _ = thermal_gibbs_case(rng, d, beta)
+        alg, omega = gns_doubling(rho)
+        data = modular_data(alg, omega)
+        defect, rows = commutant_rows_read_by_the_defect(data, monkeypatch)
+        assert abs(defect - oracle_defect(data)) <= 1e-12
+        assert defect <= 1e-9
+        assert rows.shape == (d * d, d ** 4)
+        assert span_distance(rows, commutant(alg)) <= 1e-12
+
+    def test_matches_the_commutant_oracle_on_a_block_sum(self, rng, monkeypatch):
+        alg, omega = block_sum_case(rng)
+        data = modular_data(alg, omega)
+        defect, rows = commutant_rows_read_by_the_defect(data, monkeypatch)
+        assert abs(defect - oracle_defect(data)) <= 1e-12
+        assert defect <= 1e-9
+        assert span_distance(rows, commutant(alg)) <= 1e-12
+
+    def test_a_tampered_conjugation_reads_far_from_the_commutant(self, rng):
+        alg, omega = doubled_gibbs(3, rng)
+        data = modular_data(alg, omega)
+        tampered = dataclasses.replace(
+            data, j_matrix=data.j_matrix @ np.kron(np.eye(3), random_unitary(rng, 3)))
+        defect = tampered.conjugation_defect()
+        assert defect >= 0.5
+        assert abs(defect - oracle_defect(tampered)) <= 1e-12
+
+    def test_a_span_not_closed_under_products_reads_far_from_zero(self, rng):
+        # span{1, X (x) 1, Z (x) 1, X (x) X} holds 1 and its adjoints, and
+        # has dim D = 4, but X Z = -iY is not in it
+        span = algebra_from_matrices(
+            [np.eye(4), np.kron(SIGMA_X, np.eye(2)), np.kron(SIGMA_Z, np.eye(2)),
+             np.kron(SIGMA_X, SIGMA_X)], 4)
+        span.validate()
+        data = modular_data(span, random_complex(rng, 4, 1).ravel())
+        assert data.conjugation_defect() >= 0.5
+
+    def test_a_commutant_short_of_dimension_d_raises(self, rng, monkeypatch):
+        data = modular_data(*doubled_gibbs(2, rng))
+        rows = qrflab.modular._orthonormal_rows
+        monkeypatch.setattr(
+            qrflab.modular, "_orthonormal_rows", lambda cands, basis: rows(cands, basis)[1:])
+        with pytest.raises(RuntimeError, match="has dim 3, not 4"):
+            data.conjugation_defect()
+
+    def test_takes_no_gram_operator_commutant(self, rng, monkeypatch):
+        data = modular_data(*doubled_gibbs(4, rng))
+
+        def forbidden(alg):
+            raise AssertionError("conjugation_defect called commutant")
+
+        for module in (qrflab.vnalg, qrflab.modular):
+            monkeypatch.setattr(module, "commutant", forbidden, raising=False)
+        assert data.conjugation_defect() <= 1e-9
 
 
 class TestRankAndEigenpairsOnce:

@@ -808,6 +808,108 @@ class TestOneQuadraturePath:
             relativize(random_hermitian(rng, 3), action, QuantumReferenceFrame(turned, frame.povm))
 
 
+class TestLocalizationInFrameWeights:
+    """localization_defect as sum_j X_j tr(sigma F_j), against the round trip
+    through ``relativize``'s joint operator, restricted by the Kronecker
+    oracle."""
+
+    @pytest.mark.parametrize("shape", [(5, 12), (9, 24), (10, 24)], ids=lambda s: "%dx%d" % s)
+    def test_matches_the_joint_round_trip_on_circle_frames(self, rng, shape):
+        action, frame, *_ = thermal_frame_case(rng, *shape)
+        for _ in range(3):
+            x = random_hermitian(rng, action.rep.dim)
+            sigma = random_density(rng, frame.rep.dim)
+            want = oracle.localization_defect(relativize(x, action, frame), x, sigma)
+            assert want >= 0.1
+            assert abs(localization_defect(x, action, frame, sigma) - want) <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["cosets", "rotated-cosets"])
+    def test_matches_the_joint_round_trip_on_a_finite_frame(self, rng, fixture):
+        if fixture == "cosets":
+            _, _, action, frame, _ = coset_fixture()
+        else:
+            _, _, action, frame, _ = rotated_coset_fixture(rng)
+        for _ in range(3):
+            a = sum(z * u for z, u in zip(random_complex(rng, 1, 6)[0], action.rep.unitaries))
+            x = stabiliser_average(a, action, frame.povm.space.subgroup)
+            sigma = random_density(rng, frame.rep.dim)
+            want = oracle.localization_defect(relativize(x, action, frame), x, sigma)
+            assert want >= 0.1
+            assert abs(localization_defect(x, action, frame, sigma) - want) <= 1e-12
+
+    def test_circle_frames_form_no_joint_operator(self, rng, monkeypatch):
+        action, frame, *_ = thermal_frame_case(rng)
+        x = random_hermitian(rng, action.rep.dim)
+        sigma = random_density(rng, frame.rep.dim)
+        want = localization_defect(x, action, frame, sigma)
+
+        def forbidden(*args):
+            raise AssertionError("localization_defect formed the joint operator")
+
+        monkeypatch.setattr(relativise, "relativize", forbidden)
+        monkeypatch.setattr(relativise, "_charge_pinching", forbidden)
+        assert localization_defect(x, action, frame, sigma) == want
+
+    @pytest.mark.parametrize("case", ["dimension", "membership", "groups", "stabiliser"])
+    def test_rejects_what_relativize_rejects_with_its_message(self, case):
+        if case == "dimension":
+            x, action, frame = np.eye(3), qubit_action(), sharp_frame()
+            message = "does not match the system"
+        elif case == "membership":
+            g = cyclic_group(2)
+            flip = FiniteRep(g, [np.eye(2, dtype=complex), SIGMA_X])
+            diag = algebra_from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)
+            x, action, frame = SIGMA_X + 0.5 * SIGMA_Z, GroupAction(diag, flip), sharp_frame()
+            message = "outside the system algebra"
+        elif case == "groups":
+            x, action = SIGMA_Z, qubit_action()
+            frame = ideal_frame(regular_representation(cyclic_group(3)))
+            message = "share one symmetry group"
+        else:
+            _, lam, action, frame, cycles = coset_fixture()
+            x = lam.unitaries[cycles[0]]
+            message = "requires stabiliser-invariant input"
+        sigma = np.eye(frame.rep.dim, dtype=complex) / frame.rep.dim
+        with pytest.raises(ValueError, match=message):
+            relativize(x, action, frame)
+        with pytest.raises(ValueError, match=message):
+            localization_defect(x, action, frame, sigma)
+
+    def test_rejects_a_frame_state_of_the_wrong_dimension(self):
+        with pytest.raises(ValueError, match="frame state dimension"):
+            localization_defect(SIGMA_Z, qubit_action(), sharp_frame(), np.eye(3) / 3)
+
+
+class TestStabiliserNormOnlyWhenNeeded:
+    """The stabiliser test takes ||x|| only for a defect above the bare
+    tolerance; its verdict stays defect <= tol * max(1, ||x||)."""
+
+    def test_circle_relativisation_takes_no_operator_norm(self, rng, monkeypatch):
+        action, frame, *_ = thermal_frame_case(rng)
+        calls = []
+        norm = relativise.op_norm
+
+        def counting(x):
+            calls.append(x.shape)
+            return norm(x)
+
+        monkeypatch.setattr(relativise, "op_norm", counting)
+        relativize(random_hermitian(rng, action.rep.dim), action, frame)
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e7, 1e9])
+    def test_verdict_is_the_scaled_test(self, rng, scale):
+        # an exactly invariant anchor in a rotated basis, scaled up until its
+        # rounding defect crosses the bare and then the scaled tolerance,
+        # and a non-invariant one of each size
+        _, _, action, frame, cycles = rotated_coset_fixture(rng)
+        invariant = action.rep.unitaries[cycles[0]] + action.rep.unitaries[cycles[1]]
+        for x in (scale * invariant, scale * action.rep.unitaries[cycles[0]]):
+            defect = _stabiliser_defect(x, action, frame)
+            want = defect <= _INVARIANCE_TOL * max(1.0, op_norm(x))
+            assert relativise._is_stabiliser_invariant(x, action, frame) == want
+
+
 class TestSystemBasisCovariance:
     """Turning the system by one unitary W, generator, observable and state
     together, is a change of basis: the expectations and the localisation
